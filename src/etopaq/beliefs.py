@@ -7,12 +7,19 @@ zero-time actions and further off-integer delays.  The pre-initial state is a
 dedicated bottom marker; the only moves out of it are zero-time closures of
 the initial region.  The empty belief is kept as an absorbing dead state so
 time can still be counted through intervals where no run survives.
+
+The closure runs over the region ids of the `RegionContext`: each region's
+moves are looked up once and kept as id lists, split into free steps,
+controllable steps by action name, and the '0+'/'1' delay targets.  Only the
+result is turned back into a frozenset of the interned `Region` objects, and
+the leak predicates test it against the context's private- and public-final
+sets.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from collections import deque
 
-from .regions import Region, RegionContext, encode
+from .regions import RegionContext, encode
 from .ta import SILENT_KIND
 
 Belief = frozenset  # frozenset[Region]
@@ -39,6 +46,8 @@ class BeliefSpace:
         self._succ: dict[tuple[Belief, str, frozenset[str]], Belief] = {}
         self._init: dict[frozenset[str], Belief] = {}
         self._subsets: tuple[frozenset[str], ...] | None = None
+        self._moves: dict[int, tuple] = {}
+        self._last_image: tuple = (None, None, frozenset())
 
     # -- label helpers -------------------------------------------------------
 
@@ -55,34 +64,83 @@ class BeliefSpace:
             )
         return self._subsets
 
-    def _action_allowed(self, action, enabled: frozenset[str], silent_ok: bool) -> bool:
-        if action.kind == SILENT_KIND:
-            return silent_ok
-        return action.name in self.uncontrollable or action.name in enabled
-
     # -- construction --------------------------------------------------------
 
-    def _closure(
-        self,
-        seed: Iterable[Region],
-        enabled: frozenset[str],
-        allow_offinteger_delay: bool,
-        silent_ok: bool = True,
-    ) -> Belief:
-        seen = set(seed)
+    def _moves_of(self, rid: int) -> tuple:
+        """Region ``rid``'s one-step moves as ids, built once:
+        (steps free inside an interval, steps free at the initial instant,
+        ((controllable name, steps), ...), '0+' delay targets, '1' delay
+        targets).  Free steps are the silent and uncontrollable ones (no
+        silent ones at the initial instant in the strict variant); inside
+        an interval, off-integer delays are free too."""
+        moves = self._moves.get(rid)
+        if moves is not None:
+            return moves
+        ctx = self.ctx
+        ids = ctx.ids  # successors come back interned
+        region = ctx.regions[rid]
+        free: list[int] = []
+        unc: list[int] = []
+        by_name: dict[str, list[int]] = {}
+        for action, r2 in ctx.discrete_steps(region):
+            if action.kind == SILENT_KIND:
+                free.append(ids[r2])
+            elif action.name in self.uncontrollable:
+                free.append(ids[r2])
+                unc.append(ids[r2])
+            else:
+                by_name.setdefault(action.name, []).append(ids[r2])
+        delay0p: list[int] = []
+        delay1: list[int] = []
+        for tag, r2 in ctx.delay_steps(region):
+            (delay0p if tag == "0+" else delay1).append(ids[r2])
+        moves = (
+            tuple(free + [j for j in delay0p if j != rid]),
+            tuple(free if self.silent_in_initial else unc),
+            tuple((name, tuple(js)) for name, js in by_name.items()),
+            tuple(delay0p),
+            tuple(delay1),
+        )
+        self._moves[rid] = moves
+        return moves
+
+    def _closure(self, seen: set[int], enabled: frozenset[str], at_initial: bool) -> Belief:
+        """Zero-time closure of the region ids in ``seen`` (grown in place):
+        free steps plus the discrete steps of enabled controllable actions,
+        with off-integer delays unless ``at_initial``."""
+        free = 1 if at_initial else 0
+        table = self._moves
         todo = list(seen)
         while todo:
-            r = todo.pop()
-            for action, r2 in self.ctx.discrete_steps(r):
-                if self._action_allowed(action, enabled, silent_ok) and r2 not in seen:
-                    seen.add(r2)
-                    todo.append(r2)
-            if allow_offinteger_delay:
-                for tag, r2 in self.ctx.delay_steps(r):
-                    if tag == "0+" and r2 not in seen:
-                        seen.add(r2)
-                        todo.append(r2)
-        return frozenset(seen)
+            i = todo.pop()
+            moves = table.get(i) or self._moves_of(i)
+            for j in moves[free]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+            for name, js in moves[2]:
+                if name in enabled:
+                    for j in js:
+                        if j not in seen:
+                            seen.add(j)
+                            todo.append(j)
+        regions = self.ctx.regions
+        return frozenset({regions[i] for i in seen})
+
+    def _delay_image(self, belief: Belief, tick: str) -> set[int]:
+        """Ids of the ``tick`` delay targets of the belief's regions.  The
+        game asks for one belief under every enabled set in a row, so the
+        last image is kept."""
+        last = self._last_image
+        if last[0] is belief and last[1] == tick:
+            return set(last[2])
+        delay = 3 if tick == "0+" else 4
+        intern, moves_of = self.ctx.intern, self._moves_of
+        image: set[int] = set()
+        for r in belief:
+            image.update(moves_of(intern(r))[delay])
+        self._last_image = (belief, tick, frozenset(image))
+        return image
 
     def initial(self, enabled: frozenset[str]) -> Belief:
         """Zero-time closure of the initial region under enabled and
@@ -90,12 +148,8 @@ class BeliefSpace:
         enabled = frozenset(enabled)
         cached = self._init.get(enabled)
         if cached is None:
-            cached = self._closure(
-                [self.ctx.initial_region()],
-                enabled,
-                allow_offinteger_delay=False,
-                silent_ok=self.silent_in_initial,
-            )
+            seed = {self.ctx.intern(self.ctx.initial_region())}
+            cached = self._closure(seed, enabled, at_initial=True)
             self._init[enabled] = cached
         return cached
 
@@ -108,27 +162,18 @@ class BeliefSpace:
         key = (belief, tick, enabled)
         cached = self._succ.get(key)
         if cached is None:
-            seed = [
-                r2
-                for r in belief
-                for tag, r2 in self.ctx.delay_steps(r)
-                if tag == tick
-            ]
-            cached = self._closure(seed, enabled, allow_offinteger_delay=True)
+            cached = self._closure(self._delay_image(belief, tick), enabled, at_initial=False)
             self._succ[key] = cached
         return cached
 
     # -- leak predicates -----------------------------------------------------
+    # Over beliefs of interned regions, as every belief returned here is.
 
     def has_private_final(self, belief: Belief) -> bool:
-        return any(
-            self.ctx.is_final(r) and self.ctx.is_secret(r) for r in belief
-        )
+        return not self.ctx.private_finals.isdisjoint(belief)
 
     def has_public_final(self, belief: Belief) -> bool:
-        return any(
-            self.ctx.is_final(r) and self.ctx.is_public(r) for r in belief
-        )
+        return not self.ctx.public_finals.isdisjoint(belief)
 
     def leaking_full(self, belief: Belief) -> bool:
         """Exactly one kind of final (private or public) is reachable."""
@@ -139,7 +184,7 @@ class BeliefSpace:
         return self.has_private_final(belief) and not self.has_public_final(belief)
 
     def finals_present(self, belief: Belief) -> bool:
-        return any(self.ctx.is_final(r) for r in belief)
+        return self.has_private_final(belief) or self.has_public_final(belief)
 
     # -- exploration ----------------------------------------------------------
 
@@ -150,9 +195,9 @@ class BeliefSpace:
         transitions: dict[tuple[object, str, frozenset[str]], object] = {}
         states: list[object] = [BOTTOM]
         seen: set[object] = {BOTTOM}
-        queue: list[object] = [BOTTOM]
+        queue: deque[object] = deque([BOTTOM])
         while queue:
-            b = queue.pop(0)
+            b = queue.popleft()
             moves: list[tuple[str, frozenset[str], object]] = []
             if b is BOTTOM:
                 for e in subsets:
@@ -181,9 +226,6 @@ class BeliefGraph:
         self.space = space
         self.states = states
         self.transitions = transitions
-
-    def edge_set(self) -> set[tuple[object, str, frozenset[str], object]]:
-        return {(b, t, e, b2) for (b, t, e), b2 in self.transitions.items()}
 
 
 def belief_key(belief: Belief) -> tuple:

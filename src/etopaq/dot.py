@@ -1,6 +1,8 @@
 """Graphviz exports of the explored region, belief and game graphs."""
 from __future__ import annotations
 
+from collections import deque
+
 from .beliefs import BOTTOM, BeliefGraph, BeliefSpace, belief_key
 from .regions import RegionContext
 
@@ -15,10 +17,10 @@ def regions_dot(ctx: RegionContext, max_states: int = 5000) -> str:
     start = ctx.initial_region()
     seen = {start}
     order = [start]
-    queue = [start]
+    queue = deque([start])
     edges = []
     while queue and len(seen) < max_states:
-        r = queue.pop(0)
+        r = queue.popleft()
         steps = [(f"{tag}/~", r2) for tag, r2 in ctx.delay_steps(r) if r2 != r]
         steps += [(f"0/{a.name}", r2) for a, r2 in ctx.discrete_steps(r)]
         for label, r2 in steps:
@@ -44,12 +46,12 @@ def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
     """Bucket-style names: beliefs first reached at integer point k become
     b{k}, b{k}' ... (largest first); interval beliefs b(k,k+1) alike."""
     depth: dict[object, int] = {BOTTOM: 0}
-    queue = [BOTTOM]
+    queue = deque([BOTTOM])
     ordered = sorted(
         graph.transitions.items(), key=lambda kv: (kv[0][1], sorted(kv[0][2]))
     )
     while queue:
-        b = queue.pop(0)
+        b = queue.popleft()
         for (src, tick, _), tgt in ordered:
             if src is b and tgt not in depth:
                 depth[tgt] = depth[b] + (1 if tick in ("0", "1") else 0)
@@ -107,10 +109,10 @@ def game_dot(space: BeliefSpace, mode, state_cap: int | None = None) -> str:
     cap = state_cap if state_cap is not None else state_cap_default()
     seen = {INITIAL}
     order = [INITIAL]
-    queue = [INITIAL]
+    queue = deque([INITIAL])
     adj = {}
     while queue and len(seen) <= cap:
-        st = queue.pop(0)
+        st = queue.popleft()
         succs = game_successors(space, st, mode)
         adj[st] = succs
         for _, s2 in succs:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .beliefs import BOTTOM, DEAD, Belief, BeliefSpace
-from .strategies import Bucket, BucketedBeliefs, Label, MetaStrategy, UnitPlan, encountered_beliefs
+from .strategies import Bucket, Label, MetaStrategy, UnitPlan, encountered_beliefs
 
 
 class Mode(Enum):
@@ -138,7 +139,12 @@ class SolveResult:
 
 
 class _Cap(Exception):
-    pass
+    """A resource cap was hit; carries how far exploration got."""
+
+    def __init__(self, reason: str, states: int, edges: int):
+        super().__init__(reason)
+        self.states = states
+        self.edges = edges
 
 
 def _explore(
@@ -155,13 +161,14 @@ def _explore(
     order: list[GameState] = [INITIAL]
     seen = {INITIAL}
     frontier = [INITIAL]
+    edges = 0
 
     def expand(st: GameState) -> tuple[GameState, list[tuple[Label, GameState]]]:
         return st, game_successors(space, st, mode)
 
     while frontier:
         if time_cap is not None and time.monotonic() - start > time_cap:
-            raise _Cap(f"time cap {time_cap}s exceeded")
+            raise _Cap(f"time cap {time_cap}s exceeded", len(seen), edges)
         if workers > 1 and len(frontier) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -172,13 +179,14 @@ def _explore(
         nxt: list[GameState] = []
         for st, succs in expanded:
             adj[st] = succs
+            edges += len(succs)
             for _, s2 in succs:
                 if s2 not in seen:
                     seen.add(s2)
                     order.append(s2)
                     nxt.append(s2)
                     if len(seen) > state_cap:
-                        raise _Cap(f"state cap {state_cap} exceeded")
+                        raise _Cap(f"state cap {state_cap} exceeded", len(seen), edges)
         frontier = nxt
     return adj, order
 
@@ -285,16 +293,16 @@ def solve(
     try:
         adj, order = _explore(space, mode, cap, time_cap, workers)
     except _Cap as stop:
-        stats = SolveStats(0, 0, time.monotonic() - t0)
+        stats = SolveStats(stop.states, stop.edges, time.monotonic() - t0)
         return SolveResult("INDETERMINATE", None, stats, str(stop))
     stats = SolveStats(
         len(adj), sum(len(v) for v in adj.values()), time.monotonic() - t0
     )
     comp = _sccs(adj, order)
     dist: dict[GameState, int] = {INITIAL: 0}
-    queue = [INITIAL]
+    queue = deque([INITIAL])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for _, w in adj.get(u, ()):
             if w not in dist:
                 dist[w] = dist[u] + 1
@@ -372,20 +380,15 @@ class CheckResult:
     offending: Bucket | None = None
 
 
-def _bucket_rows(enc: BucketedBeliefs) -> list[tuple[Bucket, Belief]]:
-    return list(enc.buckets)
-
-
 def check_metastrategy(
     space: BeliefSpace, phi: MetaStrategy, mode: Mode
 ) -> CheckResult:
     """Applies the mode's leak schedule to the encountered beliefs; the
     bucket list is periodic, so scanning the enumerated prefix decides."""
     enc = encountered_beliefs(space, phi, extra_units=2)
-    rows = _bucket_rows(enc)
-    intervals = {b.k: bel for b, bel in rows if b.kind == "interval"}
-    max_point = max(b.k for b, _ in rows if b.kind == "point")
-    for bucket, belief in rows:
+    intervals = {b.k: bel for b, bel in enc.buckets if b.kind == "interval"}
+    max_point = max(b.k for b, _ in enc.buckets if b.kind == "point")
+    for bucket, belief in enc.buckets:
         if bucket.kind == "interval":
             leaking = (
                 space.leaking_weak(belief)

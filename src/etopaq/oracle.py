@@ -16,14 +16,6 @@ from .ta import SILENT_KIND
 
 
 @dataclass(frozen=True, slots=True)
-class ProductState:
-    """A region paired with its position in the flattened choice schedule."""
-
-    region: Region
-    segment: int
-
-
-@dataclass(frozen=True, slots=True)
 class BucketFlags:
     bucket: Bucket
     has_private_final: bool

@@ -6,10 +6,15 @@ of the fractional parts of the rest.  Successor computation is lazy and
 memoized; transitions carry a tick tag telling how the fractional part of the
 tick clock moved: '0' (discrete step), '0+' (delay staying off integers),
 '1' (delay entering or leaving an integer instant).
+
+A `RegionContext` interns the regions it hands out: each gets one canonical
+object and a dense int id, in order of first sight, and the final regions
+are sorted into private and public sets as they are interned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,6 +37,14 @@ class Region:
     ints: tuple[int | None, ...]
     zero: tuple[int, ...]
     pos: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # regions are hashed on every set and cache probe; hash the fields once
+        object.__setattr__(self, "_hash", hash((self.location, self.ints, self.zero, self.pos)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_capped(self, clock: int) -> bool:
         return self.ints[clock] is not ABOVE
@@ -113,7 +126,13 @@ def valuations_equivalent(
 
 class RegionContext:
     """Successor queries over the regions of a duplicated, tick-augmented
-    automaton, memoized on canonical encodings."""
+    automaton, memoized per region.
+
+    The initial region and every successor returned are interned:
+    ``regions[intern(r)]`` is the one canonical object equal to ``r``.
+    ``private_finals`` and ``public_finals`` hold the interned final regions
+    by side of the duplication.
+    """
 
     def __init__(self, ta: TimedAutomaton):
         if not (ta.is_duplicated and ta.has_tick_clock):
@@ -127,6 +146,11 @@ class RegionContext:
         }
         self._delay: dict[Region, tuple[tuple[str, Region], ...]] = {}
         self._discrete: dict[Region, tuple[tuple[Action, Region], ...]] = {}
+        self.regions: list[Region] = []  # id -> interned region
+        self.ids: dict[Region, int] = {}  # interned region -> id; read-only outside `intern`
+        self._intern_lock = threading.Lock()
+        self.private_finals: set[Region] = set()
+        self.public_finals: set[Region] = set()
 
     def _max_constants(self) -> tuple[int, ...]:
         cmax = [0] * len(self.ta.clocks)
@@ -141,8 +165,27 @@ class RegionContext:
 
     # -- construction -------------------------------------------------------
 
+    def intern(self, region: Region) -> int:
+        """The region's id, assigned on first sight.  Safe across threads:
+        the region is stored and classified before its id is published."""
+        rid = self.ids.get(region)
+        if rid is None:
+            with self._intern_lock:
+                rid = self.ids.get(region)
+                if rid is None:
+                    rid = len(self.regions)
+                    self.regions.append(region)
+                    if self.is_final(region):
+                        side = self.private_finals if self.is_secret(region) else self.public_finals
+                        side.add(region)
+                    self.ids[region] = rid
+        return rid
+
+    def canonical(self, region: Region) -> Region:
+        return self.regions[self.intern(region)]
+
     def initial_region(self) -> Region:
-        return self.region_of(self.ta.init, self.ta.zero_valuation())
+        return self.canonical(self.region_of(self.ta.init, self.ta.zero_valuation()))
 
     def region_of(self, location: str, vals: Sequence[Fraction]) -> Region:
         return region_of(location, vals, self.cmax)
@@ -210,10 +253,10 @@ class RegionContext:
             return cached
         steps: list[tuple[str, Region]] = []
         if self.can_idle(region):
-            steps.append(("0+", region))
+            steps.append(("0+", self.canonical(region)))
         nxt = self.time_successor(region)
         if nxt is not None:
-            steps.append(nxt)
+            steps.append((nxt[0], self.canonical(nxt[1])))
         result = tuple(sorted(steps, key=lambda s: (s[0], encode(s[1]))))
         self._delay[region] = result
         return result
@@ -230,7 +273,7 @@ class RegionContext:
                 continue
             image = self.reset_image(region, e.resets, e.target)
             if self.invariant_ok(image):
-                steps.append((e.action, image))
+                steps.append((e.action, self.canonical(image)))
         result = tuple(
             sorted(steps, key=lambda s: (s[0].name, encode(s[1])))
         )

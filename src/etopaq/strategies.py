@@ -274,9 +274,6 @@ class BucketedBeliefs:
     cycle_start: int  # unit index where the periodic tail begins
     cycle_period: int
 
-    def mapping(self) -> dict[Bucket, Belief]:
-        return dict(self.buckets)
-
 
 def encountered_beliefs(
     space: BeliefSpace, phi: MetaStrategy, extra_units: int = 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 from conftest import load_space, load_ta
@@ -334,3 +335,81 @@ def test_strict_initial_closure_drops_silent_zero_edges():
     b = lax.initial(NONE)
     assert strict.successor(b, "1", NONE) == lax.successor(b, "1", NONE)
     assert {r.location for r in lax.successor(b, "1", NONE)} >= {"lmid"}
+
+
+# --- the id-based closure against a Region-level reference ----------------------
+
+PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
+
+
+def _reference_closure(ctx, seed, enabled, allow_delay, silent_ok=True):
+    """Zero-time closure straight over `discrete_steps`/`delay_steps`."""
+    unc = ctx.ta.uncontrollable
+    seen = set(seed)
+    todo = list(seen)
+    while todo:
+        r = todo.pop()
+        for action, r2 in ctx.discrete_steps(r):
+            if action.kind == SILENT_KIND:
+                ok = silent_ok
+            else:
+                ok = action.name in unc or action.name in enabled
+            if ok and r2 not in seen:
+                seen.add(r2)
+                todo.append(r2)
+        if allow_delay:
+            for tag, r2 in ctx.delay_steps(r):
+                if tag == "0+" and r2 not in seen:
+                    seen.add(r2)
+                    todo.append(r2)
+    return frozenset(seen)
+
+
+def _reference_successor(ctx, belief, tick, enabled):
+    seed = {r2 for r in belief for tag, r2 in ctx.delay_steps(r) if tag == tick}
+    return _reference_closure(ctx, seed, enabled, allow_delay=True)
+
+
+def _reference_initial(ctx, enabled, silent_ok):
+    return _reference_closure(
+        ctx, {ctx.initial_region()}, enabled, allow_delay=False, silent_ok=silent_ok
+    )
+
+
+def _assert_matches_reference(ta) -> int:
+    """Every initial belief of both closure variants, and every reachable
+    belief transition; returns the number of transitions compared."""
+    for silent_ok in (True, False):
+        space = BeliefSpace(RegionContext(prepare(ta)), silent_in_initial=silent_ok)
+        for enabled in space.enabled_sets():
+            got = space.initial(enabled)
+            assert got == _reference_initial(space.ctx, enabled, silent_ok)
+            assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
+    ctx = space.ctx
+    graph = space.explore(include_dead=True)
+    for (b, tick, enabled), b2 in graph.transitions.items():
+        if b is BOTTOM:
+            continue
+        assert b2 == _reference_successor(ctx, b, tick, enabled), (ta.name, tick, sorted(enabled))
+        assert sys.getsizeof(b2) <= sys.getsizeof(frozenset(set(b2)))
+        for belief in (b2, b | b2):
+            priv = any(ctx.is_final(r) and ctx.is_secret(r) for r in belief)
+            pub = any(ctx.is_final(r) and ctx.is_public(r) for r in belief)
+            assert space.has_private_final(belief) == priv
+            assert space.has_public_final(belief) == pub
+            assert space.finals_present(belief) == (priv or pub)
+    return len(graph.transitions)
+
+
+def test_closure_matches_reference_on_paper_fixtures():
+    for name in PAPER_FIXTURES:
+        assert _assert_matches_reference(load_ta(name)) > 0, name
+
+
+def test_closure_matches_reference_on_random_automata():
+    from conftest import random_ta
+
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(50):
+        assert _assert_matches_reference(random_ta(rng, name=f"ref{i}")) > 0
+

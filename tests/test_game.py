@@ -150,6 +150,9 @@ def test_solve_state_cap_yields_indeterminate(opaque_space):
     res = solve(opaque_space, Mode.FULL, state_cap=2)
     assert res.status == "INDETERMINATE"
     assert "cap" in res.detail
+    # the partial counts survive the cap
+    assert res.stats.states > 2
+    assert res.stats.edges > 0
 
 
 # --- witness extraction --------------------------------------------------------

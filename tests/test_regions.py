@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
-from conftest import load_space
+from conftest import load_space, load_ta
+from etopaq import prepare
 from etopaq.regions import (
     ABOVE,
+    Region,
+    RegionContext,
     encode,
     region_of,
     valuations_equivalent,
@@ -256,3 +261,67 @@ def test_discrete_successors_filter_by_enabled(opaque_space):
     assert "a" not in without and "u" in without
     no_silent = ctx.discrete_successors(r0, frozenset(), silent_ok=False)
     assert all(a.kind != "silent" for a, _ in no_silent)
+
+
+# --- interning -------------------------------------------------------------------
+
+
+def _reachable(ctx, limit=300):
+    seen = {ctx.initial_region()}
+    frontier = list(seen)
+    while frontier and len(seen) < limit:
+        r = frontier.pop()
+        for _, r2 in list(ctx.delay_steps(r)) + list(ctx.discrete_steps(r)):
+            if r2 not in seen:
+                seen.add(r2)
+                frontier.append(r2)
+    return sorted(seen, key=encode)
+
+
+def test_successors_are_interned_with_dense_ids():
+    ctx = RegionContext(prepare(load_ta("ta1")))
+    regions = _reachable(ctx)
+    for r in regions:
+        for _, r2 in list(ctx.delay_steps(r)) + list(ctx.discrete_steps(r)):
+            assert r2 is ctx.regions[ctx.intern(r2)]
+    assert sorted(ctx.intern(r) for r in ctx.regions) == list(range(len(ctx.regions)))
+    copy = Region(regions[-1].location, regions[-1].ints, regions[-1].zero, regions[-1].pos)
+    assert copy is not regions[-1] and ctx.canonical(copy) is regions[-1]
+    finals = {r for r in ctx.regions if ctx.is_final(r)}
+    assert ctx.private_finals | ctx.public_finals == finals
+    assert all(ctx.is_secret(r) for r in ctx.private_finals)
+    assert not any(ctx.is_secret(r) for r in ctx.public_finals)
+
+
+def test_intern_assigns_one_id_per_region_across_threads():
+    ta = prepare(load_ta("ta_opaque2"))
+    values = [Region(r.location, r.ints, r.zero, r.pos) for r in _reachable(RegionContext(ta))]
+
+    def race(ctx: RegionContext) -> list[dict]:
+        results: list[dict] = []
+
+        def work(seed: int) -> None:
+            order = values[:]
+            random.Random(seed).shuffle(order)
+            results.append({encode(r): ctx.intern(r) for r in order})
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        return results
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            ctx = RegionContext(ta)
+            results = race(ctx)
+            assert len(results) == 8
+            assert all(ids == results[0] for ids in results)
+            assert sorted(results[0].values()) == list(range(len(values)))
+            assert len(ctx.regions) == len(values)
+    finally:
+        sys.setswitchinterval(old)
