@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 SAT/OK/true, 1 UNSAT/NOT-OK/false, 2 INDETERMINATE,
-64 input error.
+64 input error (bad files and malformed command lines alike).
 """
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ import sys
 from . import dot, msformat, taformat
 from .beliefs import BeliefSpace
 from .game import (
+    DEFAULT_STATE_CAP,
     Mode,
     check_exists,
     check_metastrategy,
     solve,
-    state_cap_default,
     witness_to_metastrategy,
 )
 from .minsky import encode, parse_machine, structural_check
@@ -33,6 +33,15 @@ MODES = {m.value: m for m in Mode}
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the input-error code: argparse's own code 2
+    would read as INDETERMINATE.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _load_prepared(path: str, repair_finals: bool):
@@ -82,10 +91,7 @@ def cmd_check(args) -> int:
             return EXIT_YES
         print(f"NOT-OK offending-bucket {verdict.offending}")
         return EXIT_NO
-    result = solve(
-        space, mode, state_cap=args.state_cap, time_cap=args.time_cap,
-        workers=args.workers,
-    )
+    result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
     if result.status == "SAT":
         w = result.witness
         print("SAT")
@@ -112,10 +118,7 @@ def cmd_synthesize(args) -> int:
         print(f"SAT wrote {args.output}")
         return EXIT_YES
     mode = MODES[args.mode]
-    result = solve(
-        space, mode, state_cap=args.state_cap, time_cap=args.time_cap,
-        workers=args.workers,
-    )
+    result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
     if result.status == "SAT":
         phi = witness_to_metastrategy(result.witness)
         msformat.save(phi, args.output)
@@ -200,13 +203,12 @@ def _add_common(
         action="store_true",
         help="apply the urgency repair before analysis",
     )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--state-cap", type=int, default=state_cap_default())
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--time-cap", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="etopaq",
         description="Execution-time opacity checking and controller synthesis",
     )

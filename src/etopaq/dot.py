@@ -4,6 +4,7 @@ from __future__ import annotations
 from collections import deque
 
 from .beliefs import BOTTOM, BeliefGraph, BeliefSpace, belief_key
+from .game import DEFAULT_STATE_CAP, explore
 from .regions import RegionContext
 
 
@@ -103,23 +104,10 @@ def beliefs_dot(space: BeliefSpace, pretty: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def game_dot(space: BeliefSpace, mode, state_cap: int | None = None) -> str:
-    from .game import INITIAL, game_successors, state_cap_default
-
-    cap = state_cap if state_cap is not None else state_cap_default()
-    seen = {INITIAL}
-    order = [INITIAL]
-    queue = deque([INITIAL])
-    adj = {}
-    while queue and len(seen) <= cap:
-        st = queue.popleft()
-        succs = game_successors(space, st, mode)
-        adj[st] = succs
-        for _, s2 in succs:
-            if s2 not in seen:
-                seen.add(s2)
-                order.append(s2)
-                queue.append(s2)
+def game_dot(space: BeliefSpace, mode, state_cap: int = DEFAULT_STATE_CAP) -> str:
+    """The pruned game as `solve` explores it, stopping where its state cap
+    stops it; edges to states past the cap are left out."""
+    adj, order, _, _ = explore(space, mode, state_cap, None)
     names = {st: f"g{i}" for i, st in enumerate(order)}
     lines = ["digraph game {", "  rankdir=LR;"]
     for st in order:
@@ -129,7 +117,8 @@ def game_dot(space: BeliefSpace, mode, state_cap: int | None = None) -> str:
         lines.append(f"  {names[st]} [shape=box label={_q(kind)}];")
     for st in order:
         for (tick, enabled), s2 in adj.get(st, ()):
-            label = f"{tick}, {{{','.join(sorted(enabled))}}}"
-            lines.append(f"  {names[st]} -> {names[s2]} [label={_q(label)}];")
+            if s2 in names:
+                label = f"{tick}, {{{','.join(sorted(enabled))}}}"
+                lines.append(f"  {names[st]} -> {names[s2]} [label={_q(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,38 +2,34 @@
 
 Game states pair the current belief with the belief accumulated since the
 last tick-1 action; closing a bucket (taking a tick-1) is guarded by the
-mode's leak predicate on the accumulated belief.  The closed mode carries two
-extra bits: whether the last closed interval contained a final region, and a
-pending obligation that the next interval must.  A winning play is a
-reachable lasso whose loop takes tick-1 actions; its labels directly spell an
-eventually periodic meta-strategy.
+mode's leak rule (`modes.Mode.leaks`) on the accumulated belief.  The closed
+mode carries two extra bits: whether the last closed interval contained a
+final region, and a pending obligation that the next interval must.  A
+winning play is a reachable lasso whose loop takes tick-1 actions; its
+labels directly spell an eventually periodic meta-strategy.
+
+`solve` explores the pruned game breadth first, one state at a time, with
+the caps checked per expanded state, then searches the explored graph once:
+Tarjan's SCCs, the first tick-1 edge inside an SCC in discovery order, the
+BFS parent chain as the stem and a shortest path inside the SCC as the loop.
 """
 from __future__ import annotations
 
-import os
 import time
-from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .beliefs import BOTTOM, DEAD, Belief, BeliefSpace
-from .strategies import Bucket, Label, MetaStrategy, UnitPlan, encountered_beliefs
-
-
-class Mode(Enum):
-    FULL = "full"
-    WEAK = "weak"
-    ALMOST_FULL = "almost"
-    CLOSED_FULL = "closed"
-
+from .modes import Mode, bucket_verdict
+from .strategies import (
+    Bucket,
+    Label,
+    MetaStrategy,
+    UnitPlan,
+    all_enabled,
+    encountered_beliefs,
+)
 
 DEFAULT_STATE_CAP = 200_000
-STATE_CAP_ENV = "ETOPAQ_STATE_CAP"
-
-
-def state_cap_default() -> int:
-    raw = os.environ.get(STATE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_STATE_CAP
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,19 +42,6 @@ class GameState:
 
 
 INITIAL = GameState(BOTTOM, DEAD, True)
-
-
-def _interval_close_ok(space: BeliefSpace, st: GameState, mode: Mode) -> bool:
-    acc = st.accumulated
-    if mode is Mode.WEAK:
-        if space.leaking_weak(acc):
-            return False
-    else:
-        if space.leaking_full(acc):
-            return False
-    if mode is Mode.CLOSED_FULL and st.obligation and not space.finals_present(acc):
-        return False
-    return True
 
 
 def game_successors(
@@ -74,18 +57,16 @@ def game_successors(
             b = space.initial(e)
             out.append((("0", e), GameState(b, b, True)))
         return out
+    acc = st.accumulated
+    priv, pub = space.has_private_final(acc), space.has_public_final(acc)
+    leak = mode.leaks(priv, pub)
     if st.at_integer:
-        acc = st.accumulated
-        leak_point = (
-            space.leaking_weak(acc) if mode is Mode.WEAK else space.leaking_full(acc)
-        )
         obligation = False
         if mode is Mode.ALMOST_FULL:
             pass  # punctual violations are ignored outright
         elif mode is Mode.CLOSED_FULL:
-            if leak_point and not st.prev_interval_finals:
-                obligation = True
-        elif leak_point:
+            obligation = leak and not st.prev_interval_finals
+        elif leak:
             return out
         for e in subsets:
             b = space.successor(st.current, "1", e)
@@ -100,17 +81,16 @@ def game_successors(
                 ("0+", e),
                 GameState(
                     b,
-                    st.accumulated | b,
+                    acc | b,
                     False,
                     st.prev_interval_finals,
                     st.obligation,
                 ),
             )
         )
-    if _interval_close_ok(space, st, mode):
-        finals = (
-            space.finals_present(st.accumulated) if mode is Mode.CLOSED_FULL else False
-        )
+    closed = mode is Mode.CLOSED_FULL
+    if not leak and not (closed and st.obligation and not (priv or pub)):
+        finals = closed and (priv or pub)
         for e in subsets:
             b = space.successor(st.current, "1", e)
             out.append((("1", e), GameState(b, b, True, finals, False)))
@@ -138,62 +118,35 @@ class SolveResult:
     detail: str = ""
 
 
-class _Cap(Exception):
-    """A resource cap was hit; carries how far exploration got."""
-
-    def __init__(self, reason: str, states: int, edges: int):
-        super().__init__(reason)
-        self.states = states
-        self.edges = edges
+Adjacency = dict[GameState, list[tuple[Label, GameState]]]
+Tree = dict[GameState, tuple[GameState, Label] | None]  # BFS parent edges
 
 
-def _explore(
-    space: BeliefSpace,
-    mode: Mode,
-    state_cap: int,
-    time_cap: float | None,
-    workers: int,
-) -> tuple[dict[GameState, list[tuple[Label, GameState]]], list[GameState]]:
-    """Reachable pruned game graph, breadth first.  Workers parallelize
-    successor generation only; the resulting graph is schedule-independent."""
-    start = time.monotonic()
-    adj: dict[GameState, list[tuple[Label, GameState]]] = {}
-    order: list[GameState] = [INITIAL]
-    seen = {INITIAL}
-    frontier = [INITIAL]
-    edges = 0
-
-    def expand(st: GameState) -> tuple[GameState, list[tuple[Label, GameState]]]:
-        return st, game_successors(space, st, mode)
-
-    while frontier:
-        if time_cap is not None and time.monotonic() - start > time_cap:
-            raise _Cap(f"time cap {time_cap}s exceeded", len(seen), edges)
-        if workers > 1 and len(frontier) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expanded = list(pool.map(expand, frontier))
-        else:
-            expanded = [expand(st) for st in frontier]
-        nxt: list[GameState] = []
-        for st, succs in expanded:
-            adj[st] = succs
-            edges += len(succs)
-            for _, s2 in succs:
-                if s2 not in seen:
-                    seen.add(s2)
-                    order.append(s2)
-                    nxt.append(s2)
-                    if len(seen) > state_cap:
-                        raise _Cap(f"state cap {state_cap} exceeded", len(seen), edges)
-        frontier = nxt
-    return adj, order
+def explore(
+    space: BeliefSpace, mode: Mode, state_cap: int, time_cap: float | None
+) -> tuple[Adjacency, list[GameState], Tree, str]:
+    """Reachable pruned game graph, breadth first, one state at a time:
+    adjacency, discovery order, BFS parent edges, and why exploration
+    stopped short ("" when it did not).  The time cap is checked before each
+    expansion, the state cap at each discovery."""
+    deadline = None if time_cap is None else time.monotonic() + time_cap
+    adj: Adjacency = {}
+    order = [INITIAL]
+    parent: Tree = {INITIAL: None}
+    for st in order:  # `order` grows behind the cursor: a FIFO queue
+        if deadline is not None and time.monotonic() > deadline:
+            return adj, order, parent, f"time cap {time_cap}s exceeded"
+        adj[st] = succs = game_successors(space, st, mode)
+        for label, s2 in succs:
+            if s2 not in parent:
+                parent[s2] = (st, label)
+                order.append(s2)
+                if len(order) > state_cap:
+                    return adj, order, parent, f"state cap {state_cap} exceeded"
+    return adj, order, parent, ""
 
 
-def _sccs(
-    adj: dict[GameState, list[tuple[Label, GameState]]], order: list[GameState]
-) -> dict[GameState, int]:
+def _sccs(adj: Adjacency, order: list[GameState]) -> dict[GameState, int]:
     """Iterative Tarjan; returns the component index per state."""
     index: dict[GameState, int] = {}
     low: dict[GameState, int] = {}
@@ -205,7 +158,7 @@ def _sccs(
     for root in order:
         if root in index:
             continue
-        work = [(root, iter(adj.get(root, ())))]
+        work = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -219,7 +172,7 @@ def _sccs(
                     counter += 1
                     stack.append(child)
                     on_stack.add(child)
-                    work.append((child, iter(adj.get(child, ()))))
+                    work.append((child, iter(adj[child])))
                     advanced = True
                     break
                 if child in on_stack:
@@ -232,7 +185,7 @@ def _sccs(
                     w = stack.pop()
                     on_stack.discard(w)
                     comp[w] = ncomp
-                    if w is node or w == node:
+                    if w == node:
                         break
                 ncomp += 1
             if work:
@@ -241,96 +194,77 @@ def _sccs(
     return comp
 
 
-def _label_key(label: Label) -> tuple:
-    return (label[0], len(label[1]), tuple(sorted(label[1])))
+def _path_to(tree: Tree, node: GameState) -> list[tuple[Label, GameState]]:
+    """The (label, state) steps from the root of ``tree`` down to ``node``."""
+    path = []
+    while tree[node] is not None:
+        prev, label = tree[node]
+        path.append((label, node))
+        node = prev
+    path.reverse()
+    return path
 
 
-def _shortest_path(
-    adj: dict[GameState, list[tuple[Label, GameState]]],
-    src: GameState,
-    dst: GameState,
-    restrict: set[GameState] | None = None,
-) -> list[tuple[Label, GameState]] | None:
-    if src == dst:
-        return []
-    prev: dict[GameState, tuple[GameState, Label]] = {}
+def _path_within(
+    adj: Adjacency, src: GameState, dst: GameState, members: set[GameState]
+) -> list[tuple[Label, GameState]]:
+    """Shortest path from ``src`` to ``dst`` through ``members`` (one SCC),
+    breadth first in emission order."""
+    tree: Tree = {src: None}
     queue = [src]
-    seen = {src}
-    while queue:
-        nxt: list[GameState] = []
-        for u in queue:
-            for label, w in sorted(adj.get(u, ()), key=lambda e: _label_key(e[0])):
-                if w in seen or (restrict is not None and w not in restrict):
-                    continue
-                seen.add(w)
-                prev[w] = (u, label)
-                if w == dst:
-                    path: list[tuple[Label, GameState]] = []
-                    node = w
-                    while node != src:
-                        p, lbl = prev[node]
-                        path.append((lbl, node))
-                        node = p
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        queue = nxt
-    return None
+    for u in queue:
+        if u == dst:
+            break
+        for label, w in adj[u]:
+            if w not in tree and w in members:
+                tree[w] = (u, label)
+                queue.append(w)
+    return _path_to(tree, dst)
 
 
 def solve(
     space: BeliefSpace,
     mode: Mode,
-    state_cap: int | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
     time_cap: float | None = None,
     workers: int = 1,
 ) -> SolveResult:
     """SAT with a lasso witness when some infinite play takes tick-1 actions
     forever, UNSAT after exhausting the pruned game, INDETERMINATE when a
-    resource cap is hit."""
-    cap = state_cap if state_cap is not None else state_cap_default()
+    resource cap is hit.  ``workers`` is accepted and ignored: the solver is
+    sequential, and the benchmark harness still passes ``workers=1``."""
     t0 = time.monotonic()
-    try:
-        adj, order = _explore(space, mode, cap, time_cap, workers)
-    except _Cap as stop:
-        stats = SolveStats(stop.states, stop.edges, time.monotonic() - t0)
-        return SolveResult("INDETERMINATE", None, stats, str(stop))
+    adj, order, parent, stopped = explore(space, mode, state_cap, time_cap)
     stats = SolveStats(
-        len(adj), sum(len(v) for v in adj.values()), time.monotonic() - t0
+        len(order), sum(len(v) for v in adj.values()), time.monotonic() - t0
     )
+    if stopped:
+        return SolveResult("INDETERMINATE", None, stats, stopped)
     comp = _sccs(adj, order)
-    dist: dict[GameState, int] = {INITIAL: 0}
-    queue = deque([INITIAL])
-    while queue:
-        u = queue.popleft()
-        for _, w in adj.get(u, ()):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    rank = {st: i for i, st in enumerate(order)}
-    best = None
-    for u in order:
-        for label, w in adj.get(u, ()):
-            if label[0] == "1" and comp[u] == comp[w]:
-                key = (dist.get(u, 1 << 30), rank[u], _label_key(label), rank[w])
-                if best is None or key < best[0]:
-                    best = (key, u, label, w)
+    # Discovery order is BFS order, so the first tick-1 edge inside an SCC,
+    # scanning states in that order and each state's edges as emitted
+    # (ticks "0" < "0+" < "1", then `enabled_sets()` order), is the one
+    # closest to the start with the smallest label.
+    best = next(
+        (
+            (u, label, w)
+            for u in order
+            for label, w in adj[u]
+            if label[0] == "1" and comp[u] == comp[w]
+        ),
+        None,
+    )
     if best is None:
         return SolveResult("UNSAT", None, stats)
-    _, u, label, w = best
+    u, label, w = best
     members = {s for s in order if comp[s] == comp[u]}
-    back = _shortest_path(adj, w, u, restrict=members)
-    assert back is not None
-    stem_path = _shortest_path(adj, INITIAL, u)
-    assert stem_path is not None
-    cycle: list[tuple[Label, GameState]] = [(label, w)] + back
+    cycle = [(label, w)] + _path_within(adj, w, u, members)
+    stem = [lbl for lbl, _ in _path_to(parent, u)]
     # rotation: start the loop right after a tick-1 landing on an integer point
     states = [u] + [s for _, s in cycle]
     rot = next(i for i, s in enumerate(states[:-1]) if s.at_integer)
     loop_labels = tuple(lbl for lbl, _ in cycle[rot:] + cycle[:rot])
-    stem_labels = tuple(lbl for lbl, _ in stem_path) + tuple(
-        lbl for lbl, _ in cycle[:rot]
-    )
+    stem_labels = tuple(stem + [lbl for lbl, _ in cycle[:rot]])
     return SolveResult("SAT", WinningWitness(stem_labels, loop_labels), stats)
 
 
@@ -386,37 +320,14 @@ def check_metastrategy(
     """Applies the mode's leak schedule to the encountered beliefs; the
     bucket list is periodic, so scanning the enumerated prefix decides."""
     enc = encountered_beliefs(space, phi, extra_units=2)
-    intervals = {b.k: bel for b, bel in enc.buckets if b.kind == "interval"}
-    max_point = max(b.k for b, _ in enc.buckets if b.kind == "point")
-    for bucket, belief in enc.buckets:
-        if bucket.kind == "interval":
-            leaking = (
-                space.leaking_weak(belief)
-                if mode is Mode.WEAK
-                else space.leaking_full(belief)
-            )
-            if leaking:
-                return CheckResult(False, bucket)
-            continue
-        if mode is Mode.ALMOST_FULL:
-            continue
-        leak_point = (
-            space.leaking_weak(belief)
-            if mode is Mode.WEAK
-            else space.leaking_full(belief)
-        )
-        if not leak_point:
-            continue
-        if mode is not Mode.CLOSED_FULL:
-            return CheckResult(False, bucket)
-        k = bucket.k
-        if k == max_point:
-            continue  # next interval not enumerated; covered by its periodic twin
-        prev_ok = k - 1 in intervals and space.finals_present(intervals[k - 1])
-        next_ok = k in intervals and space.finals_present(intervals[k])
-        if not (prev_ok or next_ok):
-            return CheckResult(False, bucket)
-    return CheckResult(True, None)
+    ok, offending = bucket_verdict(
+        mode,
+        (
+            (bucket, space.has_private_final(b), space.has_public_final(b))
+            for bucket, b in enc.buckets
+        ),
+    )
+    return CheckResult(ok, offending)
 
 
 @dataclass(frozen=True)
@@ -430,8 +341,6 @@ def check_exists(space: BeliefSpace, phi: MetaStrategy | None = None) -> ExistsR
     """Existential opacity: some bucket reaches both a private and a public
     final.  Checked under the all-enabled meta-strategy unless one is given
     (enabling more only grows both duration sets)."""
-    from .strategies import all_enabled
-
     if phi is None:
         phi = all_enabled(space.ctx.ta)
     enc = encountered_beliefs(space, phi)

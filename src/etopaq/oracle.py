@@ -4,12 +4,15 @@ Drives the region graph directly along a meta-strategy's choice schedule,
 never building powerset successors: a frontier of regions is pushed through
 each choice segment, recording per bucket whether a private-final or a
 public-final region is ever reached.  The belief layer must agree with these
-flags bucket for bucket.
+flags bucket for bucket.  Only the verdict over the flags is shared with
+the belief side (`modes.bucket_verdict`); the sets behind them are built
+here, by a closure of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .modes import Mode, bucket_verdict
 from .regions import Region, RegionContext
 from .strategies import Bucket, MetaStrategy
 from .ta import SILENT_KIND
@@ -133,41 +136,10 @@ def oracle_buckets(
     return OracleTable(tuple(rows), cycle_start, cycle_period)
 
 
-def oracle_verdict(table: OracleTable, mode) -> tuple[bool, Bucket | None]:
+def oracle_verdict(table: OracleTable, mode: Mode) -> tuple[bool, Bucket | None]:
     """Mode verdict straight from the bucket flags; for meta-strategies the
     duration sets are unions of bucket pieces, so interior and closure reduce
-    to bucket logic."""
-    from .game import Mode
-
-    rows = list(table.rows)
-    intervals = {r.bucket.k: r for r in rows if r.bucket.kind == "interval"}
-    max_point = max(r.bucket.k for r in rows if r.bucket.kind == "point")
-    for r in rows:
-        leak_full = r.has_private_final != r.has_public_final
-        leak_weak = r.has_private_final and not r.has_public_final
-        if r.bucket.kind == "interval":
-            if mode is Mode.WEAK:
-                if leak_weak:
-                    return False, r.bucket
-            elif leak_full:
-                return False, r.bucket
-            continue
-        if mode is Mode.ALMOST_FULL:
-            continue
-        if mode is Mode.WEAK:
-            if leak_weak:
-                return False, r.bucket
-            continue
-        if not leak_full:
-            continue
-        if mode is Mode.FULL:
-            return False, r.bucket
-        # closed: a punctual leak needs a neighbouring interval with finals
-        k = r.bucket.k
-        if k == max_point:
-            continue  # periodic twin already decided this residue
-        prev_ok = k - 1 in intervals and intervals[k - 1].any_final
-        next_ok = k in intervals and intervals[k].any_final
-        if not (prev_ok or next_ok):
-            return False, r.bucket
-    return True, None
+    to bucket logic, the same schedule the belief side applies."""
+    return bucket_verdict(
+        mode, ((r.bucket, r.has_private_final, r.has_public_final) for r in table.rows)
+    )

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ta import (
-    SILENT_KIND,
     TICK_CLOCK,
     Action,
     Atom,
@@ -279,23 +278,6 @@ class RegionContext:
         )
         self._discrete[region] = result
         return result
-
-    def discrete_successors(
-        self,
-        region: Region,
-        enabled: frozenset[str],
-        silent_ok: bool = True,
-    ) -> tuple[tuple[Action, Region], ...]:
-        """Discrete steps restricted to enabled, uncontrollable and (when
-        permitted) silent actions."""
-        unc = self.ta.uncontrollable
-        return tuple(
-            (a, r)
-            for a, r in self.discrete_steps(region)
-            if (a.kind == SILENT_KIND and silent_ok)
-            or a.name in unc
-            or a.name in enabled
-        )
 
     def reset_image(
         self, region: Region, resets: frozenset[int], target: str

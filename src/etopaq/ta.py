@@ -120,9 +120,6 @@ class TimedAutomaton:
     def uncontrollable(self) -> frozenset[str]:
         return frozenset(a.name for a in self.actions if a.kind == UNCONTROLLABLE)
 
-    def edges_from(self, location: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.source == location)
-
     def zero_valuation(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(0) for _ in self.clocks)
 

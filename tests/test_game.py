@@ -137,15 +137,6 @@ def test_solve_closed_loop_all_fixtures_and_modes():
                 assert ok, (name, mode, offending)
 
 
-def test_unsat_stable_across_workers():
-    space = load_space("ta1")
-    verdicts = [solve(space, Mode.FULL, workers=w) for w in (1, 2, 4)]
-    assert {r.status for r in verdicts} == {"UNSAT"}
-    assert len({r.stats.states for r in verdicts}) == 1
-    sats = [solve(space, Mode.WEAK, workers=w) for w in (1, 2, 4)]
-    assert len({(r.status, r.witness.stem, r.witness.loop) for r in sats}) == 1
-
-
 def test_solve_state_cap_yields_indeterminate(opaque_space):
     res = solve(opaque_space, Mode.FULL, state_cap=2)
     assert res.status == "INDETERMINATE"

@@ -240,17 +240,25 @@ def test_cli_gen_minsky(tmp_path, capsys):
     assert code == 2  # expected to blow the cap: reported, never guessed
 
 
-def test_state_cap_env_override(monkeypatch):
-    from etopaq.game import state_cap_default
+def test_cli_usage_errors_exit_input(capsys):
+    for extra in (["--workers", "3"], ["--bogus"], ["--mode", "nope"], ["--state-cap", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", fx("ta1.ta"), *extra])
+        assert exc.value.code == 64, extra
+        assert "usage: etopaq" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 64
 
-    monkeypatch.setenv("ETOPAQ_STATE_CAP", "1234")
-    assert state_cap_default() == 1234
-    monkeypatch.delenv("ETOPAQ_STATE_CAP")
-    assert state_cap_default() == 200_000
 
+def test_cli_time_cap_stops_gadget_promptly(capsys):
+    import time
 
-def test_cli_workers_flag(capsys):
-    assert main(["check", fx("ta1.ta"), "--mode", "weak", "--workers", "3"]) == 0
+    t0 = time.monotonic()
+    code = main(["check", fx("minsky_halt.ta"), "--mode", "weak", "--time-cap", "1"])
+    assert code == 2
+    assert time.monotonic() - t0 < 10
+    assert "time cap" in capsys.readouterr().err
 
 
 def test_parser_survives_garbage_lines():

@@ -41,7 +41,7 @@ def random_runs(ta, rng, count=30, steps=8):
                     mid = step_delay(ta, state, d)
                 except StepError:
                     continue
-                edges = list(ta.edges_from(state[0]))
+                edges = [e for e in ta.edges if e.source == state[0]]
                 rng.shuffle(edges)
                 for e in edges:
                     try:
