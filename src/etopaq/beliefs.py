@@ -8,21 +8,22 @@ dedicated bottom marker; the only moves out of it are zero-time closures of
 the initial region.  The empty belief is kept as an absorbing dead state so
 time can still be counted through intervals where no run survives.
 
-The closure runs over the region ids of the `RegionContext`: each region's
-moves are looked up once and kept as id lists, split into free steps,
-controllable steps by action name, and the '0+'/'1' delay targets.  Only the
-result is turned back into a frozenset of the interned `Region` objects, and
-the leak predicates test it against the context's private- and public-final
+A belief is a frozenset of the dense region ids of the space's
+`RegionContext`; `BeliefSpace.regions_of` gives its `Region` objects.  Each
+region's moves are looked up once and kept as id tuples, split into free
+steps, controllable steps by action name, and the '0+'/'1' delay targets.
+The closure and the delay images run over these tables alone, and the leak
+predicates test a belief against the context's private- and public-final id
 sets.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from .regions import RegionContext, encode
+from .regions import Region, RegionContext, encode
 from .ta import SILENT_KIND
 
-Belief = frozenset  # frozenset[Region]
+Belief = frozenset  # frozenset[int]: ids into the context's `regions`
 
 BOTTOM = "__bottom__"
 DEAD: Belief = frozenset()
@@ -124,8 +125,7 @@ class BeliefSpace:
                         if j not in seen:
                             seen.add(j)
                             todo.append(j)
-        regions = self.ctx.regions
-        return frozenset({regions[i] for i in seen})
+        return frozenset(seen)
 
     def _delay_image(self, belief: Belief, tick: str) -> set[int]:
         """Ids of the ``tick`` delay targets of the belief's regions.  The
@@ -135,10 +135,10 @@ class BeliefSpace:
         if last[0] is belief and last[1] == tick:
             return set(last[2])
         delay = 3 if tick == "0+" else 4
-        intern, moves_of = self.ctx.intern, self._moves_of
+        table, moves_of = self._moves, self._moves_of
         image: set[int] = set()
-        for r in belief:
-            image.update(moves_of(intern(r))[delay])
+        for i in belief:
+            image.update((table.get(i) or moves_of(i))[delay])
         self._last_image = (belief, tick, frozenset(image))
         return image
 
@@ -166,8 +166,17 @@ class BeliefSpace:
             self._succ[key] = cached
         return cached
 
+    def regions_of(self, belief: Belief) -> frozenset[Region]:
+        """The belief's `Region` objects."""
+        regions = self.ctx.regions
+        return frozenset([regions[i] for i in belief])
+
+    def successors_computed(self) -> int:
+        """Distinct belief successors computed so far, initial beliefs
+        included."""
+        return len(self._succ) + len(self._init)
+
     # -- leak predicates -----------------------------------------------------
-    # Over beliefs of interned regions, as every belief returned here is.
 
     def has_private_final(self, belief: Belief) -> bool:
         return not self.ctx.private_finals.isdisjoint(belief)
@@ -178,13 +187,6 @@ class BeliefSpace:
     def leaking_full(self, belief: Belief) -> bool:
         """Exactly one kind of final (private or public) is reachable."""
         return self.has_private_final(belief) != self.has_public_final(belief)
-
-    def leaking_weak(self, belief: Belief) -> bool:
-        """A private final is reachable but no public final is."""
-        return self.has_private_final(belief) and not self.has_public_final(belief)
-
-    def finals_present(self, belief: Belief) -> bool:
-        return self.has_private_final(belief) or self.has_public_final(belief)
 
     # -- exploration ----------------------------------------------------------
 
@@ -228,6 +230,7 @@ class BeliefGraph:
         self.transitions = transitions
 
 
-def belief_key(belief: Belief) -> tuple:
-    """Canonical sorted encoding, for stable naming and ordering."""
-    return tuple(sorted(encode(r) for r in belief))
+def belief_key(regions: frozenset[Region]) -> tuple:
+    """Canonical sorted encoding of a belief's regions (`regions_of`), for
+    stable naming and ordering."""
+    return tuple(sorted(encode(r) for r in regions))

@@ -1,18 +1,24 @@
 """Command-line surface.
 
 Exit codes: 0 SAT/OK/true, 1 UNSAT/NOT-OK/false, 2 INDETERMINATE,
-64 input error (bad files and malformed command lines alike).
+64 input error (bad files and malformed command lines alike).  With
+``--stats``, `check`, `synthesize` and `verdict` end by writing one JSON line
+of counters to stderr, whatever the verdict.
 """
 from __future__ import annotations
 
 import argparse
+import json
+import resource
 import sys
+from dataclasses import asdict, fields
 
 from . import dot, msformat, taformat
 from .beliefs import BeliefSpace
 from .game import (
     DEFAULT_STATE_CAP,
     Mode,
+    SolveStats,
     check_exists,
     check_metastrategy,
     solve,
@@ -65,6 +71,22 @@ def _load_strategy(path: str, ta):
     return msformat.load(path, frozenset(ta.controllable))
 
 
+def _print_stats(space: BeliefSpace, result=None) -> None:
+    """The solve counters (null when no game was solved), the regions
+    interned, the distinct belief successors computed, and peak RSS."""
+    if result is None:
+        stats = {f.name: None for f in fields(SolveStats)}
+    else:
+        stats = asdict(result.stats)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    stats.update(
+        regions=len(space.ctx.regions),
+        belief_successors=space.successors_computed(),
+        peak_rss_mb=round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1),
+    )
+    print(json.dumps(stats), file=sys.stderr)
+
+
 def _fmt_label(label) -> str:
     tick, enabled = label
     return f"({tick},{{{','.join(sorted(enabled))}}})"
@@ -72,63 +94,73 @@ def _fmt_label(label) -> str:
 
 def cmd_check(args) -> int:
     ta, space = _load_prepared(args.ta, args.make_finals_urgent)
-    if args.mode == "exists":
-        phi = _load_strategy(args.strategy, ta) if args.strategy else None
-        res = check_exists(space, phi)
-        if res.holds:
-            print(f"true witness-bucket {res.witness}")
-            others = " ".join(str(b) for b in res.witnesses[:8])
-            print(f"qualifying buckets: {others}")
+    result = None
+    try:
+        if args.mode == "exists":
+            phi = _load_strategy(args.strategy, ta) if args.strategy else None
+            res = check_exists(space, phi)
+            if res.holds:
+                print(f"true witness-bucket {res.witness}")
+                others = " ".join(str(b) for b in res.witnesses[:8])
+                print(f"qualifying buckets: {others}")
+                return EXIT_YES
+            print("false")
+            return EXIT_NO
+        mode = MODES[args.mode]
+        if args.strategy:
+            phi = _load_strategy(args.strategy, ta)
+            verdict = check_metastrategy(space, phi, mode)
+            if verdict.ok:
+                print("OK")
+                return EXIT_YES
+            print(f"NOT-OK offending-bucket {verdict.offending}")
+            return EXIT_NO
+        result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
+        if result.status == "SAT":
+            w = result.witness
+            print("SAT")
+            print("witness stem: " + " ".join(_fmt_label(l) for l in w.stem))
+            print("witness loop: " + " ".join(_fmt_label(l) for l in w.loop))
             return EXIT_YES
-        print("false")
-        return EXIT_NO
-    mode = MODES[args.mode]
-    if args.strategy:
-        phi = _load_strategy(args.strategy, ta)
-        verdict = check_metastrategy(space, phi, mode)
-        if verdict.ok:
-            print("OK")
-            return EXIT_YES
-        print(f"NOT-OK offending-bucket {verdict.offending}")
-        return EXIT_NO
-    result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
-    if result.status == "SAT":
-        w = result.witness
-        print("SAT")
-        print("witness stem: " + " ".join(_fmt_label(l) for l in w.stem))
-        print("witness loop: " + " ".join(_fmt_label(l) for l in w.loop))
-        return EXIT_YES
-    if result.status == "UNSAT":
-        print(f"UNSAT explored-states {result.stats.states}")
-        return EXIT_NO
-    print(f"INDETERMINATE {result.detail}", file=sys.stderr)
-    return EXIT_INDETERMINATE
+        if result.status == "UNSAT":
+            print(f"UNSAT explored-states {result.stats.states}")
+            return EXIT_NO
+        print(f"INDETERMINATE {result.detail}", file=sys.stderr)
+        return EXIT_INDETERMINATE
+    finally:
+        if args.stats:
+            _print_stats(space, result)
 
 
 def cmd_synthesize(args) -> int:
     ta, space = _load_prepared(args.ta, args.make_finals_urgent)
-    if args.mode == "exists":
-        from .strategies import all_enabled
+    result = None
+    try:
+        if args.mode == "exists":
+            from .strategies import all_enabled
 
-        res = check_exists(space)
-        if not res.holds:
-            print("UNSAT")
+            res = check_exists(space)
+            if not res.holds:
+                print("UNSAT")
+                return EXIT_NO
+            msformat.save(all_enabled(ta), args.output)
+            print(f"SAT wrote {args.output}")
+            return EXIT_YES
+        mode = MODES[args.mode]
+        result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
+        if result.status == "SAT":
+            phi = witness_to_metastrategy(result.witness)
+            msformat.save(phi, args.output)
+            print(f"SAT wrote {args.output}")
+            return EXIT_YES
+        if result.status == "UNSAT":
+            print(f"UNSAT explored-states {result.stats.states}")
             return EXIT_NO
-        msformat.save(all_enabled(ta), args.output)
-        print(f"SAT wrote {args.output}")
-        return EXIT_YES
-    mode = MODES[args.mode]
-    result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
-    if result.status == "SAT":
-        phi = witness_to_metastrategy(result.witness)
-        msformat.save(phi, args.output)
-        print(f"SAT wrote {args.output}")
-        return EXIT_YES
-    if result.status == "UNSAT":
-        print(f"UNSAT explored-states {result.stats.states}")
-        return EXIT_NO
-    print(f"INDETERMINATE {result.detail}", file=sys.stderr)
-    return EXIT_INDETERMINATE
+        print(f"INDETERMINATE {result.detail}", file=sys.stderr)
+        return EXIT_INDETERMINATE
+    finally:
+        if args.stats:
+            _print_stats(space, result)
 
 
 def cmd_simulate(args) -> int:
@@ -141,14 +173,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_verdict(args) -> int:
     ta, space = _load_prepared(args.ta, args.make_finals_urgent)
-    phi = _load_strategy(args.strategy, ta)
-    table = oracle_buckets(space.ctx, phi)
-    ok, offending = oracle_verdict(table, MODES[args.mode])
-    if ok:
-        print("OK")
-        return EXIT_YES
-    print(f"NOT-OK offending-bucket {offending}")
-    return EXIT_NO
+    try:
+        phi = _load_strategy(args.strategy, ta)
+        table = oracle_buckets(space.ctx, phi)
+        ok, offending = oracle_verdict(table, MODES[args.mode])
+        if ok:
+            print("OK")
+            return EXIT_YES
+        print(f"NOT-OK offending-bucket {offending}")
+        return EXIT_NO
+    finally:
+        if args.stats:
+            _print_stats(space)
 
 
 def _write(path: str, text: str) -> None:
@@ -207,6 +243,12 @@ def _add_common(
     p.add_argument("--time-cap", type=float, default=None)
 
 
+def _add_stats(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--stats", action="store_true", help="write one JSON line of counters to stderr"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="etopaq",
@@ -217,11 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide opacity, or check a given meta-strategy")
     _add_common(p, with_exists=True)
     p.add_argument("--strategy", help="meta-strategy file to check")
+    _add_stats(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("synthesize", help="synthesize a meta-strategy")
     _add_common(p, with_exists=True)
     p.add_argument("-o", "--output", required=True)
+    _add_stats(p)
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("simulate", help="print the oracle bucket table")
@@ -232,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verdict", help="oracle-side verdict for a meta-strategy")
     _add_common(p)
     p.add_argument("--strategy", required=True)
+    _add_stats(p)
     p.set_defaults(fn=cmd_verdict)
 
     p = sub.add_parser("regions", help="DOT export of the region graph")

@@ -5,7 +5,7 @@ from collections import deque
 
 from .beliefs import BOTTOM, BeliefGraph, BeliefSpace, belief_key
 from .game import DEFAULT_STATE_CAP, explore
-from .regions import RegionContext
+from .regions import RegionContext, encode
 
 
 def _q(s: str) -> str:
@@ -14,7 +14,7 @@ def _q(s: str) -> str:
 
 def regions_dot(ctx: RegionContext, max_states: int = 5000) -> str:
     """The region graph reachable from the initial region under delays and
-    all discrete actions."""
+    all discrete actions, steps in (tag or action name, region) order."""
     start = ctx.initial_region()
     seen = {start}
     order = [start]
@@ -22,8 +22,10 @@ def regions_dot(ctx: RegionContext, max_states: int = 5000) -> str:
     edges = []
     while queue and len(seen) < max_states:
         r = queue.popleft()
-        steps = [(f"{tag}/~", r2) for tag, r2 in ctx.delay_steps(r) if r2 != r]
-        steps += [(f"0/{a.name}", r2) for a, r2 in ctx.discrete_steps(r)]
+        delays = sorted(ctx.delay_steps(r), key=lambda s: (s[0], encode(s[1])))
+        discrete = sorted(ctx.discrete_steps(r), key=lambda s: (s[0].name, encode(s[1])))
+        steps = [(f"{tag}/~", r2) for tag, r2 in delays if r2 != r]
+        steps += [(f"0/{a.name}", r2) for a, r2 in discrete]
         for label, r2 in steps:
             edges.append((r, label, r2))
             if r2 not in seen:
@@ -63,7 +65,7 @@ def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
         if b is not BOTTOM:
             by_depth.setdefault(d, []).append(b)
     for d, group in by_depth.items():
-        group.sort(key=lambda b: (-len(b), belief_key(b)))
+        group.sort(key=lambda b: (-len(b), belief_key(graph.space.regions_of(b))))
         base = f"b{(d - 1) // 2}" if d % 2 else f"b({d // 2 - 1},{d // 2})"
         for i, b in enumerate(group):
             names[b] = base + "'" * i
@@ -81,7 +83,7 @@ def beliefs_dot(space: BeliefSpace, pretty: bool = False) -> str:
         for b in graph.states:
             if b is not BOTTOM:
                 digest = blake2b(
-                    repr(belief_key(b)).encode(), digest_size=5
+                    repr(belief_key(space.regions_of(b))).encode(), digest_size=5
                 ).hexdigest()
                 names[b] = f"B{digest}"
     lines = ["digraph beliefs {", "  rankdir=LR;"]
@@ -91,7 +93,7 @@ def beliefs_dot(space: BeliefSpace, pretty: bool = False) -> str:
             continue
         leak = space.leaking_full(b)
         style = ' style=filled fillcolor="#ffcccc"' if leak else ""
-        tip = "; ".join(sorted(space.ctx.format_region(r) for r in b))
+        tip = "; ".join(sorted(space.ctx.format_region(r) for r in space.regions_of(b)))
         lines.append(
             f"  {_q(names[b])} [shape=box tooltip={_q(tip)}{style}];"
         )

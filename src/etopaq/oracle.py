@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .modes import Mode, bucket_verdict
 from .regions import Region, RegionContext
 from .strategies import Bucket, MetaStrategy
-from .ta import SILENT_KIND
+from .ta import SILENT_KIND, is_primed
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,10 +23,6 @@ class BucketFlags:
     bucket: Bucket
     has_private_final: bool
     has_public_final: bool
-
-    @property
-    def any_final(self) -> bool:
-        return self.has_private_final or self.has_public_final
 
 
 @dataclass(frozen=True)
@@ -88,12 +84,16 @@ def oracle_buckets(
 ) -> OracleTable:
     """Per-bucket final-reachability flags under ``phi``, enumerated until
     the (lasso position, frontier) pair repeats."""
-    unc = ctx.ta.uncontrollable
+    ta = ctx.ta
+    unc = ta.uncontrollable
+    private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
+    public = ta.finals - private
 
     def flags(bucket: Bucket, regions: frozenset[Region]) -> BucketFlags:
-        priv = any(ctx.is_final(r) and ctx.is_secret(r) for r in regions)
-        pub = any(ctx.is_final(r) and ctx.is_public(r) for r in regions)
-        return BucketFlags(bucket, priv, pub)
+        locations = {r.location for r in regions}
+        return BucketFlags(
+            bucket, not private.isdisjoint(locations), not public.isdisjoint(locations)
+        )
 
     rows: list[BucketFlags] = []
     frontier = _closure(

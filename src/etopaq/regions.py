@@ -2,14 +2,23 @@
 
 A region fixes, per clock, either a capped integer part or "above the largest
 compared constant", plus which clocks sit exactly on an integer and the order
-of the fractional parts of the rest.  Successor computation is lazy and
-memoized; transitions carry a tick tag telling how the fractional part of the
-tick clock moved: '0' (discrete step), '0+' (delay staying off integers),
-'1' (delay entering or leaving an integer instant).
+of the fractional parts of the rest.  Transitions carry a tick tag telling
+how the fractional part of the tick clock moved: '0' (discrete step), '0+'
+(delay staying off integers), '1' (delay entering or leaving an integer
+instant).
 
 A `RegionContext` interns the regions it hands out: each gets one canonical
-object and a dense int id, in order of first sight, and the final regions
-are sorted into private and public sets as they are interned.
+object and a dense int id, in order of first sight, and the ids of final
+regions are sorted into private and public sets as they are interned.  Its
+successor kernel works on clock parts, a region's (ints, zero, pos) without
+its location.  Each clock part is interned once with its half-unit clock
+codes: 2n for a clock on the integer n, 2n+1 inside (n, n+1), 2·cmax+1 above
+the clock's max constant.  A location's guards and invariants compile, on the
+first region expanded there, into (clock, lo, hi) range tests over these
+codes; an edge's test also covers the target invariant, decided outright on
+the clocks the edge resets.  The time successor of a clock part is computed
+once whatever the location, and each region is expanded once into both its
+delay and its discrete steps, in no particular order.
 """
 from __future__ import annotations
 
@@ -22,7 +31,6 @@ from .ta import (
     TICK_CLOCK,
     Action,
     Atom,
-    Edge,
     TimedAutomaton,
     is_primed,
 )
@@ -44,9 +52,6 @@ class Region:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def is_capped(self, clock: int) -> bool:
-        return self.ints[clock] is not ABOVE
 
     def fraction_is_zero(self, clock: int) -> bool:
         return clock in self.zero
@@ -73,25 +78,6 @@ def region_of(
         tuple(sorted(by_fraction[f])) for f in sorted(by_fraction)
     )
     return Region(location, tuple(ints), tuple(zero), pos)
-
-
-def atom_holds_in(region: Region, atom: Atom) -> bool:
-    """Guard/invariant atoms never compare beyond the clock's max constant,
-    so satisfaction is uniform across the region."""
-    n = region.ints[atom.clock]
-    if n is ABOVE:
-        return atom.rel in (">", ">=")
-    on_integer = region.fraction_is_zero(atom.clock)
-    d = atom.bound
-    if atom.rel == "<":
-        return n < d
-    if atom.rel == "<=":
-        return n < d or (n == d and on_integer)
-    if atom.rel == "=":
-        return n == d and on_integer
-    if atom.rel == ">=":
-        return n >= d
-    return n > d or (n == d and not on_integer)
 
 
 def valuations_equivalent(
@@ -123,14 +109,34 @@ def valuations_equivalent(
     return True
 
 
+Ranges = tuple[tuple[int, int, int], ...]  # (clock, lo, hi) over half-unit codes
+
+
+def _compile_atoms(atoms: Sequence[Atom], cmax: Sequence[int]) -> Ranges | None:
+    """The conjunction of ``atoms`` as one code range per constrained clock,
+    or None when it is unsatisfiable.  Atoms never compare beyond their
+    clock's max constant, so each holds on a whole code range."""
+    box: dict[int, tuple[int, int]] = {}
+    for a in atoms:
+        d, top = 2 * a.bound, 2 * cmax[a.clock] + 1
+        lo, hi = {
+            "<": (0, d - 1), "<=": (0, d), "=": (d, d), ">=": (d, top), ">": (d + 1, top),
+        }[a.rel]
+        was_lo, was_hi = box.get(a.clock, (0, top))
+        box[a.clock] = (max(lo, was_lo), min(hi, was_hi))
+    if any(lo > hi for lo, hi in box.values()):
+        return None
+    return tuple((c, lo, hi) for c, (lo, hi) in sorted(box.items()))
+
+
 class RegionContext:
     """Successor queries over the regions of a duplicated, tick-augmented
-    automaton, memoized per region.
+    automaton, computed once per region.
 
     The initial region and every successor returned are interned:
     ``regions[intern(r)]`` is the one canonical object equal to ``r``.
-    ``private_finals`` and ``public_finals`` hold the interned final regions
-    by side of the duplication.
+    ``private_finals`` and ``public_finals`` hold the ids of the interned
+    final regions by side of the duplication.
     """
 
     def __init__(self, ta: TimedAutomaton):
@@ -139,17 +145,23 @@ class RegionContext:
         self.ta = ta
         self.tick = ta.clock_named(TICK_CLOCK).index
         self.cmax = self._max_constants()
-        self._edges_from: dict[str, tuple[Edge, ...]] = {
-            loc: tuple(e for e in ta.edges if e.source == loc)
-            for loc in ta.locations
-        }
+        self._top = tuple(2 * c + 1 for c in self.cmax)  # the code of "above"
+        # location -> (invariant tests or None, ((action, tests, resets, target), ...))
+        self._compiled: dict[str, tuple] = {}
+        self._part_ids: dict[tuple, int] = {}  # (ints, zero, pos) -> part id
+        self._parts: list[tuple] = []  # part id -> (ints, zero, pos)
+        self._codes: list[tuple[int, ...]] = []  # part id -> half-unit codes
+        self._later: dict[int, tuple[str, int] | None] = {}  # part id -> (tag, part id)
+        self._reset: dict[tuple[int, frozenset[int]], int] = {}
+        self._region_ids: dict[tuple[str, int], int] = {}  # (location, part id) -> id
+        self._part_of: list[int] = []  # id -> part id
         self._delay: dict[Region, tuple[tuple[str, Region], ...]] = {}
         self._discrete: dict[Region, tuple[tuple[Action, Region], ...]] = {}
         self.regions: list[Region] = []  # id -> interned region
-        self.ids: dict[Region, int] = {}  # interned region -> id; read-only outside `intern`
+        self.ids: dict[Region, int] = {}  # interned region -> id; read-only outside `_region`
         self._intern_lock = threading.Lock()
-        self.private_finals: set[Region] = set()
-        self.public_finals: set[Region] = set()
+        self.private_finals: set[int] = set()
+        self.public_finals: set[int] = set()
 
     def _max_constants(self) -> tuple[int, ...]:
         cmax = [0] * len(self.ta.clocks)
@@ -162,22 +174,53 @@ class RegionContext:
             cmax[atom.clock] = max(cmax[atom.clock], atom.bound)
         return tuple(cmax)
 
-    # -- construction -------------------------------------------------------
+    # -- interning ------------------------------------------------------------
+    # Clock parts and regions get their ids under one lock, and each is stored
+    # before its id is published, so interning is safe across threads.
 
-    def intern(self, region: Region) -> int:
-        """The region's id, assigned on first sight.  Safe across threads:
-        the region is stored and classified before its id is published."""
-        rid = self.ids.get(region)
+    def _part(self, ints: tuple, zero: tuple, pos: tuple) -> int:
+        key = (ints, zero, pos)
+        pid = self._part_ids.get(key)
+        if pid is None:
+            with self._intern_lock:
+                pid = self._part_ids.get(key)
+                if pid is None:
+                    codes = [n * 2 + 1 if n is not ABOVE else top for n, top in zip(ints, self._top)]
+                    for i in zero:
+                        codes[i] -= 1
+                    pid = len(self._parts)
+                    self._parts.append(key)
+                    self._codes.append(tuple(codes))
+                    self._part_ids[key] = pid
+        return pid
+
+    def _region(self, location: str, pid: int, region: Region | None = None) -> int:
+        """The id of the region (location, clock part ``pid``), assigned on
+        first sight; ``region``, when given, becomes the canonical object."""
+        key = (location, pid)
+        rid = self._region_ids.get(key)
         if rid is None:
             with self._intern_lock:
-                rid = self.ids.get(region)
+                rid = self._region_ids.get(key)
                 if rid is None:
+                    if region is None:
+                        region = Region(location, *self._parts[pid])
                     rid = len(self.regions)
                     self.regions.append(region)
+                    self._part_of.append(pid)
                     if self.is_final(region):
                         side = self.private_finals if self.is_secret(region) else self.public_finals
-                        side.add(region)
+                        side.add(rid)
                     self.ids[region] = rid
+                    self._region_ids[key] = rid
+        return rid
+
+    def intern(self, region: Region) -> int:
+        """The region's id, assigned on first sight."""
+        rid = self.ids.get(region)
+        if rid is None:
+            pid = self._part(region.ints, region.zero, region.pos)
+            rid = self._region(region.location, pid, region)
         return rid
 
     def canonical(self, region: Region) -> Region:
@@ -189,107 +232,128 @@ class RegionContext:
     def region_of(self, location: str, vals: Sequence[Fraction]) -> Region:
         return region_of(location, vals, self.cmax)
 
-    def invariant_ok(self, region: Region) -> bool:
-        return all(
-            atom_holds_in(region, atom)
-            for atom in self.ta.invariant(region.location)
-        )
+    # -- the kernel ------------------------------------------------------------
 
-    # -- delay steps ---------------------------------------------------------
+    def _compile(self, location: str) -> tuple:
+        """The location's invariant tests (None if unsatisfiable) and its
+        edges as (action, tests, resets, target): the guard and the part of
+        the target invariant on kept clocks, both read before the step.
+        Edges whose test can never pass are dropped."""
+        edges = []
+        for e in self.ta.edges:
+            if e.source != location:
+                continue
+            target_inv = self.ta.invariant(e.target)
+            # reset clocks land on 0, so their target-invariant atoms are decided here
+            if not all(a.holds(0) for a in target_inv if a.clock in e.resets):
+                continue
+            kept = tuple(a for a in target_inv if a.clock not in e.resets)
+            tests = _compile_atoms(e.guard + kept, self.cmax)
+            if tests is not None:
+                edges.append((e.action, tests, e.resets, e.target))
+        compiled = (_compile_atoms(self.ta.invariant(location), self.cmax), tuple(edges))
+        self._compiled[location] = compiled
+        return compiled
 
-    def can_idle(self, region: Region) -> bool:
-        """A positive delay stays inside the region iff no capped clock sits
-        exactly on an integer."""
-        return not region.zero
-
-    def time_successor(self, region: Region) -> tuple[str, Region] | None:
-        """The unique next region under delay, or None when the location
-        invariant blocks it.  Tagged '1' exactly when the tick clock's
-        fractional part starts or stops being zero."""
-        succ, moved = self._raw_time_successor(region)
-        if succ is None:
-            return None
-        if not self.invariant_ok(succ):
-            return None
-        tag = "1" if self.tick in moved else "0+"
-        return tag, succ
-
-    def _raw_time_successor(
-        self, region: Region
-    ) -> tuple[Region | None, tuple[int, ...]]:
-        ints = list(region.ints)
-        if region.zero:
+    def _time_successor(self, pid: int) -> tuple[str, int] | None:
+        """The clock part reached by the least delay that leaves part
+        ``pid``, tagged '1' exactly when the tick clock's fractional part
+        starts or stops being zero; None when every clock is above its max
+        constant.  Memoized per part, whatever the location."""
+        if pid in self._later:
+            return self._later[pid]
+        ints, zero, pos = self._parts[pid]
+        cmax = self.cmax
+        nxt = list(ints)
+        if zero:
             # clocks on an integer slip into the next open interval
             survivors = []
-            for i in region.zero:
-                if ints[i] == self.cmax[i]:
-                    ints[i] = ABOVE
+            for i in zero:
+                if nxt[i] == cmax[i]:
+                    nxt[i] = ABOVE
                 else:
                     survivors.append(i)
-            pos = ((tuple(survivors),) if survivors else ()) + region.pos
-            return Region(region.location, tuple(ints), (), pos), region.zero
-        if not region.pos:
-            return None, ()
-        # the group with the largest fraction reaches the next integer
-        wrapped = region.pos[-1]
-        zero = []
-        for i in wrapped:
-            ints[i] += 1
-            if ints[i] > self.cmax[i]:
-                ints[i] = ABOVE
+            moved = zero
+            part = (tuple(nxt), (), ((tuple(survivors),) if survivors else ()) + pos)
+        elif pos:
+            # the group with the largest fraction reaches the next integer
+            moved = pos[-1]
+            on_integer = []
+            for i in moved:
+                nxt[i] += 1
+                if nxt[i] > cmax[i]:
+                    nxt[i] = ABOVE
+                else:
+                    on_integer.append(i)
+            part = (tuple(nxt), tuple(on_integer), pos[:-1])
+        else:
+            self._later[pid] = None
+            return None
+        later = ("1" if self.tick in moved else "0+", self._part(*part))
+        self._later[pid] = later
+        return later
+
+    def _reset_part(self, pid: int, resets: frozenset[int]) -> int:
+        key = (pid, resets)
+        out = self._reset.get(key)
+        if out is None:
+            ints, zero, pos = self._parts[pid]
+            nxt = list(ints)
+            for i in resets:
+                nxt[i] = 0
+            groups = []
+            for grp in pos:
+                if not resets.isdisjoint(grp):
+                    grp = tuple(i for i in grp if i not in resets)
+                if grp:
+                    groups.append(grp)
+            out = self._reset[key] = self._part(
+                tuple(nxt), tuple(sorted(resets.union(zero))), tuple(groups)
+            )
+        return out
+
+    def _expand(self, region: Region) -> None:
+        """Both step tuples of the region, computed together and cached."""
+        rid = self.intern(region)
+        region, pid = self.regions[rid], self._part_of[rid]
+        loc = region.location
+        invariant, edges = self._compiled.get(loc) or self._compile(loc)
+        regions, codes = self.regions, self._codes
+        delay: list[tuple[str, Region]] = []
+        if not region.zero:
+            delay.append(("0+", region))  # a positive delay can stay inside
+        later = self._time_successor(pid)
+        if later is not None and invariant is not None:
+            tag, nxt = later
+            if all(lo <= codes[nxt][c] <= hi for c, lo, hi in invariant):
+                delay.append((tag, regions[self._region(loc, nxt)]))
+        discrete: list[tuple[Action, Region]] = []
+        own = codes[pid]
+        for action, tests, resets, target in edges:
+            for c, lo, hi in tests:  # a loop, not all(): this is the hot test
+                if not lo <= own[c] <= hi:
+                    break
             else:
-                zero.append(i)
-        return (
-            Region(region.location, tuple(ints), tuple(zero), region.pos[:-1]),
-            wrapped,
-        )
+                image = self._reset_part(pid, resets) if resets else pid
+                discrete.append((action, regions[self._region(target, image)]))
+        self._delay[region] = tuple(delay)
+        self._discrete[region] = tuple(discrete)
 
     def delay_steps(self, region: Region) -> tuple[tuple[str, Region], ...]:
         """All one-step delay transitions from the region, the stay-in-place
         '0+' step included."""
-        cached = self._delay.get(region)
-        if cached is not None:
-            return cached
-        steps: list[tuple[str, Region]] = []
-        if self.can_idle(region):
-            steps.append(("0+", self.canonical(region)))
-        nxt = self.time_successor(region)
-        if nxt is not None:
-            steps.append((nxt[0], self.canonical(nxt[1])))
-        result = tuple(sorted(steps, key=lambda s: (s[0], encode(s[1]))))
-        self._delay[region] = result
-        return result
-
-    # -- discrete steps --------------------------------------------------------
+        steps = self._delay.get(region)
+        if steps is None:
+            self._expand(region)
+            steps = self._delay[region]
+        return steps
 
     def discrete_steps(self, region: Region) -> tuple[tuple[Action, Region], ...]:
-        cached = self._discrete.get(region)
-        if cached is not None:
-            return cached
-        steps: list[tuple[Action, Region]] = []
-        for e in self._edges_from.get(region.location, ()):
-            if not all(atom_holds_in(region, atom) for atom in e.guard):
-                continue
-            image = self.reset_image(region, e.resets, e.target)
-            if self.invariant_ok(image):
-                steps.append((e.action, self.canonical(image)))
-        result = tuple(
-            sorted(steps, key=lambda s: (s[0].name, encode(s[1])))
-        )
-        self._discrete[region] = result
-        return result
-
-    def reset_image(
-        self, region: Region, resets: frozenset[int], target: str
-    ) -> Region:
-        ints = list(region.ints)
-        for i in resets:
-            ints[i] = 0
-        zero = sorted(set(region.zero) | resets)
-        pos = tuple(
-            g for g in (tuple(i for i in grp if i not in resets) for grp in region.pos) if g
-        )
-        return Region(target, tuple(ints), tuple(zero), pos)
+        steps = self._discrete.get(region)
+        if steps is None:
+            self._expand(region)
+            steps = self._discrete[region]
+        return steps
 
     # -- predicates over the duplicated automaton ---------------------------
 
@@ -298,9 +362,6 @@ class RegionContext:
 
     def is_secret(self, region: Region) -> bool:
         return is_primed(region.location) or region.location == self.ta.private
-
-    def is_public(self, region: Region) -> bool:
-        return not self.is_secret(region)
 
     # -- rendering -----------------------------------------------------------
 

@@ -415,6 +415,6 @@ def is_feasible(
             belief = space.initial(enabled)
         else:
             belief = space.successor(belief, tick, enabled)
-        if last_region in belief and run_admits(run, labels[:m], ta):
+        if last_region in space.regions_of(belief) and run_admits(run, labels[:m], ta):
             return True
     return False

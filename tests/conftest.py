@@ -45,6 +45,12 @@ def load_space(name: str) -> BeliefSpace:
     return _space_cache[name]
 
 
+def time_successor(ctx: RegionContext, region):
+    """The delay step that leaves ``region`` (every delay step but the
+    stay-in-place one), or None when the invariant or the caps stop it."""
+    return next(((tag, r2) for tag, r2 in ctx.delay_steps(region) if r2 != region), None)
+
+
 def edges_by_key(ta: TimedAutomaton) -> dict[str, Edge]:
     """'src>tgt/action' lookup; assumes at most one such edge per key."""
     return {f"{e.source}>{e.target}/{e.action.name}": e for e in ta.edges}

@@ -295,3 +295,26 @@ def test_cli_beliefs_pretty_names_two_clock(tmp_path):
     body = target.read_text()
     for name in ('"b2"', "\"b2'\"", '"b(2,3)"', '"b3"', "\"b3'\""):
         assert name in body, name
+
+
+def test_cli_stats_line_on_indeterminate(capsys):
+    code = main(
+        ["check", fx("minsky_halt.ta"), "--mode", "weak", "--state-cap", "300", "--stats"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    stats = json.loads(err[-1])
+    assert stats["states"] > 0 and stats["edges"] > 0
+    assert stats["regions"] > 0 and stats["belief_successors"] > 0
+    assert stats["peak_rss_mb"] > 0
+
+
+def test_cli_stats_line_without_a_game(tmp_path, capsys):
+    phi = tmp_path / "phi.msf"
+    msformat.save(MetaStrategy((), (UnitPlan(frozenset({"a"}), (frozenset({"a"}),)),)), str(phi))
+    for cmd in (["check", "--mode", "full"], ["verdict", "--mode", "weak"]):
+        main([cmd[0], fx("ta_opaque.ta"), *cmd[1:], "--strategy", str(phi), "--stats"])
+        stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert stats["states"] is None and stats["regions"] > 0, cmd
+    assert main(["check", fx("ta_opaque.ta"), "--mode", "full"]) == 0
+    assert capsys.readouterr().err == ""

@@ -131,7 +131,9 @@ def _agree(space, phi) -> None:
         assert bucket == row.bucket
         assert space.has_private_final(belief) == row.has_private_final, str(bucket)
         assert space.has_public_final(belief) == row.has_public_final, str(bucket)
-        assert space.finals_present(belief) == row.any_final
+        assert (space.has_private_final(belief) or space.has_public_final(belief)) == (
+            row.has_private_final or row.has_public_final
+        )
 
 
 def test_oracle_belief_agreement_on_fixtures():

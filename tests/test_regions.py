@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
-from conftest import load_space, load_ta
+from conftest import load_space, load_ta, time_successor
 from etopaq import prepare
 from etopaq.regions import (
     ABOVE,
@@ -79,7 +80,7 @@ def test_region_canonicity_against_pairwise_oracle():
 
 def test_time_successor_from_origin(opaque_space):
     ctx = opaque_space.ctx
-    step = ctx.time_successor(ctx.initial_region())
+    step = time_successor(ctx, ctx.initial_region())
     assert step is not None
     tag, r = step
     assert tag == "1"
@@ -89,8 +90,8 @@ def test_time_successor_from_origin(opaque_space):
 
 def test_time_successor_reaches_boundary(opaque_space):
     ctx = opaque_space.ctx
-    _, mid = ctx.time_successor(ctx.initial_region())
-    step = ctx.time_successor(mid)
+    _, mid = time_successor(ctx, ctx.initial_region())
+    step = time_successor(ctx, mid)
     assert step is not None
     tag, r = step
     assert tag == "1"
@@ -107,14 +108,14 @@ def test_time_successor_promotes_maximal_group_only():
     vals = [F(1, 4), F(1, 2), F(1, 4), F(1, 2)]
     r = ctx.region_of("l0", tuple(vals))
     assert len(r.pos) == 2 and z in r.pos[-1]
-    step = ctx.time_successor(r)
+    step = time_successor(ctx, r)
     assert step is not None
     tag, r2 = step
     assert tag == "1"  # promoted group contains z
     # now a region whose maximal group excludes z
     vals2 = [F(1, 2), F(3, 4), F(1, 2), F(1, 2)]
     r3 = ctx.region_of("l0", tuple(vals2))
-    step3 = ctx.time_successor(r3)
+    step3 = time_successor(ctx, r3)
     assert step3 is not None
     tag3, r4 = step3
     assert tag3 == "0+"
@@ -176,7 +177,7 @@ def test_time_successor_chain_terminates_in_cycle():
     r = ctx.initial_region()
     trail = [r]
     for _ in range(100):
-        step = ctx.time_successor(r)
+        step = time_successor(ctx, r)
         if step is None:
             # blocked: the tick reset loop must apply
             nxt = [t for a, t in ctx.discrete_steps(r) if a.kind == "silent"]
@@ -207,7 +208,7 @@ def test_discrete_successors_fire_on_zero_guard(opaque_space):
 
 def test_discrete_successors_respect_unsatisfied_guard():
     ctx = load_space("ta1").ctx
-    _, mid = ctx.time_successor(ctx.initial_region())
+    _, mid = time_successor(ctx, ctx.initial_region())
     # guard x = 1 cannot fire from 0 < x < 1
     assert all(
         t.location != "l0" or a.kind == "silent"
@@ -219,7 +220,7 @@ def test_discrete_successors_respect_unsatisfied_guard():
 
 def test_reset_moves_clock_to_zero_group():
     ctx = load_space("ta1").ctx
-    _, mid = ctx.time_successor(ctx.initial_region())
+    _, mid = time_successor(ctx, ctx.initial_region())
     steps = [(a, t) for a, t in ctx.discrete_steps(mid) if a.name == "b"]
     assert steps
     _, t = steps[0]
@@ -236,7 +237,7 @@ def test_final_secret_public_predicates(opaque_space):
     fin_pub = ctx.region_of("lf", zeros)
     priv = ctx.region_of("lpriv", zeros)
     assert ctx.is_final(fin_priv) and ctx.is_secret(fin_priv)
-    assert ctx.is_final(fin_pub) and ctx.is_public(fin_pub)
+    assert ctx.is_final(fin_pub) and not ctx.is_secret(fin_pub)
     assert ctx.is_secret(priv) and not ctx.is_final(priv)
 
 
@@ -295,10 +296,10 @@ def test_successors_are_interned_with_dense_ids():
     assert sorted(ctx.intern(r) for r in ctx.regions) == list(range(len(ctx.regions)))
     copy = Region(regions[-1].location, regions[-1].ints, regions[-1].zero, regions[-1].pos)
     assert copy is not regions[-1] and ctx.canonical(copy) is regions[-1]
-    finals = {r for r in ctx.regions if ctx.is_final(r)}
+    finals = {i for i, r in enumerate(ctx.regions) if ctx.is_final(r)}
     assert ctx.private_finals | ctx.public_finals == finals
-    assert all(ctx.is_secret(r) for r in ctx.private_finals)
-    assert not any(ctx.is_secret(r) for r in ctx.public_finals)
+    assert all(ctx.is_secret(ctx.regions[i]) for i in ctx.private_finals)
+    assert not any(ctx.is_secret(ctx.regions[i]) for i in ctx.public_finals)
 
 
 def test_intern_assigns_one_id_per_region_across_threads():
@@ -333,3 +334,115 @@ def test_intern_assigns_one_id_per_region_across_threads():
             assert len(ctx.regions) == len(values)
     finally:
         sys.setswitchinterval(old)
+
+
+# --- the compiled kernel against the atom-by-atom path it replaced ----------------
+
+
+def _atom_holds_in(region, atom) -> bool:
+    n = region.ints[atom.clock]
+    if n is ABOVE:
+        return atom.rel in (">", ">=")
+    on_integer = region.fraction_is_zero(atom.clock)
+    d = atom.bound
+    if atom.rel == "<":
+        return n < d
+    if atom.rel == "<=":
+        return n < d or (n == d and on_integer)
+    if atom.rel == "=":
+        return n == d and on_integer
+    if atom.rel == ">=":
+        return n >= d
+    return n > d or (n == d and not on_integer)
+
+
+def _invariant_ok(ctx, region) -> bool:
+    return all(_atom_holds_in(region, a) for a in ctx.ta.invariant(region.location))
+
+
+def _time_successor(ctx, region):
+    ints = list(region.ints)
+    if region.zero:
+        survivors = []
+        for i in region.zero:
+            if ints[i] == ctx.cmax[i]:
+                ints[i] = ABOVE
+            else:
+                survivors.append(i)
+        pos = ((tuple(survivors),) if survivors else ()) + region.pos
+        succ, moved = Region(region.location, tuple(ints), (), pos), region.zero
+    elif region.pos:
+        moved = region.pos[-1]
+        zero = []
+        for i in moved:
+            ints[i] += 1
+            if ints[i] > ctx.cmax[i]:
+                ints[i] = ABOVE
+            else:
+                zero.append(i)
+        succ = Region(region.location, tuple(ints), tuple(zero), region.pos[:-1])
+    else:
+        return None
+    if not _invariant_ok(ctx, succ):
+        return None
+    return ("1" if ctx.tick in moved else "0+"), succ
+
+
+def _reset_image(region, resets, target):
+    ints = [0 if i in resets else n for i, n in enumerate(region.ints)]
+    zero = sorted(set(region.zero) | resets)
+    pos = tuple(g for g in (tuple(i for i in grp if i not in resets) for grp in region.pos) if g)
+    return Region(target, tuple(ints), tuple(zero), pos)
+
+
+def _reference_steps(ctx, region):
+    delay = [("0+", region)] if not region.zero else []
+    nxt = _time_successor(ctx, region)
+    if nxt is not None:
+        delay.append(nxt)
+    discrete = []
+    for e in ctx.ta.edges:
+        if e.source != region.location:
+            continue
+        if all(_atom_holds_in(region, a) for a in e.guard):
+            image = _reset_image(region, e.resets, e.target)
+            if _invariant_ok(ctx, image):
+                discrete.append((e.action, image))
+    return Counter(delay), Counter(discrete)
+
+
+def _assert_kernel_matches_reference(ta) -> int:
+    """Every region reachable from the initial one has the same delay and
+    discrete steps, with multiplicity, as the atom-by-atom path gives;
+    returns how many regions were compared."""
+    ctx = RegionContext(prepare(ta))
+    start = ctx.initial_region()
+    seen = {start}
+    queue = [start]
+    for r in queue:
+        delay, discrete = ctx.delay_steps(r), ctx.discrete_steps(r)
+        assert (Counter(delay), Counter(discrete)) == _reference_steps(ctx, r), (ta.name, r)
+        for _, r2 in delay + discrete:
+            if r2 not in seen:
+                seen.add(r2)
+                queue.append(r2)
+    return len(queue)
+
+
+def test_kernel_matches_reference_on_paper_fixtures():
+    for name in ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like"):
+        assert _assert_kernel_matches_reference(load_ta(name)) > 1, name
+
+
+def test_kernel_matches_reference_on_minsky_gadgets():
+    # each gadget's whole region graph is small (467 to 550 regions)
+    for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
+        assert _assert_kernel_matches_reference(load_ta(name)) > 100, name
+
+
+def test_kernel_matches_reference_on_random_automata():
+    from conftest import random_ta
+
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(50):
+        assert _assert_kernel_matches_reference(random_ta(rng, name=f"kernel{i}")) > 0

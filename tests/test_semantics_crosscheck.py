@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from conftest import load_space, load_ta, random_metastrategy, random_ta
+from conftest import load_space, load_ta, random_metastrategy, random_ta, time_successor
 from etopaq import build_run, prepare
 from etopaq.beliefs import BeliefSpace
 from etopaq.oracle import oracle_buckets
@@ -103,7 +103,7 @@ def test_concrete_runs_are_covered_by_bucket_flags():
             else:
                 assert row.has_public_final, (dup.name, bucket)
             region = space.ctx.region_of(loc, run.last[1])
-            assert region in enc[bucket], (dup.name, bucket)
+            assert region in space.regions_of(enc[bucket]), (dup.name, bucket)
     assert covered >= 40
 
 
@@ -130,7 +130,8 @@ def test_sigma_compatibility_implies_feasibility():
 
 def test_time_successor_matches_concrete_delay_oracle():
     """The symbolic immediate successor equals the region reached by an
-    actual minimal delay from a sampled member valuation."""
+    actual minimal delay from a sampled member valuation.  'l' is no
+    location of the automata, so no invariant stops the delay."""
     rng = random.Random(5150)
     for name in ("ta_opaque2", "ta_counterex"):
         ctx = load_space(name).ctx
@@ -145,7 +146,7 @@ def test_time_successor_matches_concrete_delay_oracle():
             )
             if not fracts:
                 # every clock beyond its cap: delay can no longer move regions
-                assert ctx._raw_time_successor(region)[0] is None
+                assert time_successor(ctx, region) is None
                 continue
             if fracts[0] == 0:
                 # leave the integer: stop before any fraction reaches 1
@@ -154,5 +155,5 @@ def test_time_successor_matches_concrete_delay_oracle():
                 # ride to the next boundary: the largest fraction hits 1
                 d = 1 - fracts[-1]
             expected = region_of("l", tuple(v + d for v in vals), ctx.cmax)
-            got, _moved = ctx._raw_time_successor(region)
+            _tag, got = time_successor(ctx, region)
             assert got == expected, (vals, d)

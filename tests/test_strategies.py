@@ -212,7 +212,7 @@ def test_encountered_beliefs_no_finals_never_leak():
     assert interval_buckets
     for bucket, belief in enc.buckets:
         if bucket.kind == "interval":
-            assert not space.finals_present(belief)
+            assert not (space.has_private_final(belief) or space.has_public_final(belief))
             assert not space.leaking_full(belief)
 
 
