@@ -14,12 +14,13 @@ region's moves are looked up once and kept as id tuples, split into free
 steps, controllable steps by action name, and the '0+'/'1' delay targets.
 The closure and the delay images run over these tables alone, and the leak
 predicates test a belief against the context's private- and public-final id
-sets.
+sets.  `BeliefSpace.explore` walks the reachable belief graph with
+`graphs.bfs`; the dead belief needs no case of its own there, since every
+successor of it is itself.
 """
 from __future__ import annotations
 
-from collections import deque
-
+from .graphs import bfs
 from .regions import Region, RegionContext, encode
 from .ta import SILENT_KIND
 
@@ -190,44 +191,40 @@ class BeliefSpace:
 
     # -- exploration ----------------------------------------------------------
 
-    def explore(self, include_dead: bool = False) -> "BeliefGraph":
-        """Breadth-first materialization of the reachable belief graph,
-        all enabled-set labels considered."""
+    def explore(
+        self,
+        include_dead: bool = False,
+        state_cap: int | None = None,
+        time_cap: float | None = None,
+    ) -> "BeliefGraph":
+        """The reachable belief graph, all enabled-set labels considered,
+        explored by `graphs.bfs` under its caps.  Without ``include_dead``
+        moves into the dead belief are left out."""
         subsets = self.enabled_sets()
-        transitions: dict[tuple[object, str, frozenset[str]], object] = {}
-        states: list[object] = [BOTTOM]
-        seen: set[object] = {BOTTOM}
-        queue: deque[object] = deque([BOTTOM])
-        while queue:
-            b = queue.popleft()
-            moves: list[tuple[str, frozenset[str], object]] = []
+
+        def moves(b):
             if b is BOTTOM:
-                for e in subsets:
-                    moves.append(("0", e, self.initial(e)))
-            elif b == DEAD:
-                for tick in TICKS:
-                    for e in subsets:
-                        moves.append((tick, e, DEAD))
+                steps = [(("0", e), self.initial(e)) for e in subsets]
             else:
-                for tick in TICKS:
-                    for e in subsets:
-                        moves.append((tick, e, self.successor(b, tick, e)))
-            for tick, e, b2 in moves:
-                if b2 == DEAD and not include_dead:
-                    continue
-                transitions[(b, tick, e)] = b2
-                if b2 not in seen:
-                    seen.add(b2)
-                    states.append(b2)
-                    queue.append(b2)
-        return BeliefGraph(self, tuple(states), transitions)
+                steps = [((t, e), self.successor(b, t, e)) for t in TICKS for e in subsets]
+            return steps if include_dead else [s for s in steps if s[1] != DEAD]
+
+        adj, order, parent, stopped = bfs(BOTTOM, moves, state_cap, time_cap)
+        transitions = {
+            (b, tick, e): b2
+            for b, steps in adj.items()
+            for (tick, e), b2 in steps
+            if b2 in parent  # a capped walk leaves its last targets out
+        }
+        return BeliefGraph(self, tuple(order), transitions, stopped)
 
 
 class BeliefGraph:
-    def __init__(self, space: BeliefSpace, states, transitions):
+    def __init__(self, space: BeliefSpace, states, transitions, stopped: str = ""):
         self.space = space
         self.states = states
         self.transitions = transitions
+        self.stopped = stopped  # why a capped walk stopped short, else ""
 
 
 def belief_key(regions: frozenset[Region]) -> tuple:

@@ -3,7 +3,9 @@
 Exit codes: 0 SAT/OK/true, 1 UNSAT/NOT-OK/false, 2 INDETERMINATE,
 64 input error (bad files and malformed command lines alike).  With
 ``--stats``, `check`, `synthesize` and `verdict` end by writing one JSON line
-of counters to stderr, whatever the verdict.
+of counters to stderr, whatever the verdict.  `--state-cap`/`--time-cap` bound
+the graph that `check`, `synthesize`, `regions`, `beliefs` and `game` explore;
+a capped DOT export holds what was explored and exits 2 too.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .game import (
 from .minsky import encode, parse_machine, structural_check
 from .oracle import oracle_buckets, oracle_verdict
 from .regions import RegionContext
+from .strategies import all_enabled
 from .ta import make_finals_urgent, prepare, validate
 
 EXIT_YES = 0
@@ -50,21 +53,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _load_prepared(path: str, repair_finals: bool):
-    ta = taformat.load(path)
-    if repair_finals:
+def _load_prepared(args):
+    ta = taformat.load(args.ta)
+    if args.make_finals_urgent:
         ta = make_finals_urgent(ta)
     problems = validate(ta)
     if problems:
         msgs = "; ".join(f"{v.rule}({v.subject})" for v in problems)
         hint = (
             ""
-            if repair_finals or all(v.rule != "final-not-urgent" for v in problems)
+            if args.make_finals_urgent or all(v.rule != "final-not-urgent" for v in problems)
             else " (try --make-finals-urgent)"
         )
-        raise InputError(f"{path}: {msgs}{hint}")
-    prepared = prepare(ta)
-    return ta, BeliefSpace(RegionContext(prepared))
+        raise InputError(f"{args.ta}: {msgs}{hint}")
+    args.space = BeliefSpace(RegionContext(prepare(ta)))  # for the --stats line
+    return ta, args.space
 
 
 def _load_strategy(path: str, ta):
@@ -87,127 +90,107 @@ def _print_stats(space: BeliefSpace, result=None) -> None:
     print(json.dumps(stats), file=sys.stderr)
 
 
-def _fmt_label(label) -> str:
-    tick, enabled = label
-    return f"({tick},{{{','.join(sorted(enabled))}}})"
+def _ok(ok: bool, offending) -> int:
+    print("OK" if ok else f"NOT-OK offending-bucket {offending}")
+    return EXIT_YES if ok else EXIT_NO
+
+
+def _indeterminate(detail: str) -> int:
+    print(f"INDETERMINATE {detail}", file=sys.stderr)
+    return EXIT_INDETERMINATE
+
+
+def _solve(args, space: BeliefSpace, on_sat) -> int:
+    """Solves the game under the caps and reports the verdict, a winning
+    witness through ``on_sat``; the result is kept for the --stats line."""
+    args.result = result = solve(
+        space, MODES[args.mode], state_cap=args.state_cap, time_cap=args.time_cap
+    )
+    if result.status == "SAT":
+        on_sat(result.witness)
+        return EXIT_YES
+    if result.status == "UNSAT":
+        print(f"UNSAT explored-states {result.stats.states}")
+        return EXIT_NO
+    return _indeterminate(result.detail)
+
+
+def _print_witness(w) -> None:
+    print("SAT")
+    for part, labels in (("stem", w.stem), ("loop", w.loop)):
+        steps = (f"({tick},{{{','.join(sorted(enabled))}}})" for tick, enabled in labels)
+        print(f"witness {part}: " + " ".join(steps))
 
 
 def cmd_check(args) -> int:
-    ta, space = _load_prepared(args.ta, args.make_finals_urgent)
-    result = None
-    try:
-        if args.mode == "exists":
-            phi = _load_strategy(args.strategy, ta) if args.strategy else None
-            res = check_exists(space, phi)
-            if res.holds:
-                print(f"true witness-bucket {res.witness}")
-                others = " ".join(str(b) for b in res.witnesses[:8])
-                print(f"qualifying buckets: {others}")
-                return EXIT_YES
-            print("false")
-            return EXIT_NO
-        mode = MODES[args.mode]
-        if args.strategy:
-            phi = _load_strategy(args.strategy, ta)
-            verdict = check_metastrategy(space, phi, mode)
-            if verdict.ok:
-                print("OK")
-                return EXIT_YES
-            print(f"NOT-OK offending-bucket {verdict.offending}")
-            return EXIT_NO
-        result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
-        if result.status == "SAT":
-            w = result.witness
-            print("SAT")
-            print("witness stem: " + " ".join(_fmt_label(l) for l in w.stem))
-            print("witness loop: " + " ".join(_fmt_label(l) for l in w.loop))
+    ta, space = _load_prepared(args)
+    if args.mode == "exists":
+        phi = _load_strategy(args.strategy, ta) if args.strategy else None
+        res = check_exists(space, phi)
+        if res.holds:
+            print(f"true witness-bucket {res.witness}")
+            others = " ".join(str(b) for b in res.witnesses[:8])
+            print(f"qualifying buckets: {others}")
             return EXIT_YES
-        if result.status == "UNSAT":
-            print(f"UNSAT explored-states {result.stats.states}")
-            return EXIT_NO
-        print(f"INDETERMINATE {result.detail}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    finally:
-        if args.stats:
-            _print_stats(space, result)
+        print("false")
+        return EXIT_NO
+    if args.strategy:
+        phi = _load_strategy(args.strategy, ta)
+        verdict = check_metastrategy(space, phi, MODES[args.mode])
+        return _ok(verdict.ok, verdict.offending)
+    return _solve(args, space, _print_witness)
 
 
 def cmd_synthesize(args) -> int:
-    ta, space = _load_prepared(args.ta, args.make_finals_urgent)
-    result = None
-    try:
-        if args.mode == "exists":
-            from .strategies import all_enabled
+    ta, space = _load_prepared(args)
 
-            res = check_exists(space)
-            if not res.holds:
-                print("UNSAT")
-                return EXIT_NO
-            msformat.save(all_enabled(ta), args.output)
-            print(f"SAT wrote {args.output}")
-            return EXIT_YES
-        mode = MODES[args.mode]
-        result = solve(space, mode, state_cap=args.state_cap, time_cap=args.time_cap)
-        if result.status == "SAT":
-            phi = witness_to_metastrategy(result.witness)
-            msformat.save(phi, args.output)
-            print(f"SAT wrote {args.output}")
-            return EXIT_YES
-        if result.status == "UNSAT":
-            print(f"UNSAT explored-states {result.stats.states}")
-            return EXIT_NO
-        print(f"INDETERMINATE {result.detail}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    finally:
-        if args.stats:
-            _print_stats(space, result)
+    def save(phi) -> None:
+        msformat.save(phi, args.output)
+        print(f"SAT wrote {args.output}")
+
+    if args.mode != "exists":
+        return _solve(args, space, lambda w: save(witness_to_metastrategy(w)))
+    if not check_exists(space).holds:
+        print("UNSAT")
+        return EXIT_NO
+    save(all_enabled(ta))
+    return EXIT_YES
 
 
 def cmd_simulate(args) -> int:
-    ta, space = _load_prepared(args.ta, args.make_finals_urgent)
-    phi = _load_strategy(args.strategy, ta)
-    table = oracle_buckets(space.ctx, phi)
-    print(table.report())
+    ta, space = _load_prepared(args)
+    print(oracle_buckets(space.ctx, _load_strategy(args.strategy, ta)).report())
     return EXIT_YES
 
 
 def cmd_verdict(args) -> int:
-    ta, space = _load_prepared(args.ta, args.make_finals_urgent)
-    try:
-        phi = _load_strategy(args.strategy, ta)
-        table = oracle_buckets(space.ctx, phi)
-        ok, offending = oracle_verdict(table, MODES[args.mode])
-        if ok:
-            print("OK")
-            return EXIT_YES
-        print(f"NOT-OK offending-bucket {offending}")
-        return EXIT_NO
-    finally:
-        if args.stats:
-            _print_stats(space)
+    ta, space = _load_prepared(args)
+    phi = _load_strategy(args.strategy, ta)
+    return _ok(*oracle_verdict(oracle_buckets(space.ctx, phi), MODES[args.mode]))
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _export(args, export: tuple[str, str]) -> int:
+    """Writes a DOT export, capped or not; a capped one reads INDETERMINATE."""
+    text, stopped = export
+    with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(text)
+    return _indeterminate(stopped) if stopped else EXIT_YES
 
 
 def cmd_regions(args) -> int:
-    _, space = _load_prepared(args.ta, args.make_finals_urgent)
-    _write(args.dot, dot.regions_dot(space.ctx))
-    return EXIT_YES
+    _, space = _load_prepared(args)
+    return _export(args, dot.regions_dot(space.ctx, args.state_cap, args.time_cap))
 
 
 def cmd_beliefs(args) -> int:
-    _, space = _load_prepared(args.ta, args.make_finals_urgent)
-    _write(args.dot, dot.beliefs_dot(space, pretty=args.pretty))
-    return EXIT_YES
+    _, space = _load_prepared(args)
+    return _export(args, dot.beliefs_dot(space, args.pretty, args.state_cap, args.time_cap))
 
 
 def cmd_game(args) -> int:
-    _, space = _load_prepared(args.ta, args.make_finals_urgent)
-    _write(args.dot, dot.game_dot(space, MODES[args.mode], args.state_cap))
-    return EXIT_YES
+    _, space = _load_prepared(args)
+    mode = MODES[args.mode]
+    return _export(args, dot.game_dot(space, mode, args.state_cap, args.time_cap))
 
 
 def cmd_gen_minsky(args) -> int:
@@ -239,6 +222,10 @@ def _add_common(
         action="store_true",
         help="apply the urgency repair before analysis",
     )
+
+
+def _add_caps(p: argparse.ArgumentParser) -> None:
+    """The caps of the commands that explore a graph."""
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--time-cap", type=float, default=None)
 
@@ -254,16 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="etopaq",
         description="Execution-time opacity checking and controller synthesis",
     )
+    top.set_defaults(stats=False, space=None, result=None)  # read by the --stats line
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide opacity, or check a given meta-strategy")
     _add_common(p, with_exists=True)
+    _add_caps(p)
     p.add_argument("--strategy", help="meta-strategy file to check")
     _add_stats(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("synthesize", help="synthesize a meta-strategy")
     _add_common(p, with_exists=True)
+    _add_caps(p)
     p.add_argument("-o", "--output", required=True)
     _add_stats(p)
     p.set_defaults(fn=cmd_synthesize)
@@ -281,17 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="DOT export of the region graph")
     _add_common(p, with_mode=False)
+    _add_caps(p)
     p.add_argument("--dot", required=True)
     p.set_defaults(fn=cmd_regions)
 
     p = sub.add_parser("beliefs", help="DOT export of the belief graph")
     _add_common(p, with_mode=False)
+    _add_caps(p)
     p.add_argument("--dot", required=True)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=cmd_beliefs)
 
     p = sub.add_parser("game", help="DOT export of the pruned game graph")
     _add_common(p)
+    _add_caps(p)
     p.add_argument("--dot", required=True)
     p.set_defaults(fn=cmd_game)
 
@@ -308,12 +301,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, taformat.ParseError, msformat.StrategyFormatError, ValueError) as exc:
+    except (InputError, taformat.ParseError, msformat.StrategyFormatError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    finally:
+        if args.stats and args.space is not None:
+            _print_stats(args.space, args.result)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
-"""Graphviz exports of the explored region, belief and game graphs."""
+"""Graphviz exports of the explored region, belief and game graphs.  Each
+export returns its text and why its capped walk stopped short ("" when it
+did not); a capped export holds what was explored, without the edges to
+nodes past the state cap."""
 from __future__ import annotations
 
-from collections import deque
-
 from .beliefs import BOTTOM, BeliefGraph, BeliefSpace, belief_key
-from .game import DEFAULT_STATE_CAP, explore
+from .game import explore
+from .graphs import bfs
 from .regions import RegionContext, encode
 
 
@@ -12,58 +14,52 @@ def _q(s: str) -> str:
     return '"' + s.replace('"', r"\"") + '"'
 
 
-def regions_dot(ctx: RegionContext, max_states: int = 5000) -> str:
+def regions_dot(
+    ctx: RegionContext, state_cap: int | None = None, time_cap: float | None = None
+) -> tuple[str, str]:
     """The region graph reachable from the initial region under delays and
     all discrete actions, steps in (tag or action name, region) order."""
-    start = ctx.initial_region()
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    edges = []
-    while queue and len(seen) < max_states:
-        r = queue.popleft()
+
+    def steps(r):
         delays = sorted(ctx.delay_steps(r), key=lambda s: (s[0], encode(s[1])))
         discrete = sorted(ctx.discrete_steps(r), key=lambda s: (s[0].name, encode(s[1])))
-        steps = [(f"{tag}/~", r2) for tag, r2 in delays if r2 != r]
-        steps += [(f"0/{a.name}", r2) for a, r2 in discrete]
-        for label, r2 in steps:
-            edges.append((r, label, r2))
-            if r2 not in seen:
-                seen.add(r2)
-                order.append(r2)
-                queue.append(r2)
+        out = [(f"{tag}/~", r2) for tag, r2 in delays if r2 != r]
+        return out + [(f"0/{a.name}", r2) for a, r2 in discrete]
+
+    adj, order, parent, stopped = bfs(ctx.initial_region(), steps, state_cap, time_cap)
     lines = ["digraph regions {", "  rankdir=LR;"]
     for r in order:
         shape = "doublecircle" if ctx.is_final(r) else "ellipse"
         lines.append(f"  {_q(ctx.format_region(r))} [shape={shape}];")
-    for r, label, r2 in edges:
-        lines.append(
-            f"  {_q(ctx.format_region(r))} -> {_q(ctx.format_region(r2))}"
-            f" [label={_q(label)}];"
-        )
+    for r, out in adj.items():
+        for label, r2 in out:
+            if r2 in parent:
+                lines.append(
+                    f"  {_q(ctx.format_region(r))} -> {_q(ctx.format_region(r2))}"
+                    f" [label={_q(label)}];"
+                )
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", stopped
 
 
 def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
     """Bucket-style names: beliefs first reached at integer point k become
-    b{k}, b{k}' ... (largest first); interval beliefs b(k,k+1) alike."""
-    depth: dict[object, int] = {BOTTOM: 0}
-    queue = deque([BOTTOM])
-    ordered = sorted(
+    b{k}, b{k}' ... (largest first); interval beliefs b(k,k+1) alike.  The
+    depths come from a walk over the transitions in sorted order."""
+    steps: dict[object, list] = {}
+    for (src, tick, _), tgt in sorted(
         graph.transitions.items(), key=lambda kv: (kv[0][1], sorted(kv[0][2]))
-    )
-    while queue:
-        b = queue.popleft()
-        for (src, tick, _), tgt in ordered:
-            if src is b and tgt not in depth:
-                depth[tgt] = depth[b] + (1 if tick in ("0", "1") else 0)
-                queue.append(tgt)
-    names = {BOTTOM: "bot"}
+    ):
+        steps.setdefault(src, []).append((tick, tgt))
+    _, order, parent, _ = bfs(BOTTOM, lambda b: steps.get(b, ()))
+    depth: dict[object, int] = {BOTTOM: 0}
     by_depth: dict[int, list] = {}
-    for b, d in depth.items():
-        if b is not BOTTOM:
-            by_depth.setdefault(d, []).append(b)
+    for b in order[1:]:
+        src, tick = parent[b]
+        # "0" and "1" move on to the next point or interval, "0+" stays
+        depth[b] = d = depth[src] + (tick != "0+")
+        by_depth.setdefault(d, []).append(b)
+    names = {BOTTOM: "bot"}
     for d, group in by_depth.items():
         group.sort(key=lambda b: (-len(b), belief_key(graph.space.regions_of(b))))
         base = f"b{(d - 1) // 2}" if d % 2 else f"b({d // 2 - 1},{d // 2})"
@@ -72,8 +68,14 @@ def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
     return names
 
 
-def beliefs_dot(space: BeliefSpace, pretty: bool = False) -> str:
-    graph = space.explore(include_dead=False)
+def beliefs_dot(
+    space: BeliefSpace,
+    pretty: bool = False,
+    state_cap: int | None = None,
+    time_cap: float | None = None,
+) -> tuple[str, str]:
+    """The belief graph without the dead belief."""
+    graph = space.explore(include_dead=False, state_cap=state_cap, time_cap=time_cap)
     if pretty:
         names = pretty_belief_names(graph)
     else:
@@ -103,13 +105,14 @@ def beliefs_dot(space: BeliefSpace, pretty: bool = False) -> str:
         label = f"{tick}, {{{','.join(sorted(enabled))}}}"
         lines.append(f"  {_q(names[b])} -> {_q(names[b2])} [label={_q(label)}];")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", graph.stopped
 
 
-def game_dot(space: BeliefSpace, mode, state_cap: int = DEFAULT_STATE_CAP) -> str:
-    """The pruned game as `solve` explores it, stopping where its state cap
-    stops it; edges to states past the cap are left out."""
-    adj, order, _, _ = explore(space, mode, state_cap, None)
+def game_dot(
+    space: BeliefSpace, mode, state_cap: int | None = None, time_cap: float | None = None
+) -> tuple[str, str]:
+    """The pruned game as `solve` explores it."""
+    adj, order, _, stopped = explore(space, mode, state_cap, time_cap)
     names = {st: f"g{i}" for i, st in enumerate(order)}
     lines = ["digraph game {", "  rankdir=LR;"]
     for st in order:
@@ -123,4 +126,4 @@ def game_dot(space: BeliefSpace, mode, state_cap: int = DEFAULT_STATE_CAP) -> st
                 label = f"{tick}, {{{','.join(sorted(enabled))}}}"
                 lines.append(f"  {names[st]} -> {names[s2]} [label={_q(label)}];")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", stopped

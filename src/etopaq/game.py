@@ -8,10 +8,10 @@ final region, and a pending obligation that the next interval must.  A
 winning play is a reachable lasso whose loop takes tick-1 actions; its
 labels directly spell an eventually periodic meta-strategy.
 
-`solve` explores the pruned game breadth first, one state at a time, with
-the caps checked per expanded state, then searches the explored graph once:
-Tarjan's SCCs, the first tick-1 edge inside an SCC in discovery order, the
-BFS parent chain as the stem and a shortest path inside the SCC as the loop.
+`solve` explores the pruned game with `graphs.bfs` under its caps, then
+searches the explored graph once: Tarjan's SCCs, the first tick-1 edge
+inside an SCC in discovery order, the BFS parent chain as the stem, and as
+the loop a shortest path inside the SCC (`bfs` again, restricted to it).
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .beliefs import BOTTOM, DEAD, Belief, BeliefSpace
+from .graphs import Adjacency, Tree, bfs, path_to
 from .modes import Mode, bucket_verdict
 from .strategies import (
     Bucket,
@@ -118,32 +119,11 @@ class SolveResult:
     detail: str = ""
 
 
-Adjacency = dict[GameState, list[tuple[Label, GameState]]]
-Tree = dict[GameState, tuple[GameState, Label] | None]  # BFS parent edges
-
-
 def explore(
-    space: BeliefSpace, mode: Mode, state_cap: int, time_cap: float | None
+    space: BeliefSpace, mode: Mode, state_cap: int | None, time_cap: float | None
 ) -> tuple[Adjacency, list[GameState], Tree, str]:
-    """Reachable pruned game graph, breadth first, one state at a time:
-    adjacency, discovery order, BFS parent edges, and why exploration
-    stopped short ("" when it did not).  The time cap is checked before each
-    expansion, the state cap at each discovery."""
-    deadline = None if time_cap is None else time.monotonic() + time_cap
-    adj: Adjacency = {}
-    order = [INITIAL]
-    parent: Tree = {INITIAL: None}
-    for st in order:  # `order` grows behind the cursor: a FIFO queue
-        if deadline is not None and time.monotonic() > deadline:
-            return adj, order, parent, f"time cap {time_cap}s exceeded"
-        adj[st] = succs = game_successors(space, st, mode)
-        for label, s2 in succs:
-            if s2 not in parent:
-                parent[s2] = (st, label)
-                order.append(s2)
-                if len(order) > state_cap:
-                    return adj, order, parent, f"state cap {state_cap} exceeded"
-    return adj, order, parent, ""
+    """The reachable pruned game graph as `graphs.bfs` returns it."""
+    return bfs(INITIAL, lambda st: game_successors(space, st, mode), state_cap, time_cap)
 
 
 def _sccs(adj: Adjacency, order: list[GameState]) -> dict[GameState, int]:
@@ -194,34 +174,6 @@ def _sccs(adj: Adjacency, order: list[GameState]) -> dict[GameState, int]:
     return comp
 
 
-def _path_to(tree: Tree, node: GameState) -> list[tuple[Label, GameState]]:
-    """The (label, state) steps from the root of ``tree`` down to ``node``."""
-    path = []
-    while tree[node] is not None:
-        prev, label = tree[node]
-        path.append((label, node))
-        node = prev
-    path.reverse()
-    return path
-
-
-def _path_within(
-    adj: Adjacency, src: GameState, dst: GameState, members: set[GameState]
-) -> list[tuple[Label, GameState]]:
-    """Shortest path from ``src`` to ``dst`` through ``members`` (one SCC),
-    breadth first in emission order."""
-    tree: Tree = {src: None}
-    queue = [src]
-    for u in queue:
-        if u == dst:
-            break
-        for label, w in adj[u]:
-            if w not in tree and w in members:
-                tree[w] = (u, label)
-                queue.append(w)
-    return _path_to(tree, dst)
-
-
 def solve(
     space: BeliefSpace,
     mode: Mode,
@@ -257,9 +209,11 @@ def solve(
     if best is None:
         return SolveResult("UNSAT", None, stats)
     u, label, w = best
-    members = {s for s in order if comp[s] == comp[u]}
-    cycle = [(label, w)] + _path_within(adj, w, u, members)
-    stem = [lbl for lbl, _ in _path_to(parent, u)]
+    # the shortest path back from w to u inside their SCC, breadth first
+    scc = comp[u]
+    _, _, within, _ = bfs(w, lambda s: [(l, s2) for l, s2 in adj[s] if comp[s2] == scc])
+    cycle = [(label, w)] + path_to(within, u)
+    stem = [lbl for lbl, _ in path_to(parent, u)]
     # rotation: start the loop right after a tick-1 landing on an integer point
     states = [u] + [s for _, s in cycle]
     rot = next(i for i, s in enumerate(states[:-1]) if s.at_integer)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+import time
 
 import pytest
 
-from conftest import fixture_path, load_ta
+from conftest import fixture_path, load_space, load_ta
 from etopaq import msformat, taformat
 from etopaq.cli import main
 from etopaq.strategies import MetaStrategy, UnitPlan
@@ -222,6 +224,41 @@ def test_cli_dot_exports(tmp_path):
         assert body.rstrip().endswith("}")
 
 
+def test_cli_beliefs_pretty_names_every_belief(tmp_path):
+    """The depth walk matches beliefs by equality: a belief first reached as
+    an equal but distinct object still gets a depth and a name."""
+    target = tmp_path / "b.dot"
+    assert main(["beliefs", fx("ta_counterex.ta"), "--dot", str(target), "--pretty"]) == 0
+    names = re.findall(r'^  "([^"]+)" \[shape=box', target.read_text(), re.M)
+    assert len(names) == len(load_space("ta_counterex").explore().states) - 1
+    assert len(set(names)) == len(names)
+    assert all(re.fullmatch(r"b(\d+|\(\d+,\d+\))'*", n) for n in names), names
+
+
+def test_cli_capped_exports_exit_indeterminate(tmp_path, capsys):
+    """Every DOT export honours both caps: a capped one writes what it
+    explored, reports INDETERMINATE and exits 2."""
+    target = tmp_path / "capped.dot"
+    t0 = time.monotonic()
+    code = main(["beliefs", fx("minsky_halt.ta"), "--dot", str(target), "--state-cap", "1000"])
+    assert code == 2
+    assert time.monotonic() - t0 < 10
+    assert "INDETERMINATE state cap 1000 exceeded" in capsys.readouterr().err
+    assert target.read_text().rstrip().endswith("}")
+    for cmd, extra in (("regions", []), ("beliefs", ["--pretty"]), ("game", ["--mode", "weak"])):
+        code = main([cmd, fx("ta_opaque.ta"), "--dot", str(target), *extra, "--state-cap", "3"])
+        assert code == 2, cmd
+        assert "INDETERMINATE state cap 3 exceeded" in capsys.readouterr().err, cmd
+        body = target.read_text()
+        assert body.startswith("digraph") and body.count("shape=") == 4, cmd
+    code = main(
+        ["beliefs", fx("minsky_halt.ta"), "--dot", str(target), "--state-cap", "10000000",
+         "--time-cap", "0.5"]
+    )
+    assert code == 2
+    assert "INDETERMINATE time cap 0.5s exceeded" in capsys.readouterr().err
+
+
 def test_cli_beliefs_pretty_names(tmp_path):
     target = tmp_path / "b.dot"
     main(["beliefs", fx("ta_opaque.ta"), "--dot", str(target), "--pretty"])
@@ -246,14 +283,19 @@ def test_cli_usage_errors_exit_input(capsys):
             main(["check", fx("ta1.ta"), *extra])
         assert exc.value.code == 64, extra
         assert "usage: etopaq" in capsys.readouterr().err
+    # `verdict` and `simulate` explore no graph, so they take no caps
+    for cmd in ("verdict", "simulate"):
+        for extra in (["--time-cap", "1"], ["--state-cap", "10"]):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, fx("ta1.ta"), "--strategy", fx("all_enabled_ab.msf"), *extra])
+            assert exc.value.code == 64, (cmd, extra)
+            assert "usage: etopaq" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 64
 
 
 def test_cli_time_cap_stops_gadget_promptly(capsys):
-    import time
-
     t0 = time.monotonic()
     code = main(["check", fx("minsky_halt.ta"), "--mode", "weak", "--time-cap", "1"])
     assert code == 2
