@@ -14,9 +14,11 @@ region's moves are looked up once and kept as id tuples, split into free
 steps, controllable steps by action name, and the '0+'/'1' delay targets.
 The closure and the delay images run over these tables alone, and the leak
 predicates test a belief against the context's private- and public-final id
-sets.  `BeliefSpace.explore` walks the reachable belief graph with
-`graphs.bfs`; the dead belief needs no case of its own there, since every
-successor of it is itself.
+sets.  `BeliefSpace.successors` gives each distinct successor of a belief
+once, computing one closure per class of enabled sets that agree on the
+controllable names able to fire.  `BeliefSpace.explore` walks the reachable
+belief graph with `graphs.bfs`; the dead belief needs no case of its own
+there, since every successor of it is itself.
 """
 from __future__ import annotations
 
@@ -45,9 +47,13 @@ class BeliefSpace:
         self.silent_in_initial = silent_in_initial
         self.controllable = tuple(sorted(ctx.ta.controllable))
         self.uncontrollable = frozenset(ctx.ta.uncontrollable)
+        self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
         self._succ: dict[tuple[Belief, str, frozenset[str]], Belief] = {}
         self._init: dict[frozenset[str], Belief] = {}
+        self._init_id: int | None = None
         self._subsets: tuple[frozenset[str], ...] | None = None
+        self._masks: tuple[int, ...] = ()  # parallel to `_subsets`
+        self._by_mask: list[frozenset[str]] = []  # name mask -> its subset
         self._moves: dict[int, tuple] = {}
         self._last_image: tuple = (None, None, frozenset())
 
@@ -57,13 +63,15 @@ class BeliefSpace:
         """All controllable subsets, smallest first, then lexicographic."""
         if self._subsets is None:
             names = self.controllable
-            out = [
+            by_mask = [
                 frozenset(n for i, n in enumerate(names) if mask >> i & 1)
                 for mask in range(1 << len(names))
             ]
-            self._subsets = tuple(
-                sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+            masks = sorted(
+                range(len(by_mask)), key=lambda m: (len(by_mask[m]), tuple(sorted(by_mask[m])))
             )
+            self._by_mask, self._masks = by_mask, tuple(masks)
+            self._subsets = tuple(by_mask[m] for m in masks)
         return self._subsets
 
     # -- construction --------------------------------------------------------
@@ -72,9 +80,10 @@ class BeliefSpace:
         """Region ``rid``'s one-step moves as ids, built once:
         (steps free inside an interval, steps free at the initial instant,
         ((controllable name, steps), ...), '0+' delay targets, '1' delay
-        targets).  Free steps are the silent and uncontrollable ones (no
-        silent ones at the initial instant in the strict variant); inside
-        an interval, off-integer delays are free too."""
+        targets, bit mask of those controllable names).  Free steps are the
+        silent and uncontrollable ones (no silent ones at the initial instant
+        in the strict variant); inside an interval, off-integer delays are
+        free too."""
         moves = self._moves.get(rid)
         if moves is not None:
             return moves
@@ -102,6 +111,7 @@ class BeliefSpace:
             tuple((name, tuple(js)) for name, js in by_name.items()),
             tuple(delay0p),
             tuple(delay1),
+            sum(self._bit.get(name, 0) for name in by_name),
         )
         self._moves[rid] = moves
         return moves
@@ -149,8 +159,9 @@ class BeliefSpace:
         enabled = frozenset(enabled)
         cached = self._init.get(enabled)
         if cached is None:
-            seed = {self.ctx.intern(self.ctx.initial_region())}
-            cached = self._closure(seed, enabled, at_initial=True)
+            if self._init_id is None:
+                self._init_id = self.ctx.intern(self.ctx.initial_region())
+            cached = self._closure({self._init_id}, enabled, at_initial=True)
             self._init[enabled] = cached
         return cached
 
@@ -166,6 +177,41 @@ class BeliefSpace:
             cached = self._closure(self._delay_image(belief, tick), enabled, at_initial=False)
             self._succ[key] = cached
         return cached
+
+    def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], Belief]]:
+        """Each distinct successor of ``belief`` under ``tick`` once, in
+        `enabled_sets()` order, labelled with the first enabled set that
+        yields it; from `BOTTOM` (tick '0') the distinct initial beliefs.
+
+        The closure under every controllable name is computed first.  Only
+        the names T with a step from one of its regions can fire under any
+        enabled set e (closures grow with e), so the closure under e is the
+        closure under e ∩ T: one closure per distinct e ∩ T, asked for with
+        the `enabled_sets()` object equal to it."""
+        subsets = self.enabled_sets()
+        if belief is BOTTOM:
+            close = self.initial
+        else:
+            def close(e):
+                return self.successor(belief, tick, e)
+        table = self._moves
+        full = close(subsets[-1])
+        relevant = 0
+        for i in full:
+            relevant |= table[i][5]
+        by_mask = self._by_mask
+        out: list[tuple[frozenset[str], Belief]] = []
+        classes: set[int] = set()
+        found: set[Belief] = set()
+        for e, mask in zip(subsets, self._masks):
+            cls = mask & relevant
+            if cls not in classes:
+                classes.add(cls)
+                b = full if cls == relevant else close(by_mask[cls])
+                if b not in found:
+                    found.add(b)
+                    out.append((e, b))
+        return out
 
     def regions_of(self, belief: Belief) -> frozenset[Region]:
         """The belief's `Region` objects."""

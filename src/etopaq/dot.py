@@ -111,7 +111,8 @@ def beliefs_dot(
 def game_dot(
     space: BeliefSpace, mode, state_cap: int | None = None, time_cap: float | None = None
 ) -> tuple[str, str]:
-    """The pruned game as `solve` explores it."""
+    """The pruned game as `solve` explores it: one edge per distinct
+    successor state, labelled with the first enabled set that leads there."""
     adj, order, _, stopped = explore(space, mode, state_cap, time_cap)
     names = {st: f"g{i}" for i, st in enumerate(order)}
     lines = ["digraph game {", "  rankdir=LR;"]

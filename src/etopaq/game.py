@@ -6,7 +6,9 @@ mode's leak rule (`modes.Mode.leaks`) on the accumulated belief.  The closed
 mode carries two extra bits: whether the last closed interval contained a
 final region, and a pending obligation that the next interval must.  A
 winning play is a reachable lasso whose loop takes tick-1 actions; its
-labels directly spell an eventually periodic meta-strategy.
+labels directly spell an eventually periodic meta-strategy.  Enabled sets
+that lead to the same successor state are one move, labelled with the
+first of them in `enabled_sets()` order.
 
 `solve` explores the pruned game with `graphs.bfs` under its caps, then
 searches the explored graph once: Tarjan's SCCs, the first tick-1 edge
@@ -50,51 +52,41 @@ def game_successors(
 ) -> list[tuple[Label, GameState]]:
     """Legal moves.  Integer-phase states only offer tick-1 actions (the
     choice schedule of a meta-strategy never switches mid-point), interval
-    states offer '0+' and '1'; losing moves are pruned here."""
-    out: list[tuple[Label, GameState]] = []
-    subsets = space.enabled_sets()
+    states offer '0+' and '1'; losing moves are pruned here.  A move's
+    target depends on its tick and successor belief alone, so each distinct
+    successor belief gives one move, labelled with the first enabled set
+    that yields it (`BeliefSpace.successors`): the edges left out duplicate
+    an earlier edge of the same state, so every walk discovers the same
+    states through the same edges."""
     if st.current is BOTTOM:
-        for e in subsets:
-            b = space.initial(e)
-            out.append((("0", e), GameState(b, b, True)))
-        return out
+        return [(("0", e), GameState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
     acc = st.accumulated
     priv, pub = space.has_private_final(acc), space.has_public_final(acc)
     leak = mode.leaks(priv, pub)
+    prev = st.prev_interval_finals
     if st.at_integer:
         obligation = False
         if mode is Mode.ALMOST_FULL:
             pass  # punctual violations are ignored outright
         elif mode is Mode.CLOSED_FULL:
-            obligation = leak and not st.prev_interval_finals
+            obligation = leak and not prev
         elif leak:
-            return out
-        for e in subsets:
-            b = space.successor(st.current, "1", e)
-            out.append(
-                (("1", e), GameState(b, b, False, st.prev_interval_finals, obligation))
-            )
-        return out
-    for e in subsets:
-        b = space.successor(st.current, "0+", e)
-        out.append(
-            (
-                ("0+", e),
-                GameState(
-                    b,
-                    acc | b,
-                    False,
-                    st.prev_interval_finals,
-                    st.obligation,
-                ),
-            )
-        )
+            return []
+        return [
+            (("1", e), GameState(b, b, False, prev, obligation))
+            for e, b in space.successors(st.current, "1")
+        ]
+    out: list[tuple[Label, GameState]] = [
+        (("0+", e), GameState(b, acc | b, False, prev, st.obligation))
+        for e, b in space.successors(st.current, "0+")
+    ]
     closed = mode is Mode.CLOSED_FULL
     if not leak and not (closed and st.obligation and not (priv or pub)):
         finals = closed and (priv or pub)
-        for e in subsets:
-            b = space.successor(st.current, "1", e)
-            out.append((("1", e), GameState(b, b, True, finals, False)))
+        out += [
+            (("1", e), GameState(b, b, True, finals, False))
+            for e, b in space.successors(st.current, "1")
+        ]
     return out
 
 

@@ -31,12 +31,6 @@ class OracleTable:
     cycle_start: int
     cycle_period: int
 
-    def row(self, bucket: Bucket) -> BucketFlags:
-        for r in self.rows:
-            if r.bucket == bucket:
-                return r
-        raise KeyError(str(bucket))
-
     def report(self) -> str:
         lines = []
         for r in self.rows:

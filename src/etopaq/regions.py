@@ -22,7 +22,6 @@ delay and its discrete steps, in no particular order.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -159,7 +158,6 @@ class RegionContext:
         self._discrete: dict[Region, tuple[tuple[Action, Region], ...]] = {}
         self.regions: list[Region] = []  # id -> interned region
         self.ids: dict[Region, int] = {}  # interned region -> id; read-only outside `_region`
-        self._intern_lock = threading.Lock()
         self.private_finals: set[int] = set()
         self.public_finals: set[int] = set()
 
@@ -175,23 +173,18 @@ class RegionContext:
         return tuple(cmax)
 
     # -- interning ------------------------------------------------------------
-    # Clock parts and regions get their ids under one lock, and each is stored
-    # before its id is published, so interning is safe across threads.
 
     def _part(self, ints: tuple, zero: tuple, pos: tuple) -> int:
         key = (ints, zero, pos)
         pid = self._part_ids.get(key)
         if pid is None:
-            with self._intern_lock:
-                pid = self._part_ids.get(key)
-                if pid is None:
-                    codes = [n * 2 + 1 if n is not ABOVE else top for n, top in zip(ints, self._top)]
-                    for i in zero:
-                        codes[i] -= 1
-                    pid = len(self._parts)
-                    self._parts.append(key)
-                    self._codes.append(tuple(codes))
-                    self._part_ids[key] = pid
+            codes = [n * 2 + 1 if n is not ABOVE else top for n, top in zip(ints, self._top)]
+            for i in zero:
+                codes[i] -= 1
+            pid = len(self._parts)
+            self._parts.append(key)
+            self._codes.append(tuple(codes))
+            self._part_ids[key] = pid
         return pid
 
     def _region(self, location: str, pid: int, region: Region | None = None) -> int:
@@ -200,19 +193,16 @@ class RegionContext:
         key = (location, pid)
         rid = self._region_ids.get(key)
         if rid is None:
-            with self._intern_lock:
-                rid = self._region_ids.get(key)
-                if rid is None:
-                    if region is None:
-                        region = Region(location, *self._parts[pid])
-                    rid = len(self.regions)
-                    self.regions.append(region)
-                    self._part_of.append(pid)
-                    if self.is_final(region):
-                        side = self.private_finals if self.is_secret(region) else self.public_finals
-                        side.add(rid)
-                    self.ids[region] = rid
-                    self._region_ids[key] = rid
+            if region is None:
+                region = Region(location, *self._parts[pid])
+            rid = len(self.regions)
+            self.regions.append(region)
+            self._part_of.append(pid)
+            if self.is_final(region):
+                side = self.private_finals if self.is_secret(region) else self.public_finals
+                side.add(rid)
+            self.ids[region] = rid
+            self._region_ids[key] = rid
         return rid
 
     def intern(self, region: Region) -> int:

@@ -429,3 +429,48 @@ def test_closure_matches_reference_on_random_automata():
     for i in range(50):
         assert _assert_matches_reference(random_ta(rng, name=f"ref{i}")) > 0
 
+
+
+# --- one successor per distinct belief against every enabled set --------------
+
+
+def _assert_successors_dedup(space, state_cap=None) -> int:
+    """On every belief reachable within ``state_cap``, `successors` equals
+    the first-seen dedup of `successor` (or `initial`) over every enabled
+    set, as computed by a second space over the same regions, the one that
+    explores; returns the number of beliefs checked."""
+    ref = BeliefSpace(space.ctx, silent_in_initial=space.silent_in_initial)
+    beliefs = ref.explore(include_dead=True, state_cap=state_cap).states
+    for b in beliefs:
+        for tick in ("0",) if b is BOTTOM else ("0+", "1"):
+            expected: dict = {}
+            for e in ref.enabled_sets():
+                b2 = ref.initial(e) if b is BOTTOM else ref.successor(b, tick, e)
+                expected.setdefault(b2, e)
+            got = space.successors(b, tick)
+            assert len({b2 for _, b2 in got}) == len(got), "duplicate belief"
+            assert got == [(e, b2) for b2, e in expected.items()], tick
+    return len(beliefs)
+
+
+def test_successors_match_every_enabled_set_on_paper_fixtures():
+    for name in PAPER_FIXTURES:
+        for silent_ok in (True, False):
+            ctx = RegionContext(prepare(load_ta(name)))
+            space = BeliefSpace(ctx, silent_in_initial=silent_ok)
+            assert _assert_successors_dedup(space) > 1, name
+
+
+def test_successors_match_every_enabled_set_on_random_automata():
+    from conftest import random_ta
+
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(50):
+        space = BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"succ{i}"))))
+        assert _assert_successors_dedup(space) > 1
+
+
+def test_successors_match_every_enabled_set_on_minsky_gadgets():
+    for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
+        space = BeliefSpace(RegionContext(prepare(load_ta(name))))
+        assert _assert_successors_dedup(space, state_cap=300) > 300, name

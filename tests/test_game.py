@@ -3,10 +3,11 @@ from __future__ import annotations
 import pytest
 
 from conftest import SOLVE_FIXTURES, fixture_path, load_space, load_ta
-from etopaq import msformat
-from etopaq.beliefs import BOTTOM
+from etopaq import msformat, prepare
+from etopaq.beliefs import BOTTOM, BeliefSpace
 from etopaq.game import (
     INITIAL,
+    GameState,
     Mode,
     WinningWitness,
     check_exists,
@@ -16,8 +17,10 @@ from etopaq.game import (
     witness_to_metastrategy,
 )
 from etopaq.oracle import oracle_buckets, oracle_verdict
+from etopaq.regions import RegionContext
 from etopaq.strategies import Bucket, MetaStrategy, UnitPlan, all_enabled
 
+PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
 NONE = frozenset()
@@ -294,3 +297,59 @@ def test_solver_deterministic_across_fresh_spaces():
         res = solve(space, Mode.FULL)
         results.append((res.status, res.witness.stem, res.witness.loop))
     assert results[0] == results[1]
+
+
+# --- one edge per distinct successor against one edge per enabled set -------------
+
+
+def _all_subsets_successors(space, st, mode):
+    """The game's moves with one edge per enabled set, duplicates kept: the
+    relation `game_successors` emits one edge per distinct target of."""
+    subsets = space.enabled_sets()
+    if st.current is BOTTOM:
+        return [(("0", e), GameState(space.initial(e), space.initial(e), True)) for e in subsets]
+    acc = st.accumulated
+    priv, pub = space.has_private_final(acc), space.has_public_final(acc)
+    leak = mode.leaks(priv, pub)
+    prev = st.prev_interval_finals
+    if st.at_integer:
+        obligation = False
+        if mode is Mode.CLOSED_FULL:
+            obligation = leak and not prev
+        elif leak and mode is not Mode.ALMOST_FULL:
+            return []
+        moves = []
+        for e in subsets:
+            b = space.successor(st.current, "1", e)
+            moves.append((("1", e), GameState(b, b, False, prev, obligation)))
+        return moves
+    moves = []
+    for e in subsets:
+        b = space.successor(st.current, "0+", e)
+        moves.append((("0+", e), GameState(b, acc | b, False, prev, st.obligation)))
+    closed = mode is Mode.CLOSED_FULL
+    if not leak and not (closed and st.obligation and not (priv or pub)):
+        for e in subsets:
+            b = space.successor(st.current, "1", e)
+            moves.append((("1", e), GameState(b, b, True, closed and (priv or pub), False)))
+    return moves
+
+
+def test_distinct_successor_edges_keep_every_verdict(monkeypatch):
+    """Status, witness and states explored are those of the game with one
+    edge per enabled set, on every paper fixture in every mode; only the
+    edge count may fall."""
+    import etopaq.game as game_mod
+
+    saved = 0
+    for name in PAPER_FIXTURES:
+        for mode in Mode:
+            got = solve(load_space(name), mode)
+            with monkeypatch.context() as m:
+                m.setattr(game_mod, "game_successors", _all_subsets_successors)
+                want = solve(BeliefSpace(RegionContext(prepare(load_ta(name)))), mode)
+            assert (got.status, got.witness) == (want.status, want.witness), (name, mode)
+            assert got.stats.states == want.stats.states, (name, mode)
+            assert got.stats.edges <= want.stats.edges, (name, mode)
+            saved += want.stats.edges - got.stats.edges
+    assert saved > 0

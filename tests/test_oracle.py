@@ -13,7 +13,7 @@ from conftest import (
 from etopaq import prepare
 from etopaq.beliefs import BeliefSpace
 from etopaq.game import Mode, check_metastrategy
-from etopaq.oracle import BucketFlags, oracle_buckets, oracle_verdict
+from etopaq.oracle import BucketFlags, OracleTable, oracle_buckets, oracle_verdict
 from etopaq.regions import RegionContext
 from etopaq.strategies import (
     Bucket,
@@ -37,10 +37,15 @@ def test_oracle_buckets_opaque_star(opaque_space):
             assert not row.has_private_final and not row.has_public_final
 
 
+def _row(table: OracleTable, bucket: Bucket) -> BucketFlags:
+    """The table's row for ``bucket``."""
+    return next(r for r in table.rows if r.bucket == bucket)
+
+
 def test_oracle_buckets_ta1_all_enabled():
     space = load_space("ta1")
     table = oracle_buckets(space.ctx, all_enabled(load_ta("ta1")))
-    first_interval = table.row(Bucket("interval", 0))
+    first_interval = _row(table, Bucket("interval", 0))
     assert first_interval.has_public_final and not first_interval.has_private_final
     for row in table.rows:
         if row.bucket.kind == "point":
@@ -67,8 +72,6 @@ def test_oracle_verdict_t2_t3_tables():
 
     def row(bucket, priv, pub):
         return BucketFlags(bucket, priv, pub)
-
-    from etopaq.oracle import OracleTable
 
     t2 = OracleTable(
         rows=(
@@ -105,8 +108,6 @@ def test_oracle_verdict_t2_t3_tables():
 
 
 def test_oracle_verdict_vacuous_full():
-    from etopaq.oracle import OracleTable
-
     empty = OracleTable(
         rows=(
             BucketFlags(Bucket("point", 0), False, False),

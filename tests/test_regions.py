@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import random
-import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -300,43 +298,6 @@ def test_successors_are_interned_with_dense_ids():
     assert ctx.private_finals | ctx.public_finals == finals
     assert all(ctx.is_secret(ctx.regions[i]) for i in ctx.private_finals)
     assert not any(ctx.is_secret(ctx.regions[i]) for i in ctx.public_finals)
-
-
-def test_intern_assigns_one_id_per_region_across_threads():
-    ta = prepare(load_ta("ta_opaque2"))
-    values = [Region(r.location, r.ints, r.zero, r.pos) for r in _reachable(RegionContext(ta))]
-
-    def race(ctx: RegionContext) -> list[dict]:
-        results: list[dict] = []
-
-        def work(seed: int) -> None:
-            order = values[:]
-            random.Random(seed).shuffle(order)
-            results.append({encode(r): ctx.intern(r) for r in order})
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        return results
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            ctx = RegionContext(ta)
-            results = race(ctx)
-            assert len(results) == 8
-            assert all(ids == results[0] for ids in results)
-            assert sorted(results[0].values()) == list(range(len(values)))
-            assert len(ctx.regions) == len(values)
-    finally:
-        sys.setswitchinterval(old)
-
-
-# --- the compiled kernel against the atom-by-atom path it replaced ----------------
 
 
 def _atom_holds_in(region, atom) -> bool:
