@@ -9,9 +9,10 @@ the initial region.  The empty belief is kept as an absorbing dead state so
 time can still be counted through intervals where no run survives.
 
 A belief is a frozenset of the dense region ids of the space's
-`RegionContext`; `BeliefSpace.regions_of` gives its `Region` objects.  Each
-region's moves are looked up once and kept as id tuples, split into free
-steps, controllable steps by action name, and the '0+'/'1' delay targets.
+`RegionContext`; `BeliefSpace.regions_of` gives its `Region` objects.  The
+context answers each region's steps in ids; they are read once per region and
+kept as id tuples, split into free steps, controllable steps by action name,
+and the '0+'/'1' delay targets.
 The closure and the delay images run over these tables alone, and the leak
 predicates test a belief against the context's private- and public-final id
 sets.  `BeliefSpace.successors` gives each distinct successor of a belief
@@ -88,23 +89,21 @@ class BeliefSpace:
         if moves is not None:
             return moves
         ctx = self.ctx
-        ids = ctx.ids  # successors come back interned
-        region = ctx.regions[rid]
         free: list[int] = []
         unc: list[int] = []
         by_name: dict[str, list[int]] = {}
-        for action, r2 in ctx.discrete_steps(region):
+        for action, j in ctx.discrete_steps(rid):
             if action.kind == SILENT_KIND:
-                free.append(ids[r2])
+                free.append(j)
             elif action.name in self.uncontrollable:
-                free.append(ids[r2])
-                unc.append(ids[r2])
+                free.append(j)
+                unc.append(j)
             else:
-                by_name.setdefault(action.name, []).append(ids[r2])
+                by_name.setdefault(action.name, []).append(j)
         delay0p: list[int] = []
         delay1: list[int] = []
-        for tag, r2 in ctx.delay_steps(region):
-            (delay0p if tag == "0+" else delay1).append(ids[r2])
+        for tag, j in ctx.delay_steps(rid):
+            (delay0p if tag == "0+" else delay1).append(j)
         moves = (
             tuple(free + [j for j in delay0p if j != rid]),
             tuple(free if self.silent_in_initial else unc),

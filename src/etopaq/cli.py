@@ -5,7 +5,8 @@ Exit codes: 0 SAT/OK/true, 1 UNSAT/NOT-OK/false, 2 INDETERMINATE,
 ``--stats``, `check`, `synthesize` and `verdict` end by writing one JSON line
 of counters to stderr, whatever the verdict.  `--state-cap`/`--time-cap` bound
 the graph that `check`, `synthesize`, `regions`, `beliefs` and `game` explore;
-a capped DOT export holds what was explored and exits 2 too.
+a capped DOT export holds what was explored and exits 2 too.  `--mode exists`
+and `check --strategy` walk no graph, so a cap given to them is a usage error.
 """
 from __future__ import annotations
 
@@ -76,7 +77,8 @@ def _load_strategy(path: str, ta):
 
 def _print_stats(space: BeliefSpace, result=None) -> None:
     """The solve counters (null when no game was solved), the regions
-    interned, the distinct belief successors computed, and peak RSS."""
+    interned and those expanded, the distinct belief successors computed,
+    and peak RSS."""
     if result is None:
         stats = {f.name: None for f in fields(SolveStats)}
     else:
@@ -84,6 +86,7 @@ def _print_stats(space: BeliefSpace, result=None) -> None:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
     stats.update(
         regions=len(space.ctx.regions),
+        regions_expanded=space.ctx.expanded(),
         belief_successors=space.successors_computed(),
         peak_rss_mb=round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1),
     )
@@ -104,7 +107,7 @@ def _solve(args, space: BeliefSpace, on_sat) -> int:
     """Solves the game under the caps and reports the verdict, a winning
     witness through ``on_sat``; the result is kept for the --stats line."""
     args.result = result = solve(
-        space, MODES[args.mode], state_cap=args.state_cap, time_cap=args.time_cap
+        space, MODES[args.mode], state_cap=_state_cap(args), time_cap=args.time_cap
     )
     if result.status == "SAT":
         on_sat(result.witness)
@@ -113,6 +116,10 @@ def _solve(args, space: BeliefSpace, on_sat) -> int:
         print(f"UNSAT explored-states {result.stats.states}")
         return EXIT_NO
     return _indeterminate(result.detail)
+
+
+def _state_cap(args) -> int:
+    return DEFAULT_STATE_CAP if args.state_cap is None else args.state_cap
 
 
 def _print_witness(w) -> None:
@@ -179,18 +186,18 @@ def _export(args, export: tuple[str, str]) -> int:
 
 def cmd_regions(args) -> int:
     _, space = _load_prepared(args)
-    return _export(args, dot.regions_dot(space.ctx, args.state_cap, args.time_cap))
+    return _export(args, dot.regions_dot(space.ctx, _state_cap(args), args.time_cap))
 
 
 def cmd_beliefs(args) -> int:
     _, space = _load_prepared(args)
-    return _export(args, dot.beliefs_dot(space, args.pretty, args.state_cap, args.time_cap))
+    return _export(args, dot.beliefs_dot(space, args.pretty, _state_cap(args), args.time_cap))
 
 
 def cmd_game(args) -> int:
     _, space = _load_prepared(args)
     mode = MODES[args.mode]
-    return _export(args, dot.game_dot(space, mode, args.state_cap, args.time_cap))
+    return _export(args, dot.game_dot(space, mode, _state_cap(args), args.time_cap))
 
 
 def cmd_gen_minsky(args) -> int:
@@ -225,8 +232,9 @@ def _add_common(
 
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
-    """The caps of the commands that explore a graph."""
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    """The caps of the commands that explore a graph; None until resolved
+    where one is walked."""
+    p.add_argument("--state-cap", type=int, default=None)
     p.add_argument("--time-cap", type=float, default=None)
 
 
@@ -298,7 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    caps = (getattr(args, "state_cap", None), getattr(args, "time_cap", None))
+    if caps != (None, None) and args.command in ("check", "synthesize") and (
+        args.mode == "exists" or getattr(args, "strategy", None)
+    ):
+        parser.error("--mode exists and --strategy walk no graph, so they take no caps")
     try:
         return args.fn(args)
     except (InputError, taformat.ParseError, msformat.StrategyFormatError,

@@ -20,24 +20,25 @@ def regions_dot(
     """The region graph reachable from the initial region under delays and
     all discrete actions, steps in (tag or action name, region) order."""
 
-    def steps(r):
-        delays = sorted(ctx.delay_steps(r), key=lambda s: (s[0], encode(s[1])))
-        discrete = sorted(ctx.discrete_steps(r), key=lambda s: (s[0].name, encode(s[1])))
-        out = [(f"{tag}/~", r2) for tag, r2 in delays if r2 != r]
-        return out + [(f"0/{a.name}", r2) for a, r2 in discrete]
+    regions = ctx.regions
 
-    adj, order, parent, stopped = bfs(ctx.initial_region(), steps, state_cap, time_cap)
+    def steps(i):
+        delays = sorted(ctx.delay_steps(i), key=lambda s: (s[0], encode(regions[s[1]])))
+        discrete = sorted(ctx.discrete_steps(i), key=lambda s: (s[0].name, encode(regions[s[1]])))
+        out = [(f"{tag}/~", j) for tag, j in delays if j != i]
+        return out + [(f"0/{a.name}", j) for a, j in discrete]
+
+    start = ctx.intern(ctx.initial_region())
+    adj, order, parent, stopped = bfs(start, steps, state_cap, time_cap)
+    names = {i: _q(ctx.format_region(regions[i])) for i in order}
     lines = ["digraph regions {", "  rankdir=LR;"]
-    for r in order:
-        shape = "doublecircle" if ctx.is_final(r) else "ellipse"
-        lines.append(f"  {_q(ctx.format_region(r))} [shape={shape}];")
-    for r, out in adj.items():
-        for label, r2 in out:
-            if r2 in parent:
-                lines.append(
-                    f"  {_q(ctx.format_region(r))} -> {_q(ctx.format_region(r2))}"
-                    f" [label={_q(label)}];"
-                )
+    for i in order:
+        shape = "doublecircle" if ctx.is_final(regions[i]) else "ellipse"
+        lines.append(f"  {names[i]} [shape={shape}];")
+    for i, out in adj.items():
+        for label, j in out:
+            if j in parent:
+                lines.append(f"  {names[i]} -> {names[j]} [label={_q(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n", stopped
 

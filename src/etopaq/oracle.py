@@ -1,19 +1,22 @@
 """Belief-free cross-check: region-level reachability per time bucket.
 
 Drives the region graph directly along a meta-strategy's choice schedule,
-never building powerset successors: a frontier of regions is pushed through
-each choice segment, recording per bucket whether a private-final or a
-public-final region is ever reached.  The belief layer must agree with these
-flags bucket for bucket.  Only the verdict over the flags is shared with
-the belief side (`modes.bucket_verdict`); the sets behind them are built
-here, by a closure of its own.
+never building powerset successors: a frontier of region ids is pushed
+through each choice segment, recording per bucket whether a private-final or
+a public-final region is ever reached.  The belief layer must agree with
+these flags bucket for bucket.  Only the region steps (`RegionContext`, in
+ids) and the verdict over the flags (`modes.bucket_verdict`) are shared with
+the belief side.  The rest is built here: a closure of its own, its own
+reading of silent, uncontrollable and enabled actions, and flags from the
+frontier's locations against final-location sets taken from the automaton,
+never from the belief tables or the context's final-id sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .modes import Mode, bucket_verdict
-from .regions import Region, RegionContext
+from .regions import RegionContext
 from .strategies import Bucket, MetaStrategy
 from .ta import SILENT_KIND, is_primed
 
@@ -47,30 +50,30 @@ class OracleTable:
 
 def _closure(
     ctx: RegionContext,
-    seed: set[Region],
+    seed: set[int],
     enabled: frozenset[str],
     unc: frozenset[str],
     allow_delay: bool,
-) -> frozenset[Region]:
+) -> frozenset[int]:
     seen = set(seed)
     todo = list(seed)
     while todo:
-        r = todo.pop()
-        for action, r2 in ctx.discrete_steps(r):
+        i = todo.pop()
+        for action, j in ctx.discrete_steps(i):
             ok = action.kind == SILENT_KIND or action.name in unc or action.name in enabled
-            if ok and r2 not in seen:
-                seen.add(r2)
-                todo.append(r2)
+            if ok and j not in seen:
+                seen.add(j)
+                todo.append(j)
         if allow_delay:
-            for tag, r2 in ctx.delay_steps(r):
-                if tag == "0+" and r2 not in seen:
-                    seen.add(r2)
-                    todo.append(r2)
+            for tag, j in ctx.delay_steps(i):
+                if tag == "0+" and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
     return frozenset(seen)
 
 
-def _delay_image(ctx: RegionContext, frontier: frozenset[Region], tag: str) -> set[Region]:
-    return {r2 for r in frontier for t, r2 in ctx.delay_steps(r) if t == tag}
+def _delay_image(ctx: RegionContext, frontier: frozenset[int], tag: str) -> set[int]:
+    return {j for i in frontier for t, j in ctx.delay_steps(i) if t == tag}
 
 
 def oracle_buckets(
@@ -82,38 +85,32 @@ def oracle_buckets(
     unc = ta.uncontrollable
     private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
     public = ta.finals - private
+    regions = ctx.regions
 
-    def flags(bucket: Bucket, regions: frozenset[Region]) -> BucketFlags:
-        locations = {r.location for r in regions}
+    def flags(bucket: Bucket, ids: set[int] | frozenset[int]) -> BucketFlags:
+        locations = {regions[i].location for i in ids}
         return BucketFlags(
             bucket, not private.isdisjoint(locations), not public.isdisjoint(locations)
         )
 
     rows: list[BucketFlags] = []
     frontier = _closure(
-        ctx, {ctx.initial_region()}, phi.point(0), unc, allow_delay=False
+        ctx, {ctx.intern(ctx.initial_region())}, phi.point(0), unc, allow_delay=False
     )
     rows.append(flags(Bucket("point", 0), frontier))
-    seen: dict[tuple[int, frozenset[Region]], int] = {(phi.lasso_pos(0), frontier): 0}
+    seen: dict[tuple[int, frozenset[int]], int] = {(phi.lasso_pos(0), frontier): 0}
     cycle_start = cycle_period = None
     pending = None
     k = 0
     while True:
-        seen_in_interval: set[Region] = set()
         choices = phi.interval(k)
-        frontier = frozenset(
-            _closure(ctx, _delay_image(ctx, frontier, "1"), choices[0], unc, True)
-        )
-        seen_in_interval |= frontier
+        frontier = _closure(ctx, _delay_image(ctx, frontier, "1"), choices[0], unc, True)
+        seen_in_interval = set(frontier)
         for enabled in choices[1:]:
-            frontier = frozenset(
-                _closure(ctx, _delay_image(ctx, frontier, "0+"), enabled, unc, True)
-            )
+            frontier = _closure(ctx, _delay_image(ctx, frontier, "0+"), enabled, unc, True)
             seen_in_interval |= frontier
-        rows.append(flags(Bucket("interval", k), frozenset(seen_in_interval)))
-        frontier = frozenset(
-            _closure(ctx, _delay_image(ctx, frontier, "1"), phi.point(k + 1), unc, True)
-        )
+        rows.append(flags(Bucket("interval", k), seen_in_interval))
+        frontier = _closure(ctx, _delay_image(ctx, frontier, "1"), phi.point(k + 1), unc, True)
         rows.append(flags(Bucket("point", k + 1), frontier))
         k += 1
         key = (phi.lasso_pos(k), frontier)

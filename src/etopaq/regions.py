@@ -7,18 +7,21 @@ how the fractional part of the tick clock moved: '0' (discrete step), '0+'
 (delay staying off integers), '1' (delay entering or leaving an integer
 instant).
 
-A `RegionContext` interns the regions it hands out: each gets one canonical
+A `RegionContext` interns the regions it meets: each gets one canonical
 object and a dense int id, in order of first sight, and the ids of final
 regions are sorted into private and public sets as they are interned.  Its
-successor kernel works on clock parts, a region's (ints, zero, pos) without
-its location.  Each clock part is interned once with its half-unit clock
-codes: 2n for a clock on the integer n, 2n+1 inside (n, n+1), 2·cmax+1 above
-the clock's max constant.  A location's guards and invariants compile, on the
-first region expanded there, into (clock, lo, hi) range tests over these
-codes; an edge's test also covers the target invariant, decided outright on
-the clocks the edge resets.  The time successor of a clock part is computed
-once whatever the location, and each region is expanded once into both its
-delay and its discrete steps, in no particular order.
+steps speak ids: `delay_steps(i)` and `discrete_steps(i)` take a region id
+and return (tag, id) and (action, id) pairs, and `regions[i]` gives the
+`Region` object for rendering and tests.  Its successor kernel works on
+clock parts, a region's (ints, zero, pos) without its location.  Each clock
+part is interned once with its half-unit clock codes: 2n for a clock on the
+integer n, 2n+1 inside (n, n+1), 2·cmax+1 above the clock's max constant.
+A location's guards and invariants compile, on the first region expanded
+there, into (clock, lo, hi) range tests over these codes; an edge's test also
+covers the target invariant, decided outright on the clocks the edge resets.
+The time successor of a clock part is computed once whatever the location,
+and each region is expanded once into both its delay and its discrete steps,
+in no particular order, kept in a list indexed by id.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ class Region:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # regions are hashed on every set and cache probe; hash the fields once
+        # `regions_of` and the renderers put regions in sets; hash the fields once
         object.__setattr__(self, "_hash", hash((self.location, self.ints, self.zero, self.pos)))
 
     def __hash__(self) -> int:
@@ -79,35 +82,6 @@ def region_of(
     return Region(location, tuple(ints), tuple(zero), pos)
 
 
-def valuations_equivalent(
-    a: Sequence[Fraction], b: Sequence[Fraction], cmax: Sequence[int]
-) -> bool:
-    """Direct three-condition check, kept independent of the encoding so it
-    can arbitrate `region_of`."""
-    n = len(a)
-    for i in range(n):
-        above_a, above_b = a[i] > cmax[i], b[i] > cmax[i]
-        if above_a != above_b:
-            return False
-        if not above_a and int(a[i]) != int(b[i]):
-            return False
-    for i in range(n):
-        if a[i] > cmax[i]:
-            continue
-        fa_i = a[i] - int(a[i])
-        fb_i = b[i] - int(b[i])
-        if (fa_i == 0) != (fb_i == 0):
-            return False
-        for j in range(n):
-            if a[j] > cmax[j]:
-                continue
-            fa_j = a[j] - int(a[j])
-            fb_j = b[j] - int(b[j])
-            if (fa_i <= fa_j) != (fb_i <= fb_j):
-                return False
-    return True
-
-
 Ranges = tuple[tuple[int, int, int], ...]  # (clock, lo, hi) over half-unit codes
 
 
@@ -132,8 +106,8 @@ class RegionContext:
     """Successor queries over the regions of a duplicated, tick-augmented
     automaton, computed once per region.
 
-    The initial region and every successor returned are interned:
-    ``regions[intern(r)]`` is the one canonical object equal to ``r``.
+    Steps are answered in region ids; ``intern(r)`` is the id of ``r``, and
+    ``regions[intern(r)]`` the one canonical object equal to it.
     ``private_finals`` and ``public_finals`` hold the ids of the interned
     final regions by side of the duplication.
     """
@@ -154,10 +128,8 @@ class RegionContext:
         self._reset: dict[tuple[int, frozenset[int]], int] = {}
         self._region_ids: dict[tuple[str, int], int] = {}  # (location, part id) -> id
         self._part_of: list[int] = []  # id -> part id
-        self._delay: dict[Region, tuple[tuple[str, Region], ...]] = {}
-        self._discrete: dict[Region, tuple[tuple[Action, Region], ...]] = {}
+        self._steps: list[tuple | None] = []  # id -> (delay steps, discrete steps) once expanded
         self.regions: list[Region] = []  # id -> interned region
-        self.ids: dict[Region, int] = {}  # interned region -> id; read-only outside `_region`
         self.private_finals: set[int] = set()
         self.public_finals: set[int] = set()
 
@@ -198,26 +170,21 @@ class RegionContext:
             rid = len(self.regions)
             self.regions.append(region)
             self._part_of.append(pid)
+            self._steps.append(None)
             if self.is_final(region):
                 side = self.private_finals if self.is_secret(region) else self.public_finals
                 side.add(rid)
-            self.ids[region] = rid
             self._region_ids[key] = rid
         return rid
 
     def intern(self, region: Region) -> int:
         """The region's id, assigned on first sight."""
-        rid = self.ids.get(region)
-        if rid is None:
-            pid = self._part(region.ints, region.zero, region.pos)
-            rid = self._region(region.location, pid, region)
-        return rid
-
-    def canonical(self, region: Region) -> Region:
-        return self.regions[self.intern(region)]
+        return self._region(
+            region.location, self._part(region.ints, region.zero, region.pos), region
+        )
 
     def initial_region(self) -> Region:
-        return self.canonical(self.region_of(self.ta.init, self.ta.zero_valuation()))
+        return self.regions[self.intern(self.region_of(self.ta.init, self.ta.zero_valuation()))]
 
     def region_of(self, location: str, vals: Sequence[Fraction]) -> Region:
         return region_of(location, vals, self.cmax)
@@ -302,22 +269,21 @@ class RegionContext:
             )
         return out
 
-    def _expand(self, region: Region) -> None:
-        """Both step tuples of the region, computed together and cached."""
-        rid = self.intern(region)
+    def _expand(self, rid: int) -> tuple:
+        """Both step tuples of region ``rid``, computed together and kept."""
         region, pid = self.regions[rid], self._part_of[rid]
         loc = region.location
         invariant, edges = self._compiled.get(loc) or self._compile(loc)
-        regions, codes = self.regions, self._codes
-        delay: list[tuple[str, Region]] = []
+        codes = self._codes
+        delay: list[tuple[str, int]] = []
         if not region.zero:
-            delay.append(("0+", region))  # a positive delay can stay inside
+            delay.append(("0+", rid))  # a positive delay can stay inside
         later = self._time_successor(pid)
         if later is not None and invariant is not None:
             tag, nxt = later
             if all(lo <= codes[nxt][c] <= hi for c, lo, hi in invariant):
-                delay.append((tag, regions[self._region(loc, nxt)]))
-        discrete: list[tuple[Action, Region]] = []
+                delay.append((tag, self._region(loc, nxt)))
+        discrete: list[tuple[Action, int]] = []
         own = codes[pid]
         for action, tests, resets, target in edges:
             for c, lo, hi in tests:  # a loop, not all(): this is the hot test
@@ -325,25 +291,23 @@ class RegionContext:
                     break
             else:
                 image = self._reset_part(pid, resets) if resets else pid
-                discrete.append((action, regions[self._region(target, image)]))
-        self._delay[region] = tuple(delay)
-        self._discrete[region] = tuple(discrete)
-
-    def delay_steps(self, region: Region) -> tuple[tuple[str, Region], ...]:
-        """All one-step delay transitions from the region, the stay-in-place
-        '0+' step included."""
-        steps = self._delay.get(region)
-        if steps is None:
-            self._expand(region)
-            steps = self._delay[region]
+                discrete.append((action, self._region(target, image)))
+        steps = self._steps[rid] = (tuple(delay), tuple(discrete))
         return steps
 
-    def discrete_steps(self, region: Region) -> tuple[tuple[Action, Region], ...]:
-        steps = self._discrete.get(region)
-        if steps is None:
-            self._expand(region)
-            steps = self._discrete[region]
-        return steps
+    def delay_steps(self, rid: int) -> tuple[tuple[str, int], ...]:
+        """All one-step delay transitions from region ``rid`` as (tag,
+        target id), the stay-in-place '0+' step included."""
+        return (self._steps[rid] or self._expand(rid))[0]
+
+    def discrete_steps(self, rid: int) -> tuple[tuple[Action, int], ...]:
+        """All discrete transitions from region ``rid`` as (action, target
+        id)."""
+        return (self._steps[rid] or self._expand(rid))[1]
+
+    def expanded(self) -> int:
+        """How many regions have had their steps computed."""
+        return len(self._steps) - self._steps.count(None)
 
     # -- predicates over the duplicated automaton ---------------------------
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -45,10 +47,52 @@ def load_space(name: str) -> BeliefSpace:
     return _space_cache[name]
 
 
+def delay_steps(ctx: RegionContext, region) -> tuple:
+    """`RegionContext.delay_steps` over `Region` objects: the region goes in
+    through `intern`, the target ids come back through `regions`."""
+    regions = ctx.regions
+    return tuple((tag, regions[j]) for tag, j in ctx.delay_steps(ctx.intern(region)))
+
+
+def discrete_steps(ctx: RegionContext, region) -> tuple:
+    """`RegionContext.discrete_steps` over `Region` objects, as `delay_steps`."""
+    regions = ctx.regions
+    return tuple((a, regions[j]) for a, j in ctx.discrete_steps(ctx.intern(region)))
+
+
 def time_successor(ctx: RegionContext, region):
     """The delay step that leaves ``region`` (every delay step but the
     stay-in-place one), or None when the invariant or the caps stop it."""
-    return next(((tag, r2) for tag, r2 in ctx.delay_steps(region) if r2 != region), None)
+    return next(((tag, r2) for tag, r2 in delay_steps(ctx, region) if r2 != region), None)
+
+
+def valuations_equivalent(
+    a: Sequence[Fraction], b: Sequence[Fraction], cmax: Sequence[int]
+) -> bool:
+    """Direct three-condition check, kept independent of the encoding so it
+    can arbitrate `region_of`."""
+    n = len(a)
+    for i in range(n):
+        above_a, above_b = a[i] > cmax[i], b[i] > cmax[i]
+        if above_a != above_b:
+            return False
+        if not above_a and int(a[i]) != int(b[i]):
+            return False
+    for i in range(n):
+        if a[i] > cmax[i]:
+            continue
+        fa_i = a[i] - int(a[i])
+        fb_i = b[i] - int(b[i])
+        if (fa_i == 0) != (fb_i == 0):
+            return False
+        for j in range(n):
+            if a[j] > cmax[j]:
+                continue
+            fa_j = a[j] - int(a[j])
+            fb_j = b[j] - int(b[j])
+            if (fa_i <= fa_j) != (fb_i <= fb_j):
+                return False
+    return True
 
 
 def edges_by_key(ta: TimedAutomaton) -> dict[str, Edge]:

@@ -18,6 +18,7 @@ from conftest import (
     load_ta,
     random_metastrategy,
     random_ta,
+    valuations_equivalent,
 )
 from etopaq import build_run, classify_run, msformat, prepare
 from etopaq.beliefs import BOTTOM, BeliefSpace
@@ -30,7 +31,7 @@ from etopaq.game import (
 )
 from etopaq.minsky import encode, parse_machine, structural_check
 from etopaq.oracle import oracle_buckets, oracle_verdict
-from etopaq.regions import RegionContext, region_of, valuations_equivalent
+from etopaq.regions import RegionContext, region_of
 from etopaq.strategies import (
     Bucket,
     MetaStrategy,

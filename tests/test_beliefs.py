@@ -4,7 +4,7 @@ import random
 import sys
 from itertools import combinations
 
-from conftest import load_space, load_ta
+from conftest import delay_steps, discrete_steps, load_space, load_ta
 from etopaq import prepare
 from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace
 from etopaq.modes import Mode
@@ -125,7 +125,7 @@ def test_largest_set_property_random_paths(opaque_space):
             target = space.regions_of(space.successor(b0, tick, enabled))
             for _ in range(200):
                 r = rng.choice(sorted(space.regions_of(b0), key=ctx.format_region))
-                hops = [r2 for tag, r2 in ctx.delay_steps(r) if tag == tick]
+                hops = [r2 for tag, r2 in delay_steps(ctx, r) if tag == tick]
                 if not hops:
                     continue
                 cur = rng.choice(hops)
@@ -133,12 +133,12 @@ def test_largest_set_property_random_paths(opaque_space):
                 for _ in range(rng.randint(0, 4)):
                     moves = [
                         t
-                        for a, t in ctx.discrete_steps(cur)
+                        for a, t in discrete_steps(ctx, cur)
                         if a.kind == SILENT_KIND
                         or a.name in space.uncontrollable
                         or a.name in enabled
                     ]
-                    moves += [t for tag, t in ctx.delay_steps(cur) if tag == "0+"]
+                    moves += [t for tag, t in delay_steps(ctx, cur) if tag == "0+"]
                     if not moves:
                         break
                     cur = rng.choice(moves)
@@ -364,7 +364,7 @@ def _reference_closure(ctx, seed, enabled, allow_delay, silent_ok=True):
     todo = list(seen)
     while todo:
         r = todo.pop()
-        for action, r2 in ctx.discrete_steps(r):
+        for action, r2 in discrete_steps(ctx, r):
             if action.kind == SILENT_KIND:
                 ok = silent_ok
             else:
@@ -373,7 +373,7 @@ def _reference_closure(ctx, seed, enabled, allow_delay, silent_ok=True):
                 seen.add(r2)
                 todo.append(r2)
         if allow_delay:
-            for tag, r2 in ctx.delay_steps(r):
+            for tag, r2 in delay_steps(ctx, r):
                 if tag == "0+" and r2 not in seen:
                     seen.add(r2)
                     todo.append(r2)
@@ -381,7 +381,7 @@ def _reference_closure(ctx, seed, enabled, allow_delay, silent_ok=True):
 
 
 def _reference_successor(ctx, belief, tick, enabled):
-    seed = {r2 for r in belief for tag, r2 in ctx.delay_steps(r) if tag == tick}
+    seed = {r2 for r in belief for tag, r2 in delay_steps(ctx, r) if tag == tick}
     return _reference_closure(ctx, seed, enabled, allow_delay=True)
 
 

@@ -290,6 +290,17 @@ def test_cli_usage_errors_exit_input(capsys):
                 main([cmd, fx("ta1.ta"), "--strategy", fx("all_enabled_ab.msf"), *extra])
             assert exc.value.code == 64, (cmd, extra)
             assert "usage: etopaq" in capsys.readouterr().err
+    # `check --mode exists` and `check --strategy` walk no graph either
+    for args in (
+        ["check", fx("ta1.ta"), "--mode", "exists"],
+        ["check", fx("ta_counterex.ta"), "--mode", "full", "--strategy", fx("counterex_phi.msf")],
+    ):
+        for extra in (["--state-cap", "1"], ["--time-cap", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*args, *extra])
+            assert exc.value.code == 64, (args, extra)
+            assert "usage: etopaq" in capsys.readouterr().err
+        assert main(args) in (0, 1)
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 64
@@ -348,6 +359,7 @@ def test_cli_stats_line_on_indeterminate(capsys):
     stats = json.loads(err[-1])
     assert stats["states"] > 0 and stats["edges"] > 0
     assert stats["regions"] > 0 and stats["belief_successors"] > 0
+    assert 0 < stats["regions_expanded"] <= stats["regions"]
     assert stats["peak_rss_mb"] > 0
 
 
@@ -358,5 +370,6 @@ def test_cli_stats_line_without_a_game(tmp_path, capsys):
         main([cmd[0], fx("ta_opaque.ta"), *cmd[1:], "--strategy", str(phi), "--stats"])
         stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert stats["states"] is None and stats["regions"] > 0, cmd
+        assert 0 < stats["regions_expanded"] <= stats["regions"], cmd
     assert main(["check", fx("ta_opaque.ta"), "--mode", "full"]) == 0
     assert capsys.readouterr().err == ""

@@ -4,13 +4,16 @@ import random
 
 from conftest import (
     SOLVE_FIXTURES,
+    delay_steps,
+    discrete_steps,
+    fixture_path,
     load_space,
     load_ta,
     mortal_ta,
     random_metastrategy,
     random_ta,
 )
-from etopaq import prepare
+from etopaq import msformat, prepare
 from etopaq.beliefs import BeliefSpace
 from etopaq.game import Mode, check_metastrategy
 from etopaq.oracle import BucketFlags, OracleTable, oracle_buckets, oracle_verdict
@@ -21,7 +24,9 @@ from etopaq.strategies import (
     UnitPlan,
     all_enabled,
     encountered_beliefs,
+    nothing_enabled,
 )
+from etopaq.ta import SILENT_KIND, is_primed
 
 A = frozenset({"a"})
 NONE = frozenset()
@@ -187,3 +192,103 @@ def test_offending_buckets_agree_between_paths():
                 compared += 1
                 assert belief_side.offending == offending, (i, mode)
     assert compared >= 15
+
+
+# --- the id-level oracle against the Region-level one it replaced ------------
+
+
+def _reference_closure(ctx, seed, enabled, unc, allow_delay):
+    seen = set(seed)
+    todo = list(seed)
+    while todo:
+        r = todo.pop()
+        for action, r2 in discrete_steps(ctx, r):
+            ok = action.kind == SILENT_KIND or action.name in unc or action.name in enabled
+            if ok and r2 not in seen:
+                seen.add(r2)
+                todo.append(r2)
+        if allow_delay:
+            for tag, r2 in delay_steps(ctx, r):
+                if tag == "0+" and r2 not in seen:
+                    seen.add(r2)
+                    todo.append(r2)
+    return frozenset(seen)
+
+
+def _reference_delay_image(ctx, frontier, tag):
+    return {r2 for r in frontier for t, r2 in delay_steps(ctx, r) if t == tag}
+
+
+def _reference_buckets(ctx, phi, extra_units=1) -> OracleTable:
+    """`oracle_buckets` as it ran over frozensets of `Region` objects."""
+    ta = ctx.ta
+    unc = ta.uncontrollable
+    private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
+    public = ta.finals - private
+
+    def flags(bucket, regions):
+        locations = {r.location for r in regions}
+        return BucketFlags(
+            bucket, not private.isdisjoint(locations), not public.isdisjoint(locations)
+        )
+
+    def step(frontier, tag, enabled):
+        return _reference_closure(
+            ctx, _reference_delay_image(ctx, frontier, tag), enabled, unc, True
+        )
+
+    frontier = _reference_closure(ctx, {ctx.initial_region()}, phi.point(0), unc, False)
+    rows = [flags(Bucket("point", 0), frontier)]
+    seen = {(phi.lasso_pos(0), frontier): 0}
+    cycle_start = cycle_period = pending = None
+    k = 0
+    while True:
+        choices = phi.interval(k)
+        frontier = step(frontier, "1", choices[0])
+        seen_in_interval = set(frontier)
+        for enabled in choices[1:]:
+            frontier = step(frontier, "0+", enabled)
+            seen_in_interval |= frontier
+        rows.append(flags(Bucket("interval", k), seen_in_interval))
+        frontier = step(frontier, "1", phi.point(k + 1))
+        rows.append(flags(Bucket("point", k + 1), frontier))
+        k += 1
+        key = (phi.lasso_pos(k), frontier)
+        if cycle_start is None and key in seen:
+            cycle_start, cycle_period = seen[key], k - seen[key]
+            pending = extra_units
+        elif cycle_start is None:
+            seen[key] = k
+        if pending is not None:
+            if pending == 0:
+                break
+            pending -= 1
+    return OracleTable(tuple(rows), cycle_start, cycle_period)
+
+
+def _assert_oracle_matches_reference(ta, phi) -> None:
+    got = oracle_buckets(RegionContext(prepare(ta)), phi)
+    want = _reference_buckets(RegionContext(prepare(ta)), phi)
+    assert (got.rows, got.cycle_start, got.cycle_period) == (
+        want.rows, want.cycle_start, want.cycle_period
+    ), ta.name
+    for mode in Mode:
+        assert oracle_verdict(got, mode) == oracle_verdict(want, mode), (ta.name, mode)
+
+
+def test_oracle_matches_region_level_reference_on_fixtures():
+    for name, msf in (("ta_counterex", "counterex_phi"), ("ta1", "all_enabled_ab")):
+        ta = load_ta(name)
+        phi = msformat.load(str(fixture_path(f"{msf}.msf")), frozenset(ta.controllable))
+        _assert_oracle_matches_reference(ta, phi)
+    for name in ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like"):
+        ta = load_ta(name)
+        for phi in (all_enabled(ta), nothing_enabled()):
+            _assert_oracle_matches_reference(ta, phi)
+
+
+def test_oracle_matches_region_level_reference_randomized():
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(50):
+        ta = random_ta(rng, name=f"ref{i}")
+        _assert_oracle_matches_reference(ta, random_metastrategy(rng, ta.controllable))

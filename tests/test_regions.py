@@ -4,7 +4,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from conftest import load_space, load_ta, time_successor
+from conftest import (
+    delay_steps,
+    discrete_steps,
+    load_space,
+    load_ta,
+    time_successor,
+    valuations_equivalent,
+)
 from etopaq import prepare
 from etopaq.regions import (
     ABOVE,
@@ -12,7 +19,6 @@ from etopaq.regions import (
     RegionContext,
     encode,
     region_of,
-    valuations_equivalent,
 )
 
 
@@ -131,7 +137,7 @@ def test_delay_steps_tags_match_tick_flip():
             if not frontier:
                 break
             r = frontier.pop()
-            for tag, r2 in ctx.delay_steps(r):
+            for tag, r2 in delay_steps(ctx, r):
                 before = r.fraction_is_zero(ctx.tick)
                 after = r2.fraction_is_zero(ctx.tick)
                 if tag == "1":
@@ -141,7 +147,7 @@ def test_delay_steps_tags_match_tick_flip():
                 if r2 not in seen:
                     seen.append(r2)
                     frontier.append(r2)
-            for _, r2 in ctx.discrete_steps(r):
+            for _, r2 in discrete_steps(ctx, r):
                 if r2 not in seen:
                     seen.append(r2)
                     frontier.append(r2)
@@ -155,14 +161,14 @@ def test_exactly_one_transition_clause():
     frontier = list(seen)
     while frontier:
         r = frontier.pop()
-        delays = ctx.delay_steps(r)
+        delays = delay_steps(ctx, r)
         assert len({(tag, encode(t)) for tag, t in delays}) == len(delays)
         by_target = {}
         for tag, t in delays:
             by_target.setdefault(encode(t), set()).add(tag)
         for tags in by_target.values():
             assert len(tags) == 1
-        for _, r2 in list(delays) + list(ctx.discrete_steps(r)):
+        for _, r2 in list(delays) + list(discrete_steps(ctx, r)):
             if r2 not in seen and len(seen) < 400:
                 seen.add(r2)
                 frontier.append(r2)
@@ -178,7 +184,7 @@ def test_time_successor_chain_terminates_in_cycle():
         step = time_successor(ctx, r)
         if step is None:
             # blocked: the tick reset loop must apply
-            nxt = [t for a, t in ctx.discrete_steps(r) if a.kind == "silent"]
+            nxt = [t for a, t in discrete_steps(ctx, r) if a.kind == "silent"]
             assert nxt, "chain stuck without a tick reset"
             r = nxt[0]
         else:
@@ -197,7 +203,7 @@ def test_discrete_successors_fire_on_zero_guard(opaque_space):
     ctx = opaque_space.ctx
     r0 = ctx.initial_region()
     steps = dict(
-        ((a.name, t.location), t) for a, t in ctx.discrete_steps(r0)
+        ((a.name, t.location), t) for a, t in discrete_steps(ctx, r0)
     )
     assert ("u", "lpriv") in steps
     target = steps[("u", "lpriv")]
@@ -210,16 +216,16 @@ def test_discrete_successors_respect_unsatisfied_guard():
     # guard x = 1 cannot fire from 0 < x < 1
     assert all(
         t.location != "l0" or a.kind == "silent"
-        for a, t in ctx.discrete_steps(mid)
+        for a, t in discrete_steps(ctx, mid)
         if a.name == "u"
     )
-    assert not any(t.location == "lpriv" for _, t in ctx.discrete_steps(mid))
+    assert not any(t.location == "lpriv" for _, t in discrete_steps(ctx, mid))
 
 
 def test_reset_moves_clock_to_zero_group():
     ctx = load_space("ta1").ctx
     _, mid = time_successor(ctx, ctx.initial_region())
-    steps = [(a, t) for a, t in ctx.discrete_steps(mid) if a.name == "b"]
+    steps = [(a, t) for a, t in discrete_steps(ctx, mid) if a.name == "b"]
     assert steps
     _, t = steps[0]
     assert t.location == "l2"
@@ -259,7 +265,7 @@ def test_discrete_successors_filter_by_enabled(opaque_space):
     def names(enabled, silent_ok=True):
         return {
             (a.name, a.kind)
-            for a, _ in ctx.discrete_steps(r0)
+            for a, _ in discrete_steps(ctx, r0)
             if (a.kind == "silent" and silent_ok) or a.name in unc or a.name in enabled
         }
 
@@ -278,7 +284,7 @@ def _reachable(ctx, limit=300):
     frontier = list(seen)
     while frontier and len(seen) < limit:
         r = frontier.pop()
-        for _, r2 in list(ctx.delay_steps(r)) + list(ctx.discrete_steps(r)):
+        for _, r2 in list(delay_steps(ctx, r)) + list(discrete_steps(ctx, r)):
             if r2 not in seen:
                 seen.add(r2)
                 frontier.append(r2)
@@ -289,11 +295,13 @@ def test_successors_are_interned_with_dense_ids():
     ctx = RegionContext(prepare(load_ta("ta1")))
     regions = _reachable(ctx)
     for r in regions:
-        for _, r2 in list(ctx.delay_steps(r)) + list(ctx.discrete_steps(r)):
-            assert r2 is ctx.regions[ctx.intern(r2)]
+        rid = ctx.intern(r)
+        assert ctx.regions[rid] is r
+        for _, j in ctx.delay_steps(rid) + ctx.discrete_steps(rid):
+            assert ctx.intern(ctx.regions[j]) == j
     assert sorted(ctx.intern(r) for r in ctx.regions) == list(range(len(ctx.regions)))
     copy = Region(regions[-1].location, regions[-1].ints, regions[-1].zero, regions[-1].pos)
-    assert copy is not regions[-1] and ctx.canonical(copy) is regions[-1]
+    assert copy is not regions[-1] and ctx.regions[ctx.intern(copy)] is regions[-1]
     finals = {i for i, r in enumerate(ctx.regions) if ctx.is_final(r)}
     assert ctx.private_finals | ctx.public_finals == finals
     assert all(ctx.is_secret(ctx.regions[i]) for i in ctx.private_finals)
@@ -381,7 +389,7 @@ def _assert_kernel_matches_reference(ta) -> int:
     seen = {start}
     queue = [start]
     for r in queue:
-        delay, discrete = ctx.delay_steps(r), ctx.discrete_steps(r)
+        delay, discrete = delay_steps(ctx, r), discrete_steps(ctx, r)
         assert (Counter(delay), Counter(discrete)) == _reference_steps(ctx, r), (ta.name, r)
         for _, r2 in delay + discrete:
             if r2 not in seen:
