@@ -36,16 +36,10 @@ TICKS = ("0+", "1")
 
 
 class BeliefSpace:
-    """Belief construction and predicates for one prepared automaton.
+    """Belief construction and predicates for one prepared automaton."""
 
-    ``silent_in_initial`` keeps silent edges inside the zero-time closure of
-    the initial instant; the strict variant drops them there (they are always
-    allowed later).
-    """
-
-    def __init__(self, ctx: RegionContext, silent_in_initial: bool = True):
+    def __init__(self, ctx: RegionContext):
         self.ctx = ctx
-        self.silent_in_initial = silent_in_initial
         self.controllable = tuple(sorted(ctx.ta.controllable))
         self.uncontrollable = frozenset(ctx.ta.uncontrollable)
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
@@ -82,22 +76,17 @@ class BeliefSpace:
         (steps free inside an interval, steps free at the initial instant,
         ((controllable name, steps), ...), '0+' delay targets, '1' delay
         targets, bit mask of those controllable names).  Free steps are the
-        silent and uncontrollable ones (no silent ones at the initial instant
-        in the strict variant); inside an interval, off-integer delays are
-        free too."""
+        silent and uncontrollable ones; inside an interval, off-integer
+        delays are free too."""
         moves = self._moves.get(rid)
         if moves is not None:
             return moves
         ctx = self.ctx
         free: list[int] = []
-        unc: list[int] = []
         by_name: dict[str, list[int]] = {}
         for action, j in ctx.discrete_steps(rid):
-            if action.kind == SILENT_KIND:
+            if action.kind == SILENT_KIND or action.name in self.uncontrollable:
                 free.append(j)
-            elif action.name in self.uncontrollable:
-                free.append(j)
-                unc.append(j)
             else:
                 by_name.setdefault(action.name, []).append(j)
         delay0p: list[int] = []
@@ -106,7 +95,7 @@ class BeliefSpace:
             (delay0p if tag == "0+" else delay1).append(j)
         moves = (
             tuple(free + [j for j in delay0p if j != rid]),
-            tuple(free if self.silent_in_initial else unc),
+            tuple(free),
             tuple((name, tuple(js)) for name, js in by_name.items()),
             tuple(delay0p),
             tuple(delay1),

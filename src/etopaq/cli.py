@@ -231,11 +231,22 @@ def _add_common(
     )
 
 
+def _nonnegative(kind):
+    """An argparse type: a ``kind`` number that is not negative (nor NaN)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative number")
+        return value
+    parse.__name__ = kind.__name__  # names the type in argparse's own errors
+    return parse
+
+
 def _add_caps(p: argparse.ArgumentParser) -> None:
     """The caps of the commands that explore a graph; None until resolved
     where one is walked."""
-    p.add_argument("--state-cap", type=int, default=None)
-    p.add_argument("--time-cap", type=float, default=None)
+    p.add_argument("--state-cap", type=_nonnegative(int), default=None)
+    p.add_argument("--time-cap", type=_nonnegative(float), default=None)
 
 
 def _add_stats(p: argparse.ArgumentParser) -> None:

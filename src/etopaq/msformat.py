@@ -10,23 +10,33 @@ class StrategyFormatError(ValueError):
     pass
 
 
+def _list(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise StrategyFormatError(f"{where} must be a list")
+    return obj
+
+
+def _names(obj, controllable: frozenset[str], where: str) -> frozenset[str]:
+    for n in _list(obj, where):
+        if not isinstance(n, str):
+            raise StrategyFormatError(f"{where}: {n!r} is not an action name")
+        if n not in controllable:
+            raise StrategyFormatError(f"{where}: {n!r} is not a controllable action")
+    return frozenset(obj)
+
+
 def _plan_from(obj, controllable: frozenset[str], where: str) -> UnitPlan:
     if not isinstance(obj, dict) or set(obj) - {"point", "interval"}:
         raise StrategyFormatError(f"{where}: plan must have point/interval fields")
-    point = obj.get("point", [])
-    interval = obj.get("interval", [])
-    if not isinstance(interval, list) or not interval:
+    interval = _list(obj.get("interval", []), f"{where}: interval")
+    if not interval:
         raise StrategyFormatError(f"{where}: interval must be a nonempty list")
-    def check(names, ctx):
-        for n in names:
-            if n not in controllable:
-                raise StrategyFormatError(
-                    f"{where}: {ctx}: {n!r} is not a controllable action"
-                )
-        return frozenset(names)
     return UnitPlan(
-        check(point, "point"),
-        tuple(check(part, "interval") for part in interval),
+        _names(obj.get("point", []), controllable, f"{where}: point"),
+        tuple(
+            _names(part, controllable, f"{where}: interval[{j}]")
+            for j, part in enumerate(interval)
+        ),
     )
 
 
@@ -35,16 +45,13 @@ def parse(text: str, controllable: frozenset[str]) -> MetaStrategy:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StrategyFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StrategyFormatError("top level must be an object")
-    stem = [
-        _plan_from(p, controllable, f"stem[{i}]")
-        for i, p in enumerate(doc.get("stem", []))
-    ]
-    loop = [
-        _plan_from(p, controllable, f"loop[{i}]")
-        for i, p in enumerate(doc.get("loop", []))
-    ]
+    if not isinstance(doc, dict) or set(doc) - {"stem", "loop"}:
+        raise StrategyFormatError("top level must be an object with stem/loop fields")
+    stem, loop = (
+        [_plan_from(p, controllable, f"{part}[{i}]")
+         for i, p in enumerate(_list(doc.get(part, []), part))]
+        for part in ("stem", "loop")
+    )
     if not loop:
         raise StrategyFormatError("loop must be nonempty")
     return MetaStrategy(tuple(stem), tuple(loop))

@@ -4,12 +4,14 @@ Drives the region graph directly along a meta-strategy's choice schedule,
 never building powerset successors: a frontier of region ids is pushed
 through each choice segment, recording per bucket whether a private-final or
 a public-final region is ever reached.  The belief layer must agree with
-these flags bucket for bucket.  Only the region steps (`RegionContext`, in
-ids) and the verdict over the flags (`modes.bucket_verdict`) are shared with
-the belief side.  The rest is built here: a closure of its own, its own
-reading of silent, uncontrollable and enabled actions, and flags from the
-frontier's locations against final-location sets taken from the automaton,
-never from the belief tables or the context's final-id sets.
+these flags bucket for bucket.  Exactly three things are shared with the
+belief side: the region steps (`RegionContext`, in ids), the schedule walk
+with its cycle rule (`strategies.walk_buckets`, which calls this module's
+step), and the verdict over the flags (`modes.bucket_verdict`).  The rest is
+built here: a closure of its own, its own delay image, its own reading of
+silent, uncontrollable and enabled actions, and flags from the frontier's
+locations against final-location sets taken from the automaton, never from
+the belief tables or the context's final-id sets.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from .modes import Mode, bucket_verdict
 from .regions import RegionContext
-from .strategies import Bucket, MetaStrategy
+from .strategies import Bucket, MetaStrategy, walk_buckets
 from .ta import SILENT_KIND, is_primed
 
 
@@ -79,52 +81,30 @@ def _delay_image(ctx: RegionContext, frontier: frozenset[int], tag: str) -> set[
 def oracle_buckets(
     ctx: RegionContext, phi: MetaStrategy, extra_units: int = 1
 ) -> OracleTable:
-    """Per-bucket final-reachability flags under ``phi``, enumerated until
-    the (lasso position, frontier) pair repeats."""
+    """Per-bucket final-reachability flags under ``phi``, its frontiers
+    walked by `walk_buckets` with this module's closure and delay image."""
     ta = ctx.ta
     unc = ta.uncontrollable
     private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
     public = ta.finals - private
     regions = ctx.regions
 
-    def flags(bucket: Bucket, ids: set[int] | frozenset[int]) -> BucketFlags:
+    def step(frontier: frozenset[int], tick: str, enabled: frozenset[str]) -> frozenset[int]:
+        return _closure(ctx, _delay_image(ctx, frontier, tick), enabled, unc, True)
+
+    def flags(bucket: Bucket, ids: frozenset[int]) -> BucketFlags:
         locations = {regions[i].location for i in ids}
         return BucketFlags(
             bucket, not private.isdisjoint(locations), not public.isdisjoint(locations)
         )
 
-    rows: list[BucketFlags] = []
-    frontier = _closure(
+    start = _closure(
         ctx, {ctx.intern(ctx.initial_region())}, phi.point(0), unc, allow_delay=False
     )
-    rows.append(flags(Bucket("point", 0), frontier))
-    seen: dict[tuple[int, frozenset[int]], int] = {(phi.lasso_pos(0), frontier): 0}
-    cycle_start = cycle_period = None
-    pending = None
-    k = 0
-    while True:
-        choices = phi.interval(k)
-        frontier = _closure(ctx, _delay_image(ctx, frontier, "1"), choices[0], unc, True)
-        seen_in_interval = set(frontier)
-        for enabled in choices[1:]:
-            frontier = _closure(ctx, _delay_image(ctx, frontier, "0+"), enabled, unc, True)
-            seen_in_interval |= frontier
-        rows.append(flags(Bucket("interval", k), seen_in_interval))
-        frontier = _closure(ctx, _delay_image(ctx, frontier, "1"), phi.point(k + 1), unc, True)
-        rows.append(flags(Bucket("point", k + 1), frontier))
-        k += 1
-        key = (phi.lasso_pos(k), frontier)
-        if cycle_start is None and key in seen:
-            cycle_start = seen[key]
-            cycle_period = k - seen[key]
-            pending = extra_units
-        elif cycle_start is None:
-            seen[key] = k
-        if pending is not None:
-            if pending == 0:
-                break
-            pending -= 1
-    return OracleTable(tuple(rows), cycle_start, cycle_period)
+    walk = walk_buckets(phi, start, step, extra_units)
+    return OracleTable(
+        tuple(flags(b, ids) for b, ids in walk.buckets), walk.cycle_start, walk.cycle_period
+    )
 
 
 def oracle_verdict(table: OracleTable, mode: Mode) -> tuple[bool, Bucket | None]:

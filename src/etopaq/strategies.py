@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .beliefs import BOTTOM, Belief, BeliefSpace
 from .ta import SILENT_KIND, UNCONTROLLABLE, TimedAutomaton, TimedRun
@@ -149,14 +149,6 @@ def next_choice(phi: MetaStrategy, v: Sequence[Label]) -> Label:
     raise ValueError("malformed prefix: too many interval choices")
 
 
-def schedule(phi: MetaStrategy, n: int) -> tuple[Label, ...]:
-    """First ``n`` labels of the choice schedule, from the empty prefix."""
-    v: list[Label] = []
-    for _ in range(n):
-        v.append(next_choice(phi, v))
-    return tuple(v)
-
-
 def labels_for_units(phi: MetaStrategy, units: int) -> int:
     """Schedule length covering integer points 0..units and the intervals
     between them."""
@@ -270,49 +262,57 @@ class Bucket:
 
 @dataclass(frozen=True)
 class BucketedBeliefs:
+    """The sets of a controlled walk per bucket, in time order."""
+
     buckets: tuple[tuple[Bucket, Belief], ...]
     cycle_start: int  # unit index where the periodic tail begins
     cycle_period: int
+
+
+def walk_buckets(
+    phi: MetaStrategy,
+    start: frozenset,
+    step: Callable[[frozenset, str, frozenset[str]], frozenset],
+    extra_units: int = 1,
+) -> BucketedBeliefs:
+    """The controlled walk under ``phi`` over sets of region ids, from
+    ``start``, the set at point 0.  Each unit k steps by ``step(set, tick,
+    enabled)`` through its choices: '1' into the interval, '0+' per further
+    interval choice, '1' onto point k+1.  An interval's bucket gets the union
+    of the sets inside it.  The walk stops once the (lasso position, point
+    set) pair repeats; the buckets then cover at least one full period plus
+    ``extra_units`` units past it for neighbour lookups."""
+    buckets = [(Bucket("point", 0), start)]
+
+    def unit(k: int, cur: frozenset) -> frozenset:
+        choices = phi.interval(k)
+        cur = union = step(cur, "1", choices[0])
+        for enabled in choices[1:]:
+            cur = step(cur, "0+", enabled)
+            union = union | cur
+        cur = step(cur, "1", phi.point(k + 1))
+        buckets.extend(((Bucket("interval", k), union), (Bucket("point", k + 1), cur)))
+        return cur
+
+    seen: dict[tuple[int, frozenset], int] = {}
+    cur, k = start, 0
+    while (key := (phi.lasso_pos(k), cur)) not in seen:
+        seen[key] = k
+        cur = unit(k, cur)
+        k += 1
+    cycle_start = seen[key]
+    for j in range(k, k + extra_units):
+        cur = unit(j, cur)
+    return BucketedBeliefs(tuple(buckets), cycle_start, k - cycle_start)
 
 
 def encountered_beliefs(
     space: BeliefSpace, phi: MetaStrategy, extra_units: int = 1
 ) -> BucketedBeliefs:
     """Beliefs per time bucket under ``phi``: the belief at each integer
-    point, and the union of beliefs across each open interval.  Enumeration
-    stops once the (lasso position, point belief) pair repeats; the listed
-    buckets then cover at least one full period plus ``extra_units`` units
-    past it for neighbour lookups."""
-    buckets: list[tuple[Bucket, Belief]] = []
-    b = space.initial(phi.point(0))
-    buckets.append((Bucket("point", 0), b))
-    seen: dict[tuple[int, Belief], int] = {(phi.lasso_pos(0), b): 0}
-    cycle_start = cycle_period = None
-    k = 0
-    pending = None
-    while True:
-        choices = phi.interval(k)
-        cur = space.successor(b, "1", choices[0])
-        acc = cur
-        for enabled in choices[1:]:
-            cur = space.successor(cur, "0+", enabled)
-            acc = acc | cur
-        buckets.append((Bucket("interval", k), acc))
-        b = space.successor(cur, "1", phi.point(k + 1))
-        buckets.append((Bucket("point", k + 1), b))
-        k += 1
-        key = (phi.lasso_pos(k), b)
-        if cycle_start is None and key in seen:
-            cycle_start = seen[key]
-            cycle_period = k - seen[key]
-            pending = extra_units
-        elif cycle_start is None:
-            seen[key] = k
-        if pending is not None:
-            if pending == 0:
-                break
-            pending -= 1
-    return BucketedBeliefs(tuple(buckets), cycle_start, cycle_period)
+    point, and the union of beliefs across each open interval, walked by
+    `walk_buckets` with the belief successor."""
+    return walk_buckets(phi, space.initial(phi.point(0)), space.successor, extra_units)
 
 
 # --- run admission and feasibility ---------------------------------------------
@@ -406,15 +406,11 @@ def is_feasible(
 ) -> bool:
     """Feasible: some admitted prefix of the choice schedule reaches a belief
     containing the run's final region."""
-    units = int(run.duration) + 2
-    labels = schedule(phi, labels_for_units(phi, units))
     last_region = space.ctx.region_of(run.last[0], run.last[1])
-    belief: object = BOTTOM
-    for m, (tick, enabled) in enumerate(labels, start=1):
-        if belief is BOTTOM:
-            belief = space.initial(enabled)
-        else:
-            belief = space.successor(belief, tick, enabled)
-        if last_region in space.regions_of(belief) and run_admits(run, labels[:m], ta):
+    state: tuple[tuple[Label, ...], object] = ((), BOTTOM)
+    for _ in range(labels_for_units(phi, int(run.duration) + 2)):
+        state = controlled_successor(space, state, phi)
+        v, belief = state
+        if last_region in space.regions_of(belief) and run_admits(run, v, ta):
             return True
     return False

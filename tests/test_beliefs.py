@@ -156,14 +156,6 @@ def test_successor_deterministic(opaque_space):
     )
 
 
-def test_strict_initial_closure_flag():
-    ta = load_ta("ta_opaque")
-    strict = BeliefSpace(RegionContext(prepare(ta)), silent_in_initial=False)
-    lax = BeliefSpace(RegionContext(prepare(ta)))
-    # no silent edge fires at time zero here, so both agree
-    assert strict.regions_of(strict.initial(A)) == lax.regions_of(lax.initial(A))
-
-
 def test_no_offinteger_moves_from_point_beliefs(opaque_space):
     b0 = opaque_space.initial(A)
     assert opaque_space.successor(b0, "0+", A) == DEAD
@@ -309,7 +301,7 @@ def test_initial_belief_singleton_without_zero_time_moves():
     assert space.regions_of(space.initial(NONE)) == frozenset({space.ctx.initial_region()})
 
 
-def test_strict_initial_closure_drops_silent_zero_edges():
+def test_initial_closure_keeps_silent_zero_edges():
     from etopaq.ta import (
         Action,
         Atom,
@@ -338,18 +330,10 @@ def test_strict_initial_closure_drops_silent_zero_edges():
             ),
         )
     )
-    lax = BeliefSpace(RegionContext(prepare(ta)))
-    strict = BeliefSpace(RegionContext(prepare(ta)), silent_in_initial=False)
-    assert {r.location for r in lax.regions_of(lax.initial(NONE))} == {"l0", "lmid", "lf"}
-    assert {r.location for r in strict.regions_of(strict.initial(NONE))} == {"l0"}
-    # the flag only affects the initial instant: successors of the same
-    # belief agree across both variants, silent edges included
-    b = lax.initial(NONE)
-    same_b = frozenset(strict.ctx.intern(r) for r in lax.regions_of(b))  # b in strict's ids
-    assert strict.regions_of(strict.successor(same_b, "1", NONE)) == lax.regions_of(
-        lax.successor(b, "1", NONE)
-    )
-    assert {r.location for r in lax.regions_of(lax.successor(b, "1", NONE))} >= {"lmid"}
+    space = BeliefSpace(RegionContext(prepare(ta)))
+    assert {r.location for r in space.regions_of(space.initial(NONE))} == {"l0", "lmid", "lf"}
+    b = space.initial(NONE)
+    assert {r.location for r in space.regions_of(space.successor(b, "1", NONE))} >= {"lmid"}
 
 
 # --- the id-based closure against a Region-level reference ----------------------
@@ -357,7 +341,7 @@ def test_strict_initial_closure_drops_silent_zero_edges():
 PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
 
 
-def _reference_closure(ctx, seed, enabled, allow_delay, silent_ok=True):
+def _reference_closure(ctx, seed, enabled, allow_delay):
     """Zero-time closure straight over `discrete_steps`/`delay_steps`."""
     unc = ctx.ta.uncontrollable
     seen = set(seed)
@@ -365,10 +349,7 @@ def _reference_closure(ctx, seed, enabled, allow_delay, silent_ok=True):
     while todo:
         r = todo.pop()
         for action, r2 in discrete_steps(ctx, r):
-            if action.kind == SILENT_KIND:
-                ok = silent_ok
-            else:
-                ok = action.name in unc or action.name in enabled
+            ok = action.kind == SILENT_KIND or action.name in unc or action.name in enabled
             if ok and r2 not in seen:
                 seen.add(r2)
                 todo.append(r2)
@@ -385,21 +366,18 @@ def _reference_successor(ctx, belief, tick, enabled):
     return _reference_closure(ctx, seed, enabled, allow_delay=True)
 
 
-def _reference_initial(ctx, enabled, silent_ok):
-    return _reference_closure(
-        ctx, {ctx.initial_region()}, enabled, allow_delay=False, silent_ok=silent_ok
-    )
+def _reference_initial(ctx, enabled):
+    return _reference_closure(ctx, {ctx.initial_region()}, enabled, allow_delay=False)
 
 
 def _assert_matches_reference(ta) -> int:
-    """Every initial belief of both closure variants, and every reachable
-    belief transition; returns the number of transitions compared."""
-    for silent_ok in (True, False):
-        space = BeliefSpace(RegionContext(prepare(ta)), silent_in_initial=silent_ok)
-        for enabled in space.enabled_sets():
-            got = space.initial(enabled)
-            assert space.regions_of(got) == _reference_initial(space.ctx, enabled, silent_ok)
-            assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
+    """Every initial belief and every reachable belief transition; returns
+    the number of transitions compared."""
+    space = BeliefSpace(RegionContext(prepare(ta)))
+    for enabled in space.enabled_sets():
+        got = space.initial(enabled)
+        assert space.regions_of(got) == _reference_initial(space.ctx, enabled)
+        assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
     ctx = space.ctx
     graph = space.explore(include_dead=True)
     for (b, tick, enabled), b2 in graph.transitions.items():
@@ -439,7 +417,7 @@ def _assert_successors_dedup(space, state_cap=None) -> int:
     the first-seen dedup of `successor` (or `initial`) over every enabled
     set, as computed by a second space over the same regions, the one that
     explores; returns the number of beliefs checked."""
-    ref = BeliefSpace(space.ctx, silent_in_initial=space.silent_in_initial)
+    ref = BeliefSpace(space.ctx)
     beliefs = ref.explore(include_dead=True, state_cap=state_cap).states
     for b in beliefs:
         for tick in ("0",) if b is BOTTOM else ("0+", "1"):
@@ -455,10 +433,8 @@ def _assert_successors_dedup(space, state_cap=None) -> int:
 
 def test_successors_match_every_enabled_set_on_paper_fixtures():
     for name in PAPER_FIXTURES:
-        for silent_ok in (True, False):
-            ctx = RegionContext(prepare(load_ta(name)))
-            space = BeliefSpace(ctx, silent_in_initial=silent_ok)
-            assert _assert_successors_dedup(space) > 1, name
+        space = BeliefSpace(RegionContext(prepare(load_ta(name))))
+        assert _assert_successors_dedup(space) > 1, name
 
 
 def test_successors_match_every_enabled_set_on_random_automata():

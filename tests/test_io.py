@@ -75,7 +75,7 @@ def test_msf_round_trip():
     assert msformat.parse(text, frozenset({"a"})) == phi
 
 
-def test_msf_rejects_unknown_and_empty():
+def test_msf_rejects_unknown_and_empty(tmp_path):
     with pytest.raises(msformat.StrategyFormatError):
         msformat.parse(
             json.dumps({"stem": [], "loop": [{"point": ["zz"], "interval": [[]]}]}),
@@ -88,6 +88,30 @@ def test_msf_rejects_unknown_and_empty():
         )
     with pytest.raises(msformat.StrategyFormatError):
         msformat.parse(json.dumps({"stem": [], "loop": []}), frozenset())
+    # wrongly typed fields: a string is no list of names, nor is null, a
+    # number or a nested list
+    plan = {"point": ["a"], "interval": [["a"], []]}
+    assert msformat.parse(json.dumps({"loop": [plan]}), frozenset("ab")).loop[0].at_point == {"a"}
+    for bad in ("ab", None, 3, [["a"]], [None], [1]):
+        for doc in (
+            {"loop": [{**plan, "point": bad}]},
+            {"loop": [{**plan, "interval": [bad]}]},
+        ):
+            with pytest.raises(msformat.StrategyFormatError):
+                msformat.parse(json.dumps(doc), frozenset("ab"))
+    for bad in ("ab", None, 3, {"point": []}):
+        for doc in (
+            {"loop": [{**plan, "interval": bad}]},
+            {"stem": bad, "loop": [plan]},
+            {"loop": bad},
+            {"stems": [plan], "loop": [plan]},  # a misspelt field is no empty stem
+        ):
+            with pytest.raises(msformat.StrategyFormatError):
+                msformat.parse(json.dumps(doc), frozenset("ab"))
+    # and on the command line an input error, not NOT-OK
+    msf = tmp_path / "null_point.msf"
+    msf.write_text(json.dumps({"loop": [{"point": None, "interval": [[]]}]}))
+    assert main(["verdict", fx("ta1.ta"), "--strategy", str(msf)]) == 64
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -278,7 +302,10 @@ def test_cli_gen_minsky(tmp_path, capsys):
 
 
 def test_cli_usage_errors_exit_input(capsys):
-    for extra in (["--workers", "3"], ["--bogus"], ["--mode", "nope"], ["--state-cap", "x"]):
+    for extra in (
+        ["--workers", "3"], ["--bogus"], ["--mode", "nope"], ["--state-cap", "x"],
+        ["--state-cap", "-5"], ["--time-cap", "-1"], ["--time-cap", "nan"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["check", fx("ta1.ta"), *extra])
         assert exc.value.code == 64, extra

@@ -13,7 +13,7 @@ from conftest import (
     random_metastrategy,
     random_ta,
 )
-from etopaq import msformat, prepare
+from etopaq import msformat, prepare, taformat
 from etopaq.beliefs import BeliefSpace
 from etopaq.game import Mode, check_metastrategy
 from etopaq.oracle import BucketFlags, OracleTable, oracle_buckets, oracle_verdict
@@ -160,6 +160,44 @@ def test_oracle_belief_agreement_randomized():
         space = BeliefSpace(RegionContext(prepare(ta)))
         phi = random_metastrategy(rng, ta.controllable)
         _agree(space, phi)
+
+
+# Draw 2118 of `random.Random(1)` (`random_ta`, then `random_metastrategy`):
+# the one draw in 3,000 where an oracle that closes the frontier itself,
+# rather than its '0+' delay image, between the choices of one interval
+# differs from the belief side.
+DRAW_2118_TA = """\
+ta draw2118
+clocks: x w
+controllable: a b
+uncontrollable: u
+locations:
+  l0 init
+  lp private
+  lf final invariant: w = 0
+  m0
+edges:
+  l0 -> l0 via b guard: x < 2 reset: x
+  l0 -> l0 via a guard: x > 2
+  l0 -> lp via a
+  l0 -> lf via u reset: w
+  l0 -> l0 via a
+  lp -> lf via u guard: x <= 0 reset: w
+"""
+DRAW_2118_MSF = """\
+{"stem": [{"point": [], "interval": [["b"], ["a"]]},
+          {"point": ["b"], "interval": [["a", "b"]]}],
+ "loop": [{"point": ["a", "b"], "interval": [["b"], []]},
+          {"point": [], "interval": [["a", "b"], ["b"]]}]}
+"""
+
+
+def test_oracle_belief_agreement_on_interval_choice_draw():
+    ta = taformat.parse(DRAW_2118_TA)
+    space = BeliefSpace(RegionContext(prepare(ta)))
+    phi = msformat.parse(DRAW_2118_MSF, frozenset(ta.controllable))
+    assert any(len(phi.interval(k)) > 1 for k in range(4))
+    _agree(space, phi)
 
 
 def test_oracle_full_verdict_matches_belief_check_randomized():

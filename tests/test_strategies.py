@@ -1,13 +1,22 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import edges_by_key, load_space, load_ta
+from conftest import (
+    edges_by_key,
+    load_space,
+    load_ta,
+    mortal_ta,
+    random_metastrategy,
+    random_ta,
+)
 from etopaq import build_run, classify_run, msformat, prepare
-from etopaq.beliefs import BOTTOM
+from etopaq.beliefs import BOTTOM, BeliefSpace
+from etopaq.regions import RegionContext
 from etopaq.strategies import (
     Bucket,
     ConcreteStrategy,
@@ -21,10 +30,10 @@ from etopaq.strategies import (
     labels_for_units,
     meta_of,
     next_choice,
+    nothing_enabled,
     run_admits,
     sample_strategy,
     satisfies,
-    schedule,
     sigma_compatible,
 )
 
@@ -38,6 +47,14 @@ FOUR_CHOICE = MetaStrategy(
     stem=(UnitPlan(E0, (E1, E2)),),
     loop=(UnitPlan(E3, (E3,)),),
 )
+
+
+def schedule(phi: MetaStrategy, n: int) -> tuple:
+    """First ``n`` labels of the choice schedule, from the empty prefix."""
+    v: list = []
+    for _ in range(n):
+        v.append(next_choice(phi, v))
+    return tuple(v)
 
 
 def test_next_choice_worked_example():
@@ -165,10 +182,6 @@ def test_controlled_successor_walks_paper_prefix(opaque_space):
 
 
 def test_controlled_successor_dead_absorbs():
-    from conftest import mortal_ta
-    from etopaq.beliefs import BeliefSpace
-    from etopaq.regions import RegionContext
-
     space = BeliefSpace(RegionContext(prepare(mortal_ta())))
     phi = MetaStrategy((), (UnitPlan(NONE, (NONE,)),))
     state = ((), BOTTOM)
@@ -214,6 +227,62 @@ def test_encountered_beliefs_no_finals_never_leak():
         if bucket.kind == "interval":
             assert not (space.has_private_final(belief) or space.has_public_final(belief))
             assert not space.leaking_full(belief)
+
+
+def _folded_walk(space, phi, units: int):
+    """Iterated `controlled_successor` over ``units`` units, folded into
+    buckets by tick alone: the '0' label gives point 0, a '1' label opens or
+    closes an interval, '0+' labels stay inside it."""
+    state = controlled_successor(space, ((), BOTTOM), phi)
+    buckets = [(Bucket("point", 0), state[1])]
+    acc = None
+    for _ in range(labels_for_units(phi, units) - 1):
+        state = controlled_successor(space, state, phi)
+        tick, belief = state[0][-1][0], state[1]
+        if acc is None:
+            assert tick == "1"
+            acc = belief
+        elif tick == "0+":
+            acc = acc | belief
+        else:
+            k = buckets[-1][0].k
+            buckets += [(Bucket("interval", k), acc), (Bucket("point", k + 1), belief)]
+            acc = None
+    assert acc is None
+    return buckets
+
+
+def _assert_walk_matches_controlled_automaton(space, phi) -> None:
+    for extra_units in (1, 2):
+        enc = encountered_beliefs(space, phi, extra_units)
+        units = len(enc.buckets) // 2
+        assert list(enc.buckets) == _folded_walk(space, phi, units)
+        points = [b for bucket, b in enc.buckets if bucket.kind == "point"]
+        first: dict = {}
+        for k, b in enumerate(points):
+            key = (phi.lasso_pos(k), b)
+            if key in first:
+                break
+            first[key] = k
+        assert (enc.cycle_start, enc.cycle_period) == (first[key], k - first[key])
+        assert units == k + extra_units
+
+
+def test_encountered_beliefs_fold_the_controlled_automaton():
+    for name in ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like"):
+        ta = load_ta(name)
+        for phi in (all_enabled(ta), nothing_enabled()):
+            _assert_walk_matches_controlled_automaton(load_space(name), phi)
+
+
+def test_encountered_beliefs_fold_the_controlled_automaton_randomized():
+    rng = random.Random(8080)
+    for i in range(50):
+        ta = random_ta(rng, name=f"walk{i}")
+        space = BeliefSpace(RegionContext(prepare(ta)))
+        _assert_walk_matches_controlled_automaton(
+            space, random_metastrategy(rng, ta.controllable)
+        )
 
 
 # --- admission -----------------------------------------------------------------
