@@ -4,9 +4,11 @@ possible, and their successor relation.
 A belief transition bundles one delay step per member region (tagged '0+' or
 '1' by how the tick clock's fractional part moved) with a closure under
 zero-time actions and further off-integer delays.  The pre-initial state is a
-dedicated bottom marker; the only moves out of it are zero-time closures of
-the initial region.  The empty belief is kept as an absorbing dead state so
-time can still be counted through intervals where no run survives.
+dedicated bottom marker left by tick '0' alone: `successor(BOTTOM, '0', e)`
+is the zero-time closure of the initial region, so every walk steps out of
+it as out of any belief (`ticks_from` names the ticks).  The empty belief is
+kept as an absorbing dead state so time can still be counted through
+intervals where no run survives.
 
 A belief is a frozenset of the dense region ids of the space's
 `RegionContext`; `BeliefSpace.regions_of` gives its `Region` objects.  The
@@ -23,6 +25,8 @@ there, since every successor of it is itself.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 from .graphs import bfs
 from .regions import Region, RegionContext, encode
 from .ta import SILENT_KIND
@@ -35,6 +39,11 @@ DEAD: Belief = frozenset()
 TICKS = ("0+", "1")
 
 
+def ticks_from(belief: object) -> tuple[str, ...]:
+    """The ticks `BeliefSpace.successor` takes out of ``belief``."""
+    return ("0",) if belief is BOTTOM else TICKS
+
+
 class BeliefSpace:
     """Belief construction and predicates for one prepared automaton."""
 
@@ -43,9 +52,7 @@ class BeliefSpace:
         self.controllable = tuple(sorted(ctx.ta.controllable))
         self.uncontrollable = frozenset(ctx.ta.uncontrollable)
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
-        self._succ: dict[tuple[Belief, str, frozenset[str]], Belief] = {}
-        self._init: dict[frozenset[str], Belief] = {}
-        self._init_id: int | None = None
+        self._succ: dict[tuple[object, str, frozenset[str]], Belief] = {}
         self._subsets: tuple[frozenset[str], ...] | None = None
         self._masks: tuple[int, ...] = ()  # parallel to `_subsets`
         self._by_mask: list[frozenset[str]] = []  # name mask -> its subset
@@ -70,6 +77,10 @@ class BeliefSpace:
         return self._subsets
 
     # -- construction --------------------------------------------------------
+
+    @cached_property
+    def _init_id(self) -> int:  # on the first step out of BOTTOM, not at set-up
+        return self.ctx.intern(self.ctx.initial_region())
 
     def _moves_of(self, rid: int) -> tuple:
         """Region ``rid``'s one-step moves as ids, built once:
@@ -143,33 +154,33 @@ class BeliefSpace:
 
     def initial(self, enabled: frozenset[str]) -> Belief:
         """Zero-time closure of the initial region under enabled and
-        uncontrollable actions."""
-        enabled = frozenset(enabled)
-        cached = self._init.get(enabled)
-        if cached is None:
-            if self._init_id is None:
-                self._init_id = self.ctx.intern(self.ctx.initial_region())
-            cached = self._closure({self._init_id}, enabled, at_initial=True)
-            self._init[enabled] = cached
-        return cached
+        uncontrollable actions: the step out of `BOTTOM`."""
+        return self.successor(BOTTOM, "0", enabled)
 
-    def successor(self, belief: Belief, tick: str, enabled: frozenset[str]) -> Belief:
-        """One delay step tagged ``tick`` per member region, then closure.
-        The result may be the dead belief."""
-        if tick not in TICKS:
-            raise ValueError(f"bad tick {tick!r}")
+    def successor(self, belief: object, tick: str, enabled: frozenset[str]) -> Belief:
+        """One delay step tagged ``tick`` per member region, then closure;
+        out of `BOTTOM` (tick '0' only) the closure of the initial region
+        without delays.  The result may be the dead belief."""
         enabled = frozenset(enabled)
         key = (belief, tick, enabled)
         cached = self._succ.get(key)
         if cached is None:
-            cached = self._closure(self._delay_image(belief, tick), enabled, at_initial=False)
+            if belief is BOTTOM:
+                if tick != "0":
+                    raise ValueError("only the initial zero-time choice leaves bottom")
+                seed = {self._init_id}
+            elif tick in TICKS:
+                seed = self._delay_image(belief, tick)
+            else:
+                raise ValueError(f"bad tick {tick!r}")
+            cached = self._closure(seed, enabled, at_initial=belief is BOTTOM)
             self._succ[key] = cached
         return cached
 
     def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], Belief]]:
         """Each distinct successor of ``belief`` under ``tick`` once, in
         `enabled_sets()` order, labelled with the first enabled set that
-        yields it; from `BOTTOM` (tick '0') the distinct initial beliefs.
+        yields it.
 
         The closure under every controllable name is computed first.  Only
         the names T with a step from one of its regions can fire under any
@@ -177,13 +188,8 @@ class BeliefSpace:
         closure under e ∩ T: one closure per distinct e ∩ T, asked for with
         the `enabled_sets()` object equal to it."""
         subsets = self.enabled_sets()
-        if belief is BOTTOM:
-            close = self.initial
-        else:
-            def close(e):
-                return self.successor(belief, tick, e)
         table = self._moves
-        full = close(subsets[-1])
+        full = self.successor(belief, tick, subsets[-1])
         relevant = 0
         for i in full:
             relevant |= table[i][5]
@@ -195,7 +201,7 @@ class BeliefSpace:
             cls = mask & relevant
             if cls not in classes:
                 classes.add(cls)
-                b = full if cls == relevant else close(by_mask[cls])
+                b = full if cls == relevant else self.successor(belief, tick, by_mask[cls])
                 if b not in found:
                     found.add(b)
                     out.append((e, b))
@@ -209,7 +215,7 @@ class BeliefSpace:
     def successors_computed(self) -> int:
         """Distinct belief successors computed so far, initial beliefs
         included."""
-        return len(self._succ) + len(self._init)
+        return len(self._succ)
 
     # -- leak predicates -----------------------------------------------------
 
@@ -218,10 +224,6 @@ class BeliefSpace:
 
     def has_public_final(self, belief: Belief) -> bool:
         return not self.ctx.public_finals.isdisjoint(belief)
-
-    def leaking_full(self, belief: Belief) -> bool:
-        """Exactly one kind of final (private or public) is reachable."""
-        return self.has_private_final(belief) != self.has_public_final(belief)
 
     # -- exploration ----------------------------------------------------------
 
@@ -237,10 +239,7 @@ class BeliefSpace:
         subsets = self.enabled_sets()
 
         def moves(b):
-            if b is BOTTOM:
-                steps = [(("0", e), self.initial(e)) for e in subsets]
-            else:
-                steps = [((t, e), self.successor(b, t, e)) for t in TICKS for e in subsets]
+            steps = [((t, e), self.successor(b, t, e)) for t in ticks_from(b) for e in subsets]
             return steps if include_dead else [s for s in steps if s[1] != DEAD]
 
         adj, order, parent, stopped = bfs(BOTTOM, moves, state_cap, time_cap)

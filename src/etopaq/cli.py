@@ -5,8 +5,10 @@ Exit codes: 0 SAT/OK/true, 1 UNSAT/NOT-OK/false, 2 INDETERMINATE,
 ``--stats``, `check`, `synthesize` and `verdict` end by writing one JSON line
 of counters to stderr, whatever the verdict.  `--state-cap`/`--time-cap` bound
 the graph that `check`, `synthesize`, `regions`, `beliefs` and `game` explore;
-a capped DOT export holds what was explored and exits 2 too.  `--mode exists`
-and `check --strategy` walk no graph, so a cap given to them is a usage error.
+the state cap defaults to the game's `DEFAULT_STATE_CAP`, and to the smaller
+`dot.EXPORT_STATE_CAP` for the exports.  A capped DOT export holds what was
+explored and exits 2 too.  `--mode exists` and `check --strategy` walk no
+graph, so a cap given to them is a usage error.
 """
 from __future__ import annotations
 
@@ -118,8 +120,8 @@ def _solve(args, space: BeliefSpace, on_sat) -> int:
     return _indeterminate(result.detail)
 
 
-def _state_cap(args) -> int:
-    return DEFAULT_STATE_CAP if args.state_cap is None else args.state_cap
+def _state_cap(args, default: int = DEFAULT_STATE_CAP) -> int:
+    return default if args.state_cap is None else args.state_cap
 
 
 def _print_witness(w) -> None:
@@ -176,9 +178,10 @@ def cmd_verdict(args) -> int:
     return _ok(*oracle_verdict(oracle_buckets(space.ctx, phi), MODES[args.mode]))
 
 
-def _export(args, export: tuple[str, str]) -> int:
-    """Writes a DOT export, capped or not; a capped one reads INDETERMINATE."""
-    text, stopped = export
+def _export(args, render) -> int:
+    """Writes the DOT export ``render(state_cap, time_cap)`` returns, under
+    the export state cap unless one is given; a capped one is INDETERMINATE."""
+    text, stopped = render(_state_cap(args, dot.EXPORT_STATE_CAP), args.time_cap)
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(text)
     return _indeterminate(stopped) if stopped else EXIT_YES
@@ -186,18 +189,17 @@ def _export(args, export: tuple[str, str]) -> int:
 
 def cmd_regions(args) -> int:
     _, space = _load_prepared(args)
-    return _export(args, dot.regions_dot(space.ctx, _state_cap(args), args.time_cap))
+    return _export(args, lambda *caps: dot.regions_dot(space.ctx, *caps))
 
 
 def cmd_beliefs(args) -> int:
     _, space = _load_prepared(args)
-    return _export(args, dot.beliefs_dot(space, args.pretty, _state_cap(args), args.time_cap))
+    return _export(args, lambda *caps: dot.beliefs_dot(space, args.pretty, *caps))
 
 
 def cmd_game(args) -> int:
     _, space = _load_prepared(args)
-    mode = MODES[args.mode]
-    return _export(args, dot.game_dot(space, mode, _state_cap(args), args.time_cap))
+    return _export(args, lambda *caps: dot.game_dot(space, MODES[args.mode], *caps))
 
 
 def cmd_gen_minsky(args) -> int:

@@ -7,7 +7,10 @@ from __future__ import annotations
 from .beliefs import BOTTOM, BeliefGraph, BeliefSpace, belief_key
 from .game import explore
 from .graphs import bfs
+from .modes import Mode
 from .regions import RegionContext, encode
+
+EXPORT_STATE_CAP = 10_000  # the command line's default; every paper fixture's graphs fit
 
 
 def _q(s: str) -> str:
@@ -94,7 +97,7 @@ def beliefs_dot(
         if b is BOTTOM:
             lines.append(f"  {_q(names[b])} [shape=point];")
             continue
-        leak = space.leaking_full(b)
+        leak = Mode.FULL.leaks(space.has_private_final(b), space.has_public_final(b))
         style = ' style=filled fillcolor="#ffcccc"' if leak else ""
         tip = "; ".join(sorted(space.ctx.format_region(r) for r in space.regions_of(b)))
         lines.append(

@@ -2,13 +2,13 @@
 
 Game states pair the current belief with the belief accumulated since the
 last tick-1 action; closing a bucket (taking a tick-1) is guarded by the
-mode's leak rule (`modes.Mode.leaks`) on the accumulated belief.  The closed
-mode carries two extra bits: whether the last closed interval contained a
-final region, and a pending obligation that the next interval must.  A
-winning play is a reachable lasso whose loop takes tick-1 actions; its
-labels directly spell an eventually periodic meta-strategy.  Enabled sets
-that lead to the same successor state are one move, labelled with the
-first of them in `enabled_sets()` order.
+mode's leak schedule (`modes.Mode.rule`) on the accumulated belief.  States
+carry the rule's two memo bits, which only closed mode sets: whether the
+last closed interval contained a final region, and a pending obligation
+that the next interval must.  A winning play is a reachable lasso whose
+loop takes tick-1 actions; its labels directly spell an eventually periodic
+meta-strategy.  Enabled sets that lead to the same successor state are one
+move, labelled with the first of them in `enabled_sets()` order.
 
 `solve` explores the pruned game with `graphs.bfs` under its caps, then
 searches the explored graph once: Tarjan's SCCs, the first tick-1 edge
@@ -62,15 +62,10 @@ def game_successors(
         return [(("0", e), GameState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
     acc = st.accumulated
     priv, pub = space.has_private_final(acc), space.has_public_final(acc)
-    leak = mode.leaks(priv, pub)
     prev = st.prev_interval_finals
     if st.at_integer:
-        obligation = False
-        if mode is Mode.ALMOST_FULL:
-            pass  # punctual violations are ignored outright
-        elif mode is Mode.CLOSED_FULL:
-            obligation = leak and not prev
-        elif leak:
+        obligation = mode.rule(True, priv, pub, prev)
+        if obligation is None:
             return []
         return [
             (("1", e), GameState(b, b, False, prev, obligation))
@@ -80,9 +75,8 @@ def game_successors(
         (("0+", e), GameState(b, acc | b, False, prev, st.obligation))
         for e, b in space.successors(st.current, "0+")
     ]
-    closed = mode is Mode.CLOSED_FULL
-    if not leak and not (closed and st.obligation and not (priv or pub)):
-        finals = closed and (priv or pub)
+    finals = mode.rule(False, priv, pub, st.obligation)
+    if finals is not None:
         out += [
             (("1", e), GameState(b, b, True, finals, False))
             for e, b in space.successors(st.current, "1")
@@ -264,8 +258,10 @@ def check_metastrategy(
     space: BeliefSpace, phi: MetaStrategy, mode: Mode
 ) -> CheckResult:
     """Applies the mode's leak schedule to the encountered beliefs; the
-    bucket list is periodic, so scanning the enumerated prefix decides."""
-    enc = encountered_beliefs(space, phi, extra_units=2)
+    bucket list is periodic, so scanning the enumerated prefix decides.  One
+    unit past the period lists both neighbour intervals of every point of
+    the period but the last, whose periodic twin is judged before it."""
+    enc = encountered_beliefs(space, phi)
     ok, offending = bucket_verdict(
         mode,
         (

@@ -238,13 +238,7 @@ def controlled_successor(
     """The unique next state of the belief automaton controlled by ``phi``."""
     v, belief = state
     tick, enabled = next_choice(phi, v)
-    if belief is BOTTOM:
-        if tick != "0":
-            raise ValueError("only the initial zero-time choice leaves bottom")
-        nxt = space.initial(enabled)
-    else:
-        nxt = space.successor(belief, tick, enabled)
-    return (v + ((tick, enabled),), nxt)
+    return (v + ((tick, enabled),), space.successor(belief, tick, enabled))
 
 
 @dataclass(frozen=True, slots=True)

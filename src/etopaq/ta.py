@@ -24,7 +24,6 @@ SILENT_KIND = "silent"
 class Clock:
     index: int
     name: str
-    is_tick: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +254,7 @@ def add_tick_clock(ta: TimedAutomaton) -> TimedAutomaton:
     if any(c.name == TICK_CLOCK for c in ta.clocks):
         raise ValueError(f"clock name {TICK_CLOCK!r} is reserved")
     z = len(ta.clocks)
-    clocks = ta.clocks + (Clock(z, TICK_CLOCK, is_tick=True),)
+    clocks = ta.clocks + (Clock(z, TICK_CLOCK),)
     invariants = {
         loc: ta.invariant(loc) + (Atom(z, "<=", 1),) for loc in ta.locations
     }

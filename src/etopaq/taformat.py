@@ -75,7 +75,7 @@ def parse(text: str) -> TimedAutomaton:
                 if cname in clock_index:
                     raise ParseError(f"{where}: duplicate clock {cname!r}")
                 clock_index[cname] = len(clocks)
-                clocks.append(Clock(len(clocks), cname, is_tick=cname == "z"))
+                clocks.append(Clock(len(clocks), cname))
             continue
         if stripped.startswith("controllable:") or stripped.startswith("uncontrollable:"):
             kind = CONTROLLABLE if stripped.startswith("controllable:") else UNCONTROLLABLE

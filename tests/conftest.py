@@ -47,6 +47,12 @@ def load_space(name: str) -> BeliefSpace:
     return _space_cache[name]
 
 
+def leaking_full(space: BeliefSpace, belief) -> bool:
+    """Exactly one kind of final (private or public) is reachable: the
+    full-mode leak, written out apart from `Mode.leaks`."""
+    return space.has_private_final(belief) != space.has_public_final(belief)
+
+
 def delay_steps(ctx: RegionContext, region) -> tuple:
     """`RegionContext.delay_steps` over `Region` objects: the region goes in
     through `intern`, the target ids come back through `regions`."""

@@ -14,6 +14,7 @@ from conftest import (
     SOLVE_FIXTURES,
     edges_by_key,
     fixture_path,
+    leaking_full,
     load_space,
     load_ta,
     random_metastrategy,
@@ -278,7 +279,7 @@ def test_criterion_6_monotonicity_suite():
                     ), (name, tick)
         for b in beliefs:
             if Mode.WEAK.leaks(space.has_private_final(b), space.has_public_final(b)):
-                assert space.leaking_full(b), name
+                assert leaking_full(space, b), name
 
 
 @criterion(7, "synthesis closed loop")

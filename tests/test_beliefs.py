@@ -4,7 +4,9 @@ import random
 import sys
 from itertools import combinations
 
-from conftest import delay_steps, discrete_steps, load_space, load_ta
+import pytest
+
+from conftest import delay_steps, discrete_steps, leaking_full, load_space, load_ta
 from etopaq import prepare
 from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace
 from etopaq.modes import Mode
@@ -65,10 +67,10 @@ def test_successor_dead_interval():
 def test_leaking_full_examples(opaque_space):
     b0 = opaque_space.initial(A)
     b0p = opaque_space.initial(NONE)
-    assert not opaque_space.leaking_full(b0)
-    assert opaque_space.leaking_full(b0p)
+    assert not leaking_full(opaque_space, b0)
+    assert leaking_full(opaque_space, b0p)
     no_finals = opaque_space.successor(b0, "1", NONE)
-    assert not opaque_space.leaking_full(no_finals)
+    assert not leaking_full(opaque_space, no_finals)
 
 
 def _leaks_weak(space, belief):
@@ -154,6 +156,30 @@ def test_successor_deterministic(opaque_space):
     assert opaque_space.regions_of(opaque_space.successor(b1, "1", NONE)) == fresh.regions_of(
         fresh.successor(b2, "1", NONE)
     )
+
+
+def test_only_tick_zero_leaves_bottom_and_only_delays_leave_a_belief():
+    space = BeliefSpace(RegionContext(prepare(load_ta("ta_opaque"))))
+    b0 = space.initial(A)
+    bottom = "only the initial zero-time choice leaves bottom"
+    for belief, tick, message in ((BOTTOM, "1", bottom), (BOTTOM, "0+", bottom),
+                                  (b0, "0", "bad tick '0'")):
+        with pytest.raises(ValueError, match=message):
+            space.successor(belief, tick, A)
+    assert space.successors_computed() == 1
+
+
+def test_initial_is_the_step_out_of_bottom_counted_once():
+    space = BeliefSpace(RegionContext(prepare(load_ta("ta_opaque"))))
+    assert space.successors_computed() == 0
+    b0 = space.initial(A)
+    assert b0 is space.successor(BOTTOM, "0", A)
+    assert space.initial({"a"}) is b0
+    assert space.successors_computed() == 1
+    space.initial(NONE)
+    space.successor(b0, "1", NONE)
+    space.successor(b0, "1", NONE)
+    assert space.successors_computed() == 3
 
 
 def test_no_offinteger_moves_from_point_beliefs(opaque_space):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import SOLVE_FIXTURES, fixture_path, load_space, load_ta
+from conftest import SOLVE_FIXTURES, fixture_path, leaking_full, load_space, load_ta
 from etopaq import msformat, prepare
 from etopaq.beliefs import BOTTOM, BeliefSpace
 from etopaq.game import (
@@ -62,7 +62,7 @@ def test_game_interval_accumulates(opaque_space):
 
 def test_almost_mode_ignores_leaking_points(opaque_space):
     (_, bad), _ = game_successors(opaque_space, INITIAL, Mode.ALMOST_FULL)
-    assert opaque_space.leaking_full(bad.accumulated)
+    assert leaking_full(opaque_space, bad.accumulated)
     assert game_successors(opaque_space, bad, Mode.ALMOST_FULL)
 
 
@@ -249,7 +249,7 @@ def test_leaking_weak_implies_leaking_full_everywhere():
             if b is BOTTOM:
                 continue
             if Mode.WEAK.leaks(space.has_private_final(b), space.has_public_final(b)):
-                assert space.leaking_full(b)
+                assert leaking_full(space, b)
 
 
 def test_full_witness_passes_weak_and_almost():

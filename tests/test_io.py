@@ -283,6 +283,21 @@ def test_cli_capped_exports_exit_indeterminate(tmp_path, capsys):
     assert "INDETERMINATE time cap 0.5s exceeded" in capsys.readouterr().err
 
 
+def test_cli_exports_default_to_the_export_state_cap(tmp_path, capsys, monkeypatch):
+    """Without --state-cap the exports take `dot.EXPORT_STATE_CAP`, not the
+    game's cap; --state-cap still overrides it."""
+    from etopaq import dot
+
+    monkeypatch.setattr(dot, "EXPORT_STATE_CAP", 5)
+    target = tmp_path / "capped.dot"
+    assert main(["beliefs", fx("ta1.ta"), "--dot", str(target)]) == 2
+    assert "INDETERMINATE state cap 5 exceeded" in capsys.readouterr().err
+    body = target.read_text()
+    assert body.startswith("digraph") and body.count("shape=") == 6
+    assert main(["beliefs", fx("ta1.ta"), "--dot", str(target), "--state-cap", "1000"]) == 0
+    assert main(["check", fx("ta1.ta"), "--mode", "full"]) == 1
+
+
 def test_cli_beliefs_pretty_names(tmp_path):
     target = tmp_path / "b.dot"
     main(["beliefs", fx("ta_opaque.ta"), "--dot", str(target), "--pretty"])

@@ -1,8 +1,12 @@
-"""Truth table of the one per-mode leak schedule, written out by hand.
+"""Truth table of the one per-mode leak schedule, written out by hand, and
+the fold of `Mode.rule` against a neighbour-lookup reference.
 
-Both meta-strategy checkers and the game share `bucket_verdict`, so they can
-no longer catch each other's slips in it; this table does."""
+Both meta-strategy checkers share `bucket_verdict` and the game shares
+`Mode.rule`, so they can no longer catch each other's slips in it; this
+table and the reference do."""
 from __future__ import annotations
+
+import itertools
 
 from etopaq.modes import Mode, bucket_verdict
 from etopaq.strategies import Bucket
@@ -56,3 +60,39 @@ def test_leaks_predicate():
         assert not mode.leaks(False, False) and not mode.leaks(True, True)
         assert mode.leaks(True, False)
         assert mode.leaks(False, True) == (mode is not Mode.WEAK)
+
+
+def _neighbour_verdict(mode, rows):
+    """The schedule by neighbour lookup: a point leak in closed mode loses
+    unless the interval before or after it reaches a final, the last listed
+    point being skipped."""
+    finals = {b.k: priv or pub for b, priv, pub in rows if b.kind == "interval"}
+    last_point = max(b.k for b, _, _ in rows if b.kind == "point")
+    for bucket, priv, pub in rows:
+        if not mode.leaks(priv, pub):
+            continue
+        if bucket.kind == "point":
+            k = bucket.k
+            if mode is Mode.ALMOST_FULL:
+                continue
+            if mode is Mode.CLOSED_FULL and (
+                k == last_point or finals.get(k - 1) or finals.get(k)
+            ):
+                continue
+        return False, bucket
+    return True, None
+
+
+def test_rule_fold_matches_neighbour_lookup_on_every_short_table():
+    """Every flag table of 1, 3, 5 or 7 buckets, in every mode."""
+    checked = 0
+    for mode in Mode:
+        for n in range(1, 8, 2):
+            for flags in itertools.product((NONE, PRIV, PUB, BOTH), repeat=n):
+                rows = table(*flags)
+                assert bucket_verdict(mode, rows) == _neighbour_verdict(mode, rows), (
+                    mode,
+                    flags,
+                )
+                checked += 1
+    assert checked == 4 * (4 + 4**3 + 4**5 + 4**7)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     edges_by_key,
+    leaking_full,
     load_space,
     load_ta,
     mortal_ta,
@@ -197,7 +198,7 @@ def test_encountered_beliefs_opaque_star(opaque_space):
     star = MetaStrategy((), (UnitPlan(A, (NONE,)),))
     enc = encountered_beliefs(opaque_space, star)
     for bucket, belief in enc.buckets:
-        assert not opaque_space.leaking_full(belief), str(bucket)
+        assert not leaking_full(opaque_space, belief), str(bucket)
     assert enc.cycle_period == 1
 
 
@@ -212,7 +213,7 @@ def test_encountered_beliefs_counterexample_leak():
     leaks = [
         bucket
         for bucket, belief in enc.buckets
-        if space.leaking_full(belief)
+        if leaking_full(space, belief)
     ]
     assert leaks == [Bucket("interval", 2)]
 
@@ -226,7 +227,7 @@ def test_encountered_beliefs_no_finals_never_leak():
     for bucket, belief in enc.buckets:
         if bucket.kind == "interval":
             assert not (space.has_private_final(belief) or space.has_public_final(belief))
-            assert not space.leaking_full(belief)
+            assert not leaking_full(space, belief)
 
 
 def _folded_walk(space, phi, units: int):
