@@ -7,10 +7,7 @@ from .ta import (
     Clock,
     Edge,
     TimedAutomaton,
-    TimedRun,
     add_tick_clock,
-    build_run,
-    classify_run,
     duplicate,
     make_finals_urgent,
     prepare,
@@ -20,18 +17,10 @@ from .regions import Region, RegionContext, region_of
 from .beliefs import BOTTOM, DEAD, BeliefSpace
 from .strategies import (
     Bucket,
-    ConcreteStrategy,
     MetaStrategy,
     UnitPlan,
     all_enabled,
     encountered_beliefs,
-    is_feasible,
-    meta_of,
-    next_choice,
-    run_admits,
-    sample_strategy,
-    satisfies,
-    sigma_compatible,
 )
 from .game import (
     Mode,
@@ -51,7 +40,6 @@ __all__ = [
     "BeliefSpace",
     "Bucket",
     "Clock",
-    "ConcreteStrategy",
     "DEAD",
     "Edge",
     "MetaStrategy",
@@ -60,29 +48,19 @@ __all__ = [
     "RegionContext",
     "SolveResult",
     "TimedAutomaton",
-    "TimedRun",
     "UnitPlan",
     "WinningWitness",
     "add_tick_clock",
     "all_enabled",
-    "build_run",
     "check_exists",
     "check_metastrategy",
-    "classify_run",
     "duplicate",
     "encountered_beliefs",
-    "is_feasible",
     "make_finals_urgent",
-    "meta_of",
-    "next_choice",
     "oracle_buckets",
     "oracle_verdict",
     "prepare",
     "region_of",
-    "run_admits",
-    "sample_strategy",
-    "satisfies",
-    "sigma_compatible",
     "solve",
     "validate",
     "witness_to_metastrategy",

@@ -48,8 +48,9 @@ def regions_dot(
 
 def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
     """Bucket-style names: beliefs first reached at integer point k become
-    b{k}, b{k}' ... (largest first); interval beliefs b(k,k+1) alike.  The
-    depths come from a walk over the transitions in sorted order."""
+    b{k}, b{k}', b{k}'2, b{k}'3 ... (largest first); interval beliefs
+    b(k,k+1) alike.  The depths come from a walk over the transitions in
+    sorted order."""
     steps: dict[object, list] = {}
     for (src, tick, _), tgt in sorted(
         graph.transitions.items(), key=lambda kv: (kv[0][1], sorted(kv[0][2]))
@@ -68,7 +69,7 @@ def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
         group.sort(key=lambda b: (-len(b), belief_key(graph.space.regions_of(b))))
         base = f"b{(d - 1) // 2}" if d % 2 else f"b({d // 2 - 1},{d // 2})"
         for i, b in enumerate(group):
-            names[b] = base + "'" * i
+            names[b] = base + ("'" * i if i < 2 else f"'{i}")
     return names
 
 

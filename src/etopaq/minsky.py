@@ -24,6 +24,7 @@ from .ta import (
 )
 
 COUNTERS = ("C1", "C2")
+OPERANDS = {"INC": 1, "DEC": 1, "IFZ": 3, "HALT": 0}
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,16 +82,18 @@ def parse_machine(text: str) -> MinskyMachine:
         parts = line.split()
         op = parts[0].upper()
         try:
+            if op not in OPERANDS:
+                raise ValueError(f"unknown command {op!r}")
+            if len(parts) > 1 + OPERANDS[op]:
+                raise ValueError(f"trailing {' '.join(parts[1 + OPERANDS[op]:])!r}")
             if op == "INC":
                 commands.append(Inc(parts[1]))
             elif op == "DEC":
                 commands.append(Dec(parts[1]))
             elif op == "IFZ":
                 commands.append(IfZero(parts[1], int(parts[2]), int(parts[3])))
-            elif op == "HALT":
-                commands.append(Halt())
             else:
-                raise ValueError(f"unknown command {op!r}")
+                commands.append(Halt())
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return MinskyMachine(tuple(commands))

@@ -1,14 +1,14 @@
-"""Timed automata: syntax, concrete semantics, runs, and structural transforms.
+"""Timed automata: syntax, validation, and the structural transforms that
+prepare an automaton for the region and belief layers.
 
-Everything here is an immutable value; all time arithmetic is exact
-(`fractions.Fraction`), never floating point.
+Everything here is an immutable value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 RELATIONS = ("<", "<=", "=", ">=", ">")
 
@@ -315,119 +315,3 @@ def prepare(ta: TimedAutomaton) -> TimedAutomaton:
     if problems:
         raise ValueError(f"invalid automaton: {problems}")
     return add_tick_clock(duplicate(ta))
-
-
-# --- concrete semantics ---------------------------------------------------
-
-State = tuple[str, tuple[Fraction, ...]]
-
-
-class StepError(ValueError):
-    def __init__(self, message: str, atom: Atom | None = None):
-        super().__init__(message)
-        self.atom = atom
-
-
-def initial_state(ta: TimedAutomaton) -> State:
-    return (ta.init, ta.zero_valuation())
-
-
-def invariant_holds(ta: TimedAutomaton, loc: str, vals: Sequence[Fraction]) -> Atom | None:
-    """Returns the first violated invariant atom, or None."""
-    for atom in ta.invariant(loc):
-        if not atom.holds(vals[atom.clock]):
-            return atom
-    return None
-
-
-def step_delay(ta: TimedAutomaton, state: State, d: Fraction) -> State:
-    """Lets ``d`` time units pass; the invariant must hold along the way.
-
-    Clock values grow monotonically, so upper-bound atoms are checked at the
-    end, lower-bound atoms at the start, and equalities at both.
-    """
-    if d < 0:
-        raise StepError("negative delay")
-    loc, vals = state
-    after = tuple(v + d for v in vals)
-    for atom in ta.invariant(loc):
-        check_start = atom.rel in (">", ">=", "=")
-        check_end = atom.rel in ("<", "<=", "=")
-        if check_start and not atom.holds(vals[atom.clock]):
-            raise StepError("invariant violated during delay", atom)
-        if check_end and not atom.holds(after[atom.clock]):
-            raise StepError("invariant violated during delay", atom)
-    return (loc, after)
-
-
-def step_discrete(ta: TimedAutomaton, state: State, edge: Edge) -> State:
-    loc, vals = state
-    if edge.source != loc:
-        raise StepError(f"edge leaves {edge.source}, state is at {loc}")
-    for atom in edge.guard:
-        if not atom.holds(vals[atom.clock]):
-            raise StepError("guard not satisfied", atom)
-    after = tuple(
-        Fraction(0) if i in edge.resets else v for i, v in enumerate(vals)
-    )
-    bad = invariant_holds(ta, edge.target, after)
-    if bad is not None:
-        raise StepError("target invariant violated", bad)
-    return (edge.target, after)
-
-
-@dataclass(frozen=True, slots=True)
-class TimedRun:
-    """Alternating states and (delay, edge) moves, starting at (init, 0)."""
-
-    states: tuple[State, ...]
-    moves: tuple[tuple[Fraction, Edge], ...]
-
-    @property
-    def duration(self) -> Fraction:
-        return sum((d for d, _ in self.moves), Fraction(0))
-
-    @property
-    def last(self) -> State:
-        return self.states[-1]
-
-    def prefix(self, n_moves: int) -> "TimedRun":
-        return TimedRun(self.states[: n_moves + 1], self.moves[:n_moves])
-
-
-def build_run(ta: TimedAutomaton, moves: Iterable[tuple[Fraction | int, Edge]]) -> TimedRun:
-    """Checks each move against the semantics and assembles the run."""
-    states = [initial_state(ta)]
-    taken: list[tuple[Fraction, Edge]] = []
-    for d, e in moves:
-        d = Fraction(d)
-        mid = step_delay(ta, states[-1], d)
-        states.append(step_discrete(ta, mid, e))
-        taken.append((d, e))
-    return TimedRun(tuple(states), tuple(taken))
-
-
-def validate_run(ta: TimedAutomaton, run: TimedRun) -> bool:
-    if run.states[0] != initial_state(ta):
-        return False
-    try:
-        rebuilt = build_run(ta, run.moves)
-    except StepError:
-        return False
-    return rebuilt.states == run.states
-
-
-def classify_run(ta_dup: TimedAutomaton, run: TimedRun) -> tuple[str, Fraction]:
-    """'private' / 'public' / 'neither' for a legal run of the duplicated
-    automaton, plus its duration.
-    """
-    if not ta_dup.is_duplicated:
-        raise ValueError("classification needs the duplicated automaton")
-    if not validate_run(ta_dup, run):
-        raise ValueError("run is not legal in this automaton")
-    loc = run.last[0]
-    if loc in ta_dup.finals:
-        kind = "private" if is_primed(loc) else "public"
-    else:
-        kind = "neither"
-    return kind, run.duration

@@ -101,8 +101,12 @@ def parse(text: str) -> TimedAutomaton:
             locations.append(lname)
             for flag in flags:
                 if flag == "init":
+                    if init is not None:
+                        raise ParseError(f"{where}: second init location {lname!r}")
                     init = lname
                 elif flag == "private":
+                    if private is not None:
+                        raise ParseError(f"{where}: second private location {lname!r}")
                     private = lname
                 elif flag == "final":
                     finals.add(lname)

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from concrete import build_run, classify_run, is_feasible, run_admits
 from conftest import (
     SOLVE_FIXTURES,
     edges_by_key,
@@ -21,7 +22,7 @@ from conftest import (
     random_ta,
     valuations_equivalent,
 )
-from etopaq import build_run, classify_run, msformat, prepare
+from etopaq import msformat, prepare
 from etopaq.beliefs import BOTTOM, BeliefSpace
 from etopaq.game import (
     Mode,
@@ -39,8 +40,6 @@ from etopaq.strategies import (
     UnitPlan,
     all_enabled,
     encountered_beliefs,
-    is_feasible,
-    run_admits,
 )
 
 A = frozenset({"a"})

@@ -267,11 +267,11 @@ def test_vacuous_opacity_through_dead_intervals():
     """When the controller can silence every run, all buckets go dead and
     the full verdict is vacuously SAT: time must keep counting through
     dead intervals."""
+    from concrete import nothing_enabled
     from conftest import mortal_ta
     from etopaq import prepare
     from etopaq.beliefs import BeliefSpace
     from etopaq.regions import RegionContext
-    from etopaq.strategies import nothing_enabled
 
     space = BeliefSpace(RegionContext(prepare(mortal_ta())))
     res = solve(space, Mode.FULL)

@@ -6,9 +6,13 @@ import time
 
 import pytest
 
+import concrete
+import etopaq
 from conftest import fixture_path, load_space, load_ta
-from etopaq import msformat, taformat
+from etopaq import dot, msformat, prepare, taformat
+from etopaq.beliefs import BeliefSpace
 from etopaq.cli import main
+from etopaq.regions import RegionContext
 from etopaq.strategies import MetaStrategy, UnitPlan
 
 ALL_TA_FIXTURES = (
@@ -23,6 +27,24 @@ ALL_TA_FIXTURES = (
     "minsky_inc_halt",
     "minsky_ifz_loop",
 )
+
+
+def test_public_surface_holds_what_the_commands_run():
+    """`from etopaq import *` resolves every name in `__all__`, and the
+    concrete semantics of tests/concrete.py is in no module of the package."""
+    namespace: dict = {}
+    exec("from etopaq import *", namespace)
+    assert len(set(etopaq.__all__)) == len(etopaq.__all__) == 30
+    assert set(etopaq.__all__) <= namespace.keys()
+    moved = {
+        name
+        for name, value in vars(concrete).items()
+        if getattr(value, "__module__", None) == concrete.__name__
+    }
+    assert {"TimedRun", "build_run", "run_admits", "is_feasible", "next_choice"} <= moved
+    for module in (etopaq, etopaq.ta, etopaq.strategies):
+        assert not moved & set(vars(module)), module.__name__
+    assert not hasattr(etopaq.strategies, "meta_of")
 
 
 def test_ta_round_trip_is_byte_identical(tmp_path):
@@ -53,6 +75,10 @@ def test_ta_parse_rejects_unknowns():
         taformat.parse(base + "  l0 -> lf via nope\n")
     with pytest.raises(taformat.ParseError):
         taformat.parse(base + "  l0 -> lf via a guard: y = 0\n")
+    with pytest.raises(taformat.ParseError, match="line 9"):
+        taformat.parse(base.replace("  lf final\n", "  lf final\n  l1 init private\n"))
+    with pytest.raises(taformat.ParseError, match="line 9"):
+        taformat.parse(base.replace("  lf final\n", "  lf final\n  l1 private\n"))
 
 
 def test_ta_silent_action_round_trip():
@@ -256,7 +282,7 @@ def test_cli_beliefs_pretty_names_every_belief(tmp_path):
     names = re.findall(r'^  "([^"]+)" \[shape=box', target.read_text(), re.M)
     assert len(names) == len(load_space("ta_counterex").explore().states) - 1
     assert len(set(names)) == len(names)
-    assert all(re.fullmatch(r"b(\d+|\(\d+,\d+\))'*", n) for n in names), names
+    assert all(re.fullmatch(r"b(\d+|\(\d+,\d+\))('(\d+)?)?", n) for n in names), names
 
 
 def test_cli_capped_exports_exit_indeterminate(tmp_path, capsys):
@@ -382,6 +408,17 @@ def test_cli_help_and_version_surface(capsys):
     out = capsys.readouterr().out
     for sub in ("check", "synthesize", "simulate", "verdict", "gen-minsky"):
         assert sub in out
+
+
+def test_pretty_belief_names_stay_short_in_a_large_depth_group():
+    """A depth group's rank i >= 2 is written b{k}'{i}, so names grow with
+    the digits of the rank, not with the rank itself."""
+    space = BeliefSpace(RegionContext(prepare(load_ta("minsky_halt"))))
+    graph = space.explore(include_dead=False, state_cap=2000)
+    names = dot.pretty_belief_names(graph)
+    assert len(names) == len(graph.states) > 1000
+    assert len(set(names.values())) == len(names)
+    assert max(map(len, names.values())) <= 16
 
 
 def test_cli_beliefs_pretty_names_two_clock(tmp_path):

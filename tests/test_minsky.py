@@ -36,6 +36,10 @@ def test_parse_machine_formats():
         parse_machine("INC C1")  # no HALT
     with pytest.raises(ValueError):
         parse_machine("IFZ C1 5 0\nHALT")  # target out of range
+    with pytest.raises(ValueError, match="line 1: trailing 'junk'"):
+        parse_machine("INC C1 junk\nHALT")
+    with pytest.raises(ValueError, match="line 2: trailing 'now'"):
+        parse_machine("INC C1\nHALT now")
 
 
 def test_halt_only_counts():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+from concrete import nothing_enabled
 from conftest import (
     SOLVE_FIXTURES,
     delay_steps,
@@ -24,7 +25,6 @@ from etopaq.strategies import (
     UnitPlan,
     all_enabled,
     encountered_beliefs,
-    nothing_enabled,
 )
 from etopaq.ta import SILENT_KIND, is_primed
 

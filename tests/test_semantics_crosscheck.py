@@ -9,20 +9,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from conftest import load_space, load_ta, random_metastrategy, random_ta, time_successor
-from etopaq import build_run, prepare
-from etopaq.beliefs import BeliefSpace
-from etopaq.oracle import oracle_buckets
-from etopaq.regions import RegionContext, region_of
-from etopaq.strategies import (
-    Bucket,
-    all_enabled,
-    encountered_beliefs,
+from concrete import (
+    StepError,
+    build_run,
+    initial_state,
     is_feasible,
     sample_strategy,
     sigma_compatible,
+    step_delay,
+    step_discrete,
 )
-from etopaq.ta import StepError, initial_state, is_primed, step_delay, step_discrete
+from conftest import load_space, load_ta, random_metastrategy, random_ta, time_successor
+from etopaq import prepare
+from etopaq.beliefs import BeliefSpace
+from etopaq.oracle import oracle_buckets
+from etopaq.regions import RegionContext, region_of
+from etopaq.strategies import Bucket, all_enabled, encountered_beliefs
+from etopaq.ta import is_primed
 
 
 def random_runs(ta, rng, count=30, steps=8):

@@ -6,29 +6,32 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import edges_by_key, load_ta
-from etopaq import (
-    add_tick_clock,
+from concrete import (
+    ConcreteStrategy,
+    Piece,
+    StepError,
     build_run,
     classify_run,
-    duplicate,
-    make_finals_urgent,
-    prepare,
-    sigma_compatible,
-    validate,
-)
-from etopaq.strategies import ConcreteStrategy, Piece
-from etopaq.ta import (
-    Atom,
-    Edge,
-    StepError,
-    TICK_CLOCK,
     initial_state,
-    is_primed,
-    prime,
+    sigma_compatible,
     step_delay,
     step_discrete,
     validate_run,
+)
+from conftest import edges_by_key, load_ta
+from etopaq import (
+    add_tick_clock,
+    duplicate,
+    make_finals_urgent,
+    prepare,
+    validate,
+)
+from etopaq.ta import (
+    Atom,
+    Edge,
+    TICK_CLOCK,
+    is_primed,
+    prime,
 )
 
 
