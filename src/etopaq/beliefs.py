@@ -13,15 +13,18 @@ intervals where no run survives.
 A belief is a frozenset of the dense region ids of the space's
 `RegionContext`; `BeliefSpace.regions_of` gives its `Region` objects.  The
 context answers each region's steps in ids; they are read once per region and
-kept as id tuples, split into free steps, controllable steps by action name,
+kept as id tuples, split into free steps, controllable steps by name bit,
 and the '0+'/'1' delay targets.
-The closure and the delay images run over these tables alone, and the leak
-predicates test a belief against the context's private- and public-final id
-sets.  `BeliefSpace.successors` gives each distinct successor of a belief
-once, computing one closure per class of enabled sets that agree on the
-controllable names able to fire.  `BeliefSpace.explore` walks the reachable
-belief graph with `graphs.bfs`; the dead belief needs no case of its own
-there, since every successor of it is itself.
+The one closure routine and the delay images run over these tables alone,
+and the leak predicates test a belief against the context's private- and
+public-final id sets.  `BeliefSpace.successors` gives each distinct
+successor of a belief once, with one closure per class of enabled sets that
+agree on the controllable names able to fire.  With two such names or more,
+the classes form a lattice: the closure under no name records the steps its
+disabled names were blocked from, and each larger class grows from the class
+one name smaller, walking only what that name adds.  `BeliefSpace.explore`
+walks the reachable belief graph with `graphs.bfs`; the dead belief needs no
+case of its own there, since every successor of it is itself.
 """
 from __future__ import annotations
 
@@ -85,7 +88,7 @@ class BeliefSpace:
     def _moves_of(self, rid: int) -> tuple:
         """Region ``rid``'s one-step moves as ids, built once:
         (steps free inside an interval, steps free at the initial instant,
-        ((controllable name, steps), ...), '0+' delay targets, '1' delay
+        ((controllable name bit, steps), ...), '0+' delay targets, '1' delay
         targets, bit mask of those controllable names).  Free steps are the
         silent and uncontrollable ones; inside an interval, off-integer
         delays are free too."""
@@ -94,12 +97,12 @@ class BeliefSpace:
             return moves
         ctx = self.ctx
         free: list[int] = []
-        by_name: dict[str, list[int]] = {}
+        by_bit: dict[int, list[int]] = {}
         for action, j in ctx.discrete_steps(rid):
             if action.kind == SILENT_KIND or action.name in self.uncontrollable:
                 free.append(j)
             else:
-                by_name.setdefault(action.name, []).append(j)
+                by_bit.setdefault(self._bit[action.name], []).append(j)
         delay0p: list[int] = []
         delay1: list[int] = []
         for tag, j in ctx.delay_steps(rid):
@@ -107,21 +110,33 @@ class BeliefSpace:
         moves = (
             tuple(free + [j for j in delay0p if j != rid]),
             tuple(free),
-            tuple((name, tuple(js)) for name, js in by_name.items()),
+            tuple((bit, tuple(js)) for bit, js in by_bit.items()),
             tuple(delay0p),
             tuple(delay1),
-            sum(self._bit.get(name, 0) for name in by_name),
+            sum(by_bit),
         )
         self._moves[rid] = moves
         return moves
 
-    def _closure(self, seen: set[int], enabled: frozenset[str], at_initial: bool) -> Belief:
+    def _closure(
+        self,
+        seen: set[int],
+        enabled: int,
+        at_initial: bool,
+        todo: list[int] | None = None,
+        blocked: dict[int, list[tuple[int, ...]]] | None = None,
+    ) -> Belief:
         """Zero-time closure of the region ids in ``seen`` (grown in place):
-        free steps plus the discrete steps of enabled controllable actions,
-        with off-integer delays unless ``at_initial``."""
+        free steps plus the discrete steps of the controllable names in the
+        bit mask ``enabled``, with off-integer delays unless ``at_initial``.
+        Only the ids in ``todo`` (all of ``seen`` by default) and what they
+        reach are walked, so ``seen`` may already hold a closure.  Given
+        ``blocked``, the targets of every walked step whose name is not
+        enabled are recorded there by name bit."""
         free = 1 if at_initial else 0
         table = self._moves
-        todo = list(seen)
+        if todo is None:
+            todo = list(seen)
         while todo:
             i = todo.pop()
             moves = table.get(i) or self._moves_of(i)
@@ -129,13 +144,26 @@ class BeliefSpace:
                 if j not in seen:
                     seen.add(j)
                     todo.append(j)
-            for name, js in moves[2]:
-                if name in enabled:
+            for bit, js in moves[2]:
+                if bit & enabled:
                     for j in js:
                         if j not in seen:
                             seen.add(j)
                             todo.append(j)
+                elif blocked is not None:
+                    blocked.setdefault(bit, []).append(js)
         return frozenset(seen)
+
+    def _seed(self, belief: object, tick: str) -> set[int]:
+        """The region ids that the step out of ``belief`` under ``tick``
+        closes over."""
+        if belief is BOTTOM:
+            if tick != "0":
+                raise ValueError("only the initial zero-time choice leaves bottom")
+            return {self._init_id}
+        if tick in TICKS:
+            return self._delay_image(belief, tick)
+        raise ValueError(f"bad tick {tick!r}")
 
     def _delay_image(self, belief: Belief, tick: str) -> set[int]:
         """Ids of the ``tick`` delay targets of the belief's regions.  The
@@ -165,15 +193,10 @@ class BeliefSpace:
         key = (belief, tick, enabled)
         cached = self._succ.get(key)
         if cached is None:
-            if belief is BOTTOM:
-                if tick != "0":
-                    raise ValueError("only the initial zero-time choice leaves bottom")
-                seed = {self._init_id}
-            elif tick in TICKS:
-                seed = self._delay_image(belief, tick)
-            else:
-                raise ValueError(f"bad tick {tick!r}")
-            cached = self._closure(seed, enabled, at_initial=belief is BOTTOM)
+            bit, mask = self._bit, 0
+            for name in enabled:
+                mask |= bit.get(name, 0)
+            cached = self._closure(self._seed(belief, tick), mask, belief is BOTTOM)
             self._succ[key] = cached
         return cached
 
@@ -186,7 +209,9 @@ class BeliefSpace:
         the names T with a step from one of its regions can fire under any
         enabled set e (closures grow with e), so the closure under e is the
         closure under e ∩ T: one closure per distinct e ∩ T, asked for with
-        the `enabled_sets()` object equal to it."""
+        the `enabled_sets()` object equal to it.  With two names or more in
+        T, `_grow_classes` caches the classes below T first, each grown
+        from a smaller one."""
         subsets = self.enabled_sets()
         table = self._moves
         full = self.successor(belief, tick, subsets[-1])
@@ -194,6 +219,10 @@ class BeliefSpace:
         for i in full:
             relevant |= table[i][5]
         by_mask = self._by_mask
+        # the lattice caches ∅ with every other class, so it runs once per
+        # (belief, tick) however often the game asks
+        if relevant & (relevant - 1) and (belief, tick, by_mask[0]) not in self._succ:
+            self._grow_classes(belief, tick, relevant)
         out: list[tuple[frozenset[str], Belief]] = []
         classes: set[int] = set()
         found: set[Belief] = set()
@@ -206,6 +235,44 @@ class BeliefSpace:
                     found.add(b)
                     out.append((e, b))
         return out
+
+    def _grow_classes(self, belief: object, tick: str, relevant: int) -> None:
+        """Cache the closure under every class of names c ⊊ ``relevant``
+        (bit masks).  The class ∅ is closed from the seed.  Any other c is
+        grown from the closure under c′, c without its lowest name n: from
+        the targets of the n-steps blocked in c′, walking only the regions
+        that c′ lacks.  Closures are monotone and idempotent, so this is the
+        closure of the seed under c."""
+        at_initial = belief is BOTTOM
+        succ, by_mask = self._succ, self._by_mask
+        blocked: dict[int, list[tuple[int, ...]]] | None = {}
+        base = self._closure(self._seed(belief, tick), 0, at_initial, blocked=blocked)
+        succ.setdefault((belief, tick, by_mask[0]), base)
+        grown = [(0, base, blocked)]
+        # adding names from the highest down, each class's parent comes first
+        for k in reversed(range(relevant.bit_length())):
+            bit = 1 << k
+            if not relevant & bit:
+                continue
+            below = relevant & (bit - 1)  # the names that classes grown from these add
+            for cls, parent, parent_blocked in list(grown):
+                cls |= bit
+                if cls == relevant:
+                    continue  # the closure under every name is known
+                # record the blocked steps only if a class short of ``relevant`` grows from cls
+                blocked = {} if below & (below - 1) or below and cls | below != relevant else None
+                todo = [j for js in parent_blocked.get(bit, ()) for j in js if j not in parent]
+                if todo:
+                    seen = set(parent)
+                    seen.update(todo)
+                    parent = self._closure(seen, cls, at_initial, todo, blocked)
+                succ.setdefault((belief, tick, by_mask[cls]), parent)
+                if blocked is not None:
+                    for m, js in parent_blocked.items():
+                        if m < bit:
+                            mine = blocked.get(m)
+                            blocked[m] = js + mine if mine else js
+                    grown.append((cls, parent, blocked))
 
     def regions_of(self, belief: Belief) -> frozenset[Region]:
         """The belief's `Region` objects."""

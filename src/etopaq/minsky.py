@@ -60,21 +60,30 @@ class MinskyMachine:
         if not self.commands or not isinstance(self.commands[-1], Halt):
             raise ValueError("machine must end with HALT")
         for i, c in enumerate(self.commands):
-            if isinstance(c, Halt) and i != len(self.commands) - 1:
-                raise ValueError("HALT only as the last command")
-            if isinstance(c, (Inc, Dec)) and c.counter not in COUNTERS:
-                raise ValueError(f"unknown counter in command {i}")
-            if isinstance(c, IfZero):
-                if c.counter not in COUNTERS:
-                    raise ValueError(f"unknown counter in command {i}")
-                for tgt in (c.goto_zero, c.goto_nonzero):
-                    if not 0 <= tgt < len(self.commands):
-                        raise ValueError(f"goto target {tgt} out of range")
+            problem = _command_problem(c, i, len(self.commands))
+            if problem:
+                raise ValueError(f"command {i}: {problem}")
+
+
+def _command_problem(c: Command, i: int, count: int) -> str:
+    """Why ``c`` cannot be command ``i`` of a ``count``-command machine, or
+    "" when it can."""
+    if isinstance(c, Halt):
+        return "" if i == count - 1 else "HALT only as the last command"
+    if c.counter not in COUNTERS:
+        return f"unknown counter {c.counter!r}"
+    if isinstance(c, IfZero):
+        for tgt in (c.goto_zero, c.goto_nonzero):
+            if not 0 <= tgt < count:
+                return f"goto target {tgt} out of range"
+    return ""
 
 
 def parse_machine(text: str) -> MinskyMachine:
-    """One command per line: INC C1 / DEC C2 / IFZ C1 <zero> <nonzero> / HALT."""
+    """One command per line: INC C1 / DEC C2 / IFZ C1 <zero> <nonzero> / HALT.
+    Errors name the source line."""
     commands: list[Command] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,6 +105,11 @@ def parse_machine(text: str) -> MinskyMachine:
                 commands.append(Halt())
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        lines.append(lineno)
+    for i, (lineno, c) in enumerate(zip(lines, commands)):
+        problem = _command_problem(c, i, len(commands))
+        if problem:
+            raise ValueError(f"line {lineno}: {problem}")
     return MinskyMachine(tuple(commands))
 
 

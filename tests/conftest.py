@@ -171,6 +171,54 @@ def random_ta(rng: random.Random, name: str = "rand") -> TimedAutomaton:
     return ta
 
 
+def chained_ta(rng: random.Random, name: str = "chain") -> TimedAutomaton:
+    """A small automaton with three or four controllable names whose steps
+    chain: an unguarded path from the initial location takes each name once,
+    in a random order, so one name's step leads to where another name fires.
+    A few random edges as in `random_ta` ride along; finals made urgent."""
+    names = list("abcd"[: rng.randint(3, 4)])
+    actions = (Action("u", UNCONTROLLABLE),) + tuple(Action(c, CONTROLLABLE) for c in names)
+    by_name = {a.name: a for a in actions}
+    rng.shuffle(names)
+    mids = [f"m{i}" for i in range(len(names) - 1)]
+    locations = ["l0", "lp", "lf"] + mids
+    n_clocks = rng.randint(1, 2)
+    clocks = tuple(Clock(i, "xy"[i]) for i in range(n_clocks))
+    path = ["l0", *mids, rng.choice(("lp", "lf"))]
+    edges = [
+        Edge(src, (), by_name[a], frozenset(i for i in range(n_clocks) if rng.random() < 0.3), tgt)
+        for src, tgt, a in zip(path, path[1:], names)
+    ]
+    sources = ["l0", "lp", *mids]
+    for _ in range(rng.randint(2, 5)):
+        guard = tuple(
+            Atom(rng.randrange(n_clocks), rng.choice(("<", "<=", "=", ">=", ">")), rng.randint(0, 2))
+            for _ in range(rng.randint(0, 2))
+        )
+        resets = frozenset(i for i in range(n_clocks) if rng.random() < 0.3)
+        action = by_name[rng.choice(("u", *names))]
+        edges.append(Edge(rng.choice(sources), guard, action, resets, rng.choice(locations)))
+    invariants = {
+        loc: (Atom(rng.randrange(n_clocks), "<=", rng.randint(1, 2)),)
+        for loc in sources
+        if rng.random() < 0.3
+    }
+    ta = TimedAutomaton(
+        name=name,
+        actions=actions,
+        locations=tuple(locations),
+        invariants=invariants,
+        init="l0",
+        private="lp",
+        finals=frozenset({"lf"}),
+        clocks=clocks,
+        edges=tuple(edges),
+    )
+    ta = make_finals_urgent(ta)
+    assert validate(ta) == []
+    return ta
+
+
 def mortal_ta() -> TimedAutomaton:
     """One-shot automaton: the initial location's invariant kills every run
     at time 1, so beliefs go dead afterwards."""

@@ -438,13 +438,15 @@ def test_closure_matches_reference_on_random_automata():
 # --- one successor per distinct belief against every enabled set --------------
 
 
-def _assert_successors_dedup(space, state_cap=None) -> int:
+def _assert_successors_dedup(space, state_cap=None) -> tuple[int, int]:
     """On every belief reachable within ``state_cap``, `successors` equals
     the first-seen dedup of `successor` (or `initial`) over every enabled
     set, as computed by a second space over the same regions, the one that
-    explores; returns the number of beliefs checked."""
+    explores; returns the number of beliefs checked and the most distinct
+    successors of one belief under one tick."""
     ref = BeliefSpace(space.ctx)
     beliefs = ref.explore(include_dead=True, state_cap=state_cap).states
+    widest = 0
     for b in beliefs:
         for tick in ("0",) if b is BOTTOM else ("0+", "1"):
             expected: dict = {}
@@ -454,13 +456,14 @@ def _assert_successors_dedup(space, state_cap=None) -> int:
             got = space.successors(b, tick)
             assert len({b2 for _, b2 in got}) == len(got), "duplicate belief"
             assert got == [(e, b2) for b2, e in expected.items()], tick
-    return len(beliefs)
+            widest = max(widest, len(got))
+    return len(beliefs), widest
 
 
 def test_successors_match_every_enabled_set_on_paper_fixtures():
     for name in PAPER_FIXTURES:
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        assert _assert_successors_dedup(space) > 1, name
+        assert _assert_successors_dedup(space)[0] > 1, name
 
 
 def test_successors_match_every_enabled_set_on_random_automata():
@@ -469,10 +472,26 @@ def test_successors_match_every_enabled_set_on_random_automata():
     rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
     for i in range(50):
         space = BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"succ{i}"))))
-        assert _assert_successors_dedup(space) > 1
+        assert _assert_successors_dedup(space)[0] > 1
+
+
+def test_successors_match_every_enabled_set_on_chained_names():
+    """Three or four controllable names whose steps chain, so that classes
+    of two names or more are grown from smaller ones, some through regions
+    that only a smaller class reaches."""
+    from conftest import chained_ta
+
+    rng = random.Random(20261018)
+    wide = 0
+    for i in range(40):
+        space = BeliefSpace(RegionContext(prepare(chained_ta(rng, name=f"chain{i}"))))
+        checked, widest = _assert_successors_dedup(space, state_cap=60)
+        assert checked > 1
+        wide += widest > 4  # more distinct successors than two names can make
+    assert wide >= 30
 
 
 def test_successors_match_every_enabled_set_on_minsky_gadgets():
     for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        assert _assert_successors_dedup(space, state_cap=300) > 300, name
+        assert _assert_successors_dedup(space, state_cap=300)[0] > 300, name

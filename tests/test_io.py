@@ -442,6 +442,19 @@ def test_cli_stats_line_on_indeterminate(capsys):
     assert stats["peak_rss_mb"] > 0
 
 
+def test_cli_stats_pin_the_gadgets_game_size(capsys):
+    """The three weak-mode gadgets at cap 2000: every class closure of the
+    256-way branching is cached once, however it is computed."""
+    for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
+        code = main(
+            ["check", fx(f"{name}.ta"), "--mode", "weak", "--state-cap", "2000", "--stats"]
+        )
+        assert code == 2, name
+        stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        got = (stats["states"], stats["edges"], stats["belief_successors"])
+        assert got == (2001, 2048, 2048), name
+
+
 def test_cli_stats_line_without_a_game(tmp_path, capsys):
     phi = tmp_path / "phi.msf"
     msformat.save(MetaStrategy((), (UnitPlan(frozenset({"a"}), (frozenset({"a"}),)),)), str(phi))

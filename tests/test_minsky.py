@@ -30,12 +30,17 @@ def test_parse_machine_formats():
     assert m.commands[0] == Inc("C1")
     assert isinstance(m.commands[2], IfZero)
     assert m.commands[2].goto_zero == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 1: unknown counter 'C3'"):
         parse_machine("INC C3\nHALT")
     with pytest.raises(ValueError):
         parse_machine("INC C1")  # no HALT
-    with pytest.raises(ValueError):
-        parse_machine("IFZ C1 5 0\nHALT")  # target out of range
+    with pytest.raises(ValueError, match="line 1: goto target 5 out of range"):
+        parse_machine("IFZ C1 5 0\nHALT")
+    # comments and blank lines count as lines, not as commands
+    with pytest.raises(ValueError, match="line 4: goto target 7 out of range"):
+        parse_machine("# loop\nINC C1\n\nIFZ C1 0 7\nHALT")
+    with pytest.raises(ValueError, match="line 3: HALT only as the last command"):
+        parse_machine("INC C1  # one\n\nHALT\nINC C2\nHALT")
     with pytest.raises(ValueError, match="line 1: trailing 'junk'"):
         parse_machine("INC C1 junk\nHALT")
     with pytest.raises(ValueError, match="line 2: trailing 'now'"):
