@@ -20,9 +20,9 @@ and the leak predicates test a belief against the context's private- and
 public-final id sets.  `BeliefSpace.successors` gives each distinct
 successor of a belief once, with one closure per class of enabled sets that
 agree on the controllable names able to fire.  With two such names or more,
-the classes form a lattice: the closure under no name records the steps its
-disabled names were blocked from, and each larger class grows from the class
-one name smaller, walking only what that name adds.  `BeliefSpace.explore`
+the classes form a lattice: each class grows from the class one name smaller,
+seeded with that name's steps out of it, which an index of the closure under
+every name holds, and walks only the regions they add.  `BeliefSpace.explore`
 walks the reachable belief graph with `graphs.bfs`; the dead belief needs no
 case of its own there, since every successor of it is itself.
 """
@@ -119,20 +119,13 @@ class BeliefSpace:
         return moves
 
     def _closure(
-        self,
-        seen: set[int],
-        enabled: int,
-        at_initial: bool,
-        todo: list[int] | None = None,
-        blocked: dict[int, list[tuple[int, ...]]] | None = None,
+        self, seen: set[int], enabled: int, at_initial: bool, todo: list[int] | None = None
     ) -> Belief:
         """Zero-time closure of the region ids in ``seen`` (grown in place):
         free steps plus the discrete steps of the controllable names in the
         bit mask ``enabled``, with off-integer delays unless ``at_initial``.
         Only the ids in ``todo`` (all of ``seen`` by default) and what they
-        reach are walked, so ``seen`` may already hold a closure.  Given
-        ``blocked``, the targets of every walked step whose name is not
-        enabled are recorded there by name bit."""
+        reach are walked, so ``seen`` may already hold a closure."""
         free = 1 if at_initial else 0
         table = self._moves
         if todo is None:
@@ -150,8 +143,6 @@ class BeliefSpace:
                         if j not in seen:
                             seen.add(j)
                             todo.append(j)
-                elif blocked is not None:
-                    blocked.setdefault(bit, []).append(js)
         return frozenset(seen)
 
     def _seed(self, belief: object, tick: str) -> set[int]:
@@ -211,7 +202,8 @@ class BeliefSpace:
         closure under e ∩ T: one closure per distinct e ∩ T, asked for with
         the `enabled_sets()` object equal to it.  With two names or more in
         T, `_grow_classes` caches the classes below T first, each grown
-        from a smaller one."""
+        from the class one name smaller with the steps that the closure
+        under every name indexes."""
         subsets = self.enabled_sets()
         table = self._moves
         full = self.successor(belief, tick, subsets[-1])
@@ -222,7 +214,7 @@ class BeliefSpace:
         # the lattice caches ∅ with every other class, so it runs once per
         # (belief, tick) however often the game asks
         if relevant & (relevant - 1) and (belief, tick, by_mask[0]) not in self._succ:
-            self._grow_classes(belief, tick, relevant)
+            self._grow_classes(belief, tick, full, relevant)
         out: list[tuple[frozenset[str], Belief]] = []
         classes: set[int] = set()
         found: set[Belief] = set()
@@ -236,43 +228,35 @@ class BeliefSpace:
                     out.append((e, b))
         return out
 
-    def _grow_classes(self, belief: object, tick: str, relevant: int) -> None:
+    def _grow_classes(self, belief: object, tick: str, full: Belief, relevant: int) -> None:
         """Cache the closure under every class of names c ⊊ ``relevant``
         (bit masks).  The class ∅ is closed from the seed.  Any other c is
         grown from the closure under c′, c without its lowest name n: from
-        the targets of the n-steps blocked in c′, walking only the regions
-        that c′ lacks.  Closures are monotone and idempotent, so this is the
-        closure of the seed under c."""
+        the targets of the n-steps of c′'s regions, walking only the regions
+        that c′ lacks.  ``full``, the closure under every name, holds every
+        class's regions, so one index of its controllable steps by name bit
+        serves every parent.  Classes come in increasing order, so c′ is
+        cached before c.  Closures are monotone and idempotent, so this is
+        the closure of the seed under c."""
         at_initial = belief is BOTTOM
-        succ, by_mask = self._succ, self._by_mask
-        blocked: dict[int, list[tuple[int, ...]]] | None = {}
-        base = self._closure(self._seed(belief, tick), 0, at_initial, blocked=blocked)
+        succ, by_mask, table = self._succ, self._by_mask, self._moves
+        steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for i in full:
+            for bit, js in table[i][2]:
+                steps.setdefault(bit, []).append((i, js))
+        base = self._closure(self._seed(belief, tick), 0, at_initial)
         succ.setdefault((belief, tick, by_mask[0]), base)
-        grown = [(0, base, blocked)]
-        # adding names from the highest down, each class's parent comes first
-        for k in reversed(range(relevant.bit_length())):
-            bit = 1 << k
-            if not relevant & bit:
-                continue
-            below = relevant & (bit - 1)  # the names that classes grown from these add
-            for cls, parent, parent_blocked in list(grown):
-                cls |= bit
-                if cls == relevant:
-                    continue  # the closure under every name is known
-                # record the blocked steps only if a class short of ``relevant`` grows from cls
-                blocked = {} if below & (below - 1) or below and cls | below != relevant else None
-                todo = [j for js in parent_blocked.get(bit, ()) for j in js if j not in parent]
-                if todo:
-                    seen = set(parent)
-                    seen.update(todo)
-                    parent = self._closure(seen, cls, at_initial, todo, blocked)
-                succ.setdefault((belief, tick, by_mask[cls]), parent)
-                if blocked is not None:
-                    for m, js in parent_blocked.items():
-                        if m < bit:
-                            mine = blocked.get(m)
-                            blocked[m] = js + mine if mine else js
-                    grown.append((cls, parent, blocked))
+        cls = relevant & -relevant  # the lowest name alone: the class after ∅
+        while cls != relevant:
+            parent = succ[belief, tick, by_mask[cls & (cls - 1)]]
+            n_steps = steps.get(cls & -cls, ())  # n is the lowest name of cls
+            todo = [j for i, js in n_steps if i in parent for j in js if j not in parent]
+            if todo:
+                seen = set(parent)
+                seen.update(todo)
+                parent = self._closure(seen, cls, at_initial, todo)
+            succ.setdefault((belief, tick, by_mask[cls]), parent)
+            cls = (cls - relevant) & relevant  # the next submask of ``relevant``
 
     def regions_of(self, belief: Belief) -> frozenset[Region]:
         """The belief's `Region` objects."""

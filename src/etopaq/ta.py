@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from types import MappingProxyType
 from typing import Mapping
 
@@ -147,7 +148,8 @@ def validate(ta: TimedAutomaton) -> list[Violation]:
 
     Finals must have no outgoing edges (tick self-loops excepted on augmented
     automata) and be urgent: some clock is reset on every edge into a final
-    and pinned to 0 by the final's invariant.
+    and pinned to 0 by the final's invariant.  Before duplication no location
+    name may end in the prime suffix, which marks the private copy.
     """
     out: list[Violation] = []
     locs = set(ta.locations)
@@ -168,6 +170,10 @@ def validate(ta: TimedAutomaton) -> list[Violation]:
     for f in ta.finals:
         if f not in locs:
             out.append(Violation("missing-final", f))
+    if not ta.is_duplicated:  # the private copy's names are made by `duplicate`
+        for loc in ta.locations:
+            if is_primed(loc):
+                out.append(Violation("reserved-location-suffix", loc))
     for a in ta.actions:
         if a.kind == SILENT_KIND:
             out.append(Violation("silent-in-alphabet", a.name))
@@ -226,14 +232,16 @@ def _check_tick_shape(ta: TimedAutomaton) -> list[Violation]:
     return out
 
 
-def make_finals_urgent(ta: TimedAutomaton, clock_name: str = "w") -> TimedAutomaton:
-    """Adds a fresh clock, reset on every edge into a final and pinned to 0
-    by each final's invariant, so that time cannot elapse in final locations.
+def make_finals_urgent(ta: TimedAutomaton) -> TimedAutomaton:
+    """Adds a fresh clock, the first of ``w``, ``w1``, ``w2``, ... that the
+    automaton does not declare, reset on every edge into a final and pinned
+    to 0 by each final's invariant, so that time cannot elapse in final
+    locations.
     """
-    if any(c.name == clock_name for c in ta.clocks):
-        raise ValueError(f"clock {clock_name!r} already declared")
+    taken = {c.name for c in ta.clocks}
+    name = next(n for n in (f"w{k}" if k else "w" for k in count()) if n not in taken)
     idx = len(ta.clocks)
-    clocks = ta.clocks + (Clock(idx, clock_name),)
+    clocks = ta.clocks + (Clock(idx, name),)
     edges = tuple(
         replace(e, resets=e.resets | {idx}) if e.target in ta.finals else e
         for e in ta.edges

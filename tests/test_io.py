@@ -245,6 +245,12 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     bad.write_text("ta nope\nclocks: x\n")
     assert main(["check", str(bad), "--mode", "full"]) == 64
     assert main(["check", str(tmp_path / "missing.ta"), "--mode", "full"]) == 64
+    # ``^p`` marks the private copy: ta1 with ``lf`` renamed ``lf^p`` would
+    # read its public final as private (UNSAT in weak mode, where ta1 is SAT)
+    primed = tmp_path / "primed.ta"
+    primed.write_text(re.sub(r"\blf\b", "lf^p", fixture_path("ta1.ta").read_text()))
+    assert main(["check", str(primed), "--mode", "weak"]) == 64
+    assert "reserved-location-suffix(lf^p)" in capsys.readouterr().err
 
 
 def test_cli_non_urgent_final_hint(tmp_path, capsys):
@@ -258,6 +264,16 @@ def test_cli_non_urgent_final_hint(tmp_path, capsys):
     assert main(["check", str(f), "--mode", "full"]) == 64
     assert "--make-finals-urgent" in capsys.readouterr().err
     assert main(["check", str(f), "--mode", "full", "--make-finals-urgent"]) in (0, 1)
+    # ta1 declares w: without its final's pin the flag adds w1 and restores
+    # ta1's verdicts and witness
+    f.write_text(fixture_path("ta1.ta").read_text().replace(" invariant: w = 0", ""))
+    assert main(["check", str(f), "--mode", "weak"]) == 64
+    assert "--make-finals-urgent" in capsys.readouterr().err
+    assert main(["check", fx("ta1.ta"), "--mode", "weak"]) == 0
+    want = capsys.readouterr().out
+    assert main(["check", str(f), "--mode", "weak", "--make-finals-urgent"]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["check", str(f), "--mode", "full", "--make-finals-urgent"]) == 1
 
 
 def test_cli_dot_exports(tmp_path):
@@ -443,16 +459,18 @@ def test_cli_stats_line_on_indeterminate(capsys):
 
 
 def test_cli_stats_pin_the_gadgets_game_size(capsys):
-    """The three weak-mode gadgets at cap 2000: every class closure of the
-    256-way branching is cached once, however it is computed."""
-    for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
-        code = main(
-            ["check", fx(f"{name}.ta"), "--mode", "weak", "--state-cap", "2000", "--stats"]
-        )
-        assert code == 2, name
-        stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        got = (stats["states"], stats["edges"], stats["belief_successors"])
-        assert got == (2001, 2048, 2048), name
+    """The three weak-mode gadgets at caps 2000 and 20000: every class
+    closure of the 256-way branching is cached once, however it is
+    computed."""
+    for cap, want in ((2000, (2001, 2048, 2048)), (20000, (20001, 20224, 20224))):
+        for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
+            code = main(
+                ["check", fx(f"{name}.ta"), "--mode", "weak", "--state-cap", str(cap), "--stats"]
+            )
+            assert code == 2, (name, cap)
+            stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            got = (stats["states"], stats["edges"], stats["belief_successors"])
+            assert got == want, (name, cap)
 
 
 def test_cli_stats_line_without_a_game(tmp_path, capsys):

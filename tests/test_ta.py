@@ -67,7 +67,9 @@ def test_make_finals_urgent_restores_validity():
     ta = load_ta("ta1")
     inv = {loc: () for loc in ta.finals}
     broken = replace(ta, invariants={**dict(ta.invariants), **inv})
-    assert validate(make_finals_urgent(broken, clock_name="w2")) == []
+    urgent = make_finals_urgent(broken)
+    assert validate(urgent) == []
+    assert urgent.clocks[-1].name == "w1"  # ta1 declares w
 
 
 def test_add_tick_clock_shape():
