@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .graphs import bfs
 from .regions import Region, RegionContext, encode
-from .ta import SILENT_KIND
+from .ta import SILENT
 
 Belief = frozenset  # frozenset[int]: ids into the context's `regions`
 
@@ -55,6 +55,7 @@ class BeliefSpace:
         self.controllable = tuple(sorted(ctx.ta.controllable))
         self.uncontrollable = frozenset(ctx.ta.uncontrollable)
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
+        self._bit.update(dict.fromkeys((SILENT.name, *self.uncontrollable), 0))  # free names
         self._succ: dict[tuple[object, str, frozenset[str]], Belief] = {}
         self._subsets: tuple[frozenset[str], ...] | None = None
         self._masks: tuple[int, ...] = ()  # parallel to `_subsets`
@@ -89,20 +90,17 @@ class BeliefSpace:
         """Region ``rid``'s one-step moves as ids, built once:
         (steps free inside an interval, steps free at the initial instant,
         ((controllable name bit, steps), ...), '0+' delay targets, '1' delay
-        targets, bit mask of those controllable names).  Free steps are the
-        silent and uncontrollable ones; inside an interval, off-integer
-        delays are free too."""
+        targets, bit mask of those controllable names).  ``_bit`` sorts the
+        steps by action name; the silent and uncontrollable ones map to 0,
+        free; inside an interval, off-integer delays are free too."""
         moves = self._moves.get(rid)
         if moves is not None:
             return moves
-        ctx = self.ctx
-        free: list[int] = []
-        by_bit: dict[int, list[int]] = {}
+        ctx, bit_of = self.ctx, self._bit
+        by_bit: dict[int, list[int]] = {}  # name bit -> targets, 0 for the free steps
         for action, j in ctx.discrete_steps(rid):
-            if action.kind == SILENT_KIND or action.name in self.uncontrollable:
-                free.append(j)
-            else:
-                by_bit.setdefault(self._bit[action.name], []).append(j)
+            by_bit.setdefault(bit_of[action.name], []).append(j)
+        free = by_bit.pop(0, [])
         delay0p: list[int] = []
         delay1: list[int] = []
         for tag, j in ctx.delay_steps(rid):
@@ -110,7 +108,7 @@ class BeliefSpace:
         moves = (
             tuple(free + [j for j in delay0p if j != rid]),
             tuple(free),
-            tuple((bit, tuple(js)) for bit, js in by_bit.items()),
+            tuple([(bit, tuple(js)) for bit, js in by_bit.items()]),
             tuple(delay0p),
             tuple(delay1),
             sum(by_bit),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .beliefs import BOTTOM, DEAD, Belief, BeliefSpace
 from .graphs import Adjacency, Tree, bfs, path_to
@@ -35,8 +36,9 @@ from .strategies import (
 DEFAULT_STATE_CAP = 200_000
 
 
-@dataclass(frozen=True, slots=True)
-class GameState:
+class GameState(NamedTuple):
+    """A tuple, so that building, hashing and comparing one runs in C."""
+
     current: object  # Belief or BOTTOM
     accumulated: Belief
     at_integer: bool

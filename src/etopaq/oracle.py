@@ -87,15 +87,16 @@ def oracle_buckets(
     unc = ta.uncontrollable
     private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
     public = ta.finals - private
-    regions = ctx.regions
+    locations = ctx.locations
 
     def step(frontier: frozenset[int], tick: str, enabled: frozenset[str]) -> frozenset[int]:
         return _closure(ctx, _delay_image(ctx, frontier, tick), enabled, unc, True)
 
     def flags(bucket: Bucket, ids: frozenset[int]) -> BucketFlags:
-        locations = {regions[i].location for i in ids}
+        """From the ids' locations as the kernel keeps them: no `Region` is built."""
+        reached = {locations[i] for i in ids}
         return BucketFlags(
-            bucket, not private.isdisjoint(locations), not public.isdisjoint(locations)
+            bucket, not private.isdisjoint(reached), not public.isdisjoint(reached)
         )
 
     start = _closure(

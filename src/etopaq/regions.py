@@ -7,21 +7,22 @@ how the fractional part of the tick clock moved: '0' (discrete step), '0+'
 (delay staying off integers), '1' (delay entering or leaving an integer
 instant).
 
-A `RegionContext` interns the regions it meets: each gets one canonical
-object and a dense int id, in order of first sight, and the ids of final
-regions are sorted into private and public sets as they are interned.  Its
-steps speak ids: `delay_steps(i)` and `discrete_steps(i)` take a region id
-and return (tag, id) and (action, id) pairs, and `regions[i]` gives the
-`Region` object for rendering and tests.  Its successor kernel works on
-clock parts, a region's (ints, zero, pos) without its location.  Each clock
-part is interned once with its half-unit clock codes: 2n for a clock on the
-integer n, 2n+1 inside (n, n+1), 2·cmax+1 above the clock's max constant.
-A location's guards and invariants compile, on the first region expanded
-there, into (clock, lo, hi) range tests over these codes; an edge's test also
-covers the target invariant, decided outright on the clocks the edge resets.
-The time successor of a clock part is computed once whatever the location,
-and each region is expanded once into both its delay and its discrete steps,
-in no particular order, kept in a list indexed by id.
+A `RegionContext` interns the regions it meets as (location, clock part)
+pairs, each with a dense int id in order of first sight and no object; final
+ids go into private and public sets by their location's side.  Its steps speak
+ids: `delay_steps(i)` and `discrete_steps(i)` take a region id and return
+(tag, id) and (action, id) pairs; `locations[i]` is the region's location, and
+`regions[i]` the `Region` object, built on its first read for rendering and
+tests.  Its successor kernel works on clock parts, a region's (ints, zero,
+pos) without its location.  Each clock part is interned once with its
+half-unit clock codes: 2n for a clock on the integer n, 2n+1 inside (n, n+1),
+2·cmax+1 above the clock's max constant.  A location's guards and invariants
+compile, on the first region expanded there, into (clock, lo, hi) range tests
+over these codes; an edge's test also covers the target invariant, decided
+outright on the clocks the edge resets.  The time successor of a clock part is
+computed once whatever the location, and each region is expanded once into
+both its delay and its discrete steps, in no particular order, kept in a list
+indexed by id.
 """
 from __future__ import annotations
 
@@ -102,14 +103,32 @@ def _compile_atoms(atoms: Sequence[Atom], cmax: Sequence[int]) -> Ranges | None:
     return tuple((c, lo, hi) for c, (lo, hi) in sorted(box.items()))
 
 
+class _Regions:
+    """A context's id -> `Region` view, each built on its first read and kept.  It
+    holds the context's tables, never the context, so no cycle outlives a query."""
+
+    def __init__(self, locations: list[str], part_of: list[int], parts: list[tuple]):
+        self._locations, self._part_of, self._parts, self._built = locations, part_of, parts, {}
+
+    def __len__(self) -> int:
+        return len(self._locations)
+
+    def __getitem__(self, rid: int) -> Region:
+        if rid not in self._built:  # negative ids count from the end; past it, IndexError
+            rid = range(len(self._locations))[rid]
+            if rid not in self._built:
+                self._built[rid] = Region(self._locations[rid], *self._parts[self._part_of[rid]])
+        return self._built[rid]
+
+
 class RegionContext:
     """Successor queries over the regions of a duplicated, tick-augmented
     automaton, computed once per region.
 
     Steps are answered in region ids; ``intern(r)`` is the id of ``r``, and
     ``regions[intern(r)]`` the one canonical object equal to it.
-    ``private_finals`` and ``public_finals`` hold the ids of the interned
-    final regions by side of the duplication.
+    ``locations[i]`` is id i's location; ``private_finals`` and
+    ``public_finals`` hold the final ids by side of the duplication.
     """
 
     def __init__(self, ta: TimedAutomaton):
@@ -121,17 +140,21 @@ class RegionContext:
         self._top = tuple(2 * c + 1 for c in self.cmax)  # the code of "above"
         # location -> (invariant tests or None, ((action, tests, resets, target), ...))
         self._compiled: dict[str, tuple] = {}
+        self._edges_from: dict[str, list] = {}  # source -> edges, from the first compile on
         self._part_ids: dict[tuple, int] = {}  # (ints, zero, pos) -> part id
         self._parts: list[tuple] = []  # part id -> (ints, zero, pos)
         self._codes: list[tuple[int, ...]] = []  # part id -> half-unit codes
         self._later: dict[int, tuple[str, int] | None] = {}  # part id -> (tag, part id)
         self._reset: dict[tuple[int, frozenset[int]], int] = {}
         self._region_ids: dict[tuple[str, int], int] = {}  # (location, part id) -> id
+        self.locations: list[str] = []  # id -> location
         self._part_of: list[int] = []  # id -> part id
         self._steps: list[tuple | None] = []  # id -> (delay steps, discrete steps) once expanded
-        self.regions: list[Region] = []  # id -> interned region
+        self.regions = _Regions(self.locations, self._part_of, self._parts)
         self.private_finals: set[int] = set()
         self.public_finals: set[int] = set()
+        sides = (self.public_finals, self.private_finals)  # indexed by `is_secret`'s test
+        self._side = {f: sides[is_primed(f) or f == ta.private] for f in ta.finals}  # -> its ids
 
     def _max_constants(self) -> tuple[int, ...]:
         cmax = [0] * len(self.ta.clocks)
@@ -159,29 +182,25 @@ class RegionContext:
             self._part_ids[key] = pid
         return pid
 
-    def _region(self, location: str, pid: int, region: Region | None = None) -> int:
-        """The id of the region (location, clock part ``pid``), assigned on
-        first sight; ``region``, when given, becomes the canonical object."""
+    def _region(self, location: str, pid: int) -> int:
+        """The id of region (location, clock part ``pid``), assigned on first sight."""
         key = (location, pid)
         rid = self._region_ids.get(key)
         if rid is None:
-            if region is None:
-                region = Region(location, *self._parts[pid])
-            rid = len(self.regions)
-            self.regions.append(region)
+            rid = self._region_ids[key] = len(self.locations)
+            self.locations.append(location)
             self._part_of.append(pid)
             self._steps.append(None)
-            if self.is_final(region):
-                side = self.private_finals if self.is_secret(region) else self.public_finals
+            side = self._side.get(location)
+            if side is not None:
                 side.add(rid)
-            self._region_ids[key] = rid
         return rid
 
     def intern(self, region: Region) -> int:
-        """The region's id, assigned on first sight."""
-        return self._region(
-            region.location, self._part(region.ints, region.zero, region.pos), region
-        )
+        """The region's id, assigned on first sight; the first object seen stays canonical."""
+        rid = self._region(region.location, self._part(region.ints, region.zero, region.pos))
+        self.regions._built.setdefault(rid, region)
+        return rid
 
     def initial_region(self) -> Region:
         return self.regions[self.intern(self.region_of(self.ta.init, self.ta.zero_valuation()))]
@@ -196,10 +215,11 @@ class RegionContext:
         edges as (action, tests, resets, target): the guard and the part of
         the target invariant on kept clocks, both read before the step.
         Edges whose test can never pass are dropped."""
+        if not self._compiled:  # the first compile indexes the edges by source
+            for e in self.ta.edges:
+                self._edges_from.setdefault(e.source, []).append(e)
         edges = []
-        for e in self.ta.edges:
-            if e.source != location:
-                continue
+        for e in self._edges_from.get(location, ()):
             target_inv = self.ta.invariant(e.target)
             # reset clocks land on 0, so their target-invariant atoms are decided here
             if not all(a.holds(0) for a in target_inv if a.clock in e.resets):
@@ -216,9 +236,7 @@ class RegionContext:
         """The clock part reached by the least delay that leaves part
         ``pid``, tagged '1' exactly when the tick clock's fractional part
         starts or stops being zero; None when every clock is above its max
-        constant.  Memoized per part, whatever the location."""
-        if pid in self._later:
-            return self._later[pid]
+        constant.  Kept per part in ``_later``, whatever the location."""
         ints, zero, pos = self._parts[pid]
         cmax = self.cmax
         nxt = list(ints)
@@ -251,38 +269,38 @@ class RegionContext:
         return later
 
     def _reset_part(self, pid: int, resets: frozenset[int]) -> int:
-        key = (pid, resets)
-        out = self._reset.get(key)
-        if out is None:
-            ints, zero, pos = self._parts[pid]
-            nxt = list(ints)
-            for i in resets:
-                nxt[i] = 0
-            groups = []
-            for grp in pos:
-                if not resets.isdisjoint(grp):
-                    grp = tuple(i for i in grp if i not in resets)
-                if grp:
-                    groups.append(grp)
-            out = self._reset[key] = self._part(
-                tuple(nxt), tuple(sorted(resets.union(zero))), tuple(groups)
-            )
+        """Clock part ``pid`` with ``resets`` at 0; `_expand` reads it back from ``_reset``."""
+        ints, zero, pos = self._parts[pid]
+        nxt = list(ints)
+        for i in resets:
+            nxt[i] = 0
+        groups = []
+        for grp in pos:
+            if not resets.isdisjoint(grp):
+                grp = tuple(i for i in grp if i not in resets)
+            if grp:
+                groups.append(grp)
+        on_integer = tuple(sorted(resets.union(zero)))
+        out = self._reset[pid, resets] = self._part(tuple(nxt), on_integer, tuple(groups))
         return out
 
     def _expand(self, rid: int) -> tuple:
         """Both step tuples of region ``rid``, computed together and kept."""
-        region, pid = self.regions[rid], self._part_of[rid]
-        loc = region.location
+        loc, pid = self.locations[rid], self._part_of[rid]
         invariant, edges = self._compiled.get(loc) or self._compile(loc)
-        codes = self._codes
+        codes, region_ids, reset = self._codes, self._region_ids, self._reset
         delay: list[tuple[str, int]] = []
-        if not region.zero:
-            delay.append(("0+", rid))  # a positive delay can stay inside
-        later = self._time_successor(pid)
+        if not self._parts[pid][1]:
+            delay.append(("0+", rid))  # off every integer, a positive delay can stay inside
+        later = self._later[pid] if pid in self._later else self._time_successor(pid)
         if later is not None and invariant is not None:
             tag, nxt = later
-            if all(lo <= codes[nxt][c] <= hi for c, lo, hi in invariant):
-                delay.append((tag, self._region(loc, nxt)))
+            for c, lo, hi in invariant:
+                if not lo <= codes[nxt][c] <= hi:
+                    break
+            else:
+                j = region_ids.get((loc, nxt))
+                delay.append((tag, self._region(loc, nxt) if j is None else j))
         discrete: list[tuple[Action, int]] = []
         own = codes[pid]
         for action, tests, resets, target in edges:
@@ -290,8 +308,11 @@ class RegionContext:
                 if not lo <= own[c] <= hi:
                     break
             else:
-                image = self._reset_part(pid, resets) if resets else pid
-                discrete.append((action, self._region(target, image)))
+                image = reset.get((pid, resets)) if resets else pid
+                if image is None:
+                    image = self._reset_part(pid, resets)
+                j = region_ids.get((target, image))
+                discrete.append((action, self._region(target, image) if j is None else j))
         steps = self._steps[rid] = (tuple(delay), tuple(discrete))
         return steps
 

@@ -149,13 +149,16 @@ def validate(ta: TimedAutomaton) -> list[Violation]:
     Finals must have no outgoing edges (tick self-loops excepted on augmented
     automata) and be urgent: some clock is reset on every edge into a final
     and pinned to 0 by the final's invariant.  Before duplication no location
-    name may end in the prime suffix, which marks the private copy.
+    name may end in the prime suffix, which marks the private copy; before
+    augmentation no clock may take the tick clock's name.
     """
     out: list[Violation] = []
     locs = set(ta.locations)
     names = [c.name for c in ta.clocks]
     if len(set(names)) != len(names):
         out.append(Violation("duplicate-clock-name", ta.name))
+    if TICK_CLOCK in names and not ta.has_tick_clock:  # `add_tick_clock` adds it
+        out.append(Violation("reserved-clock-name", TICK_CLOCK))
     if len(set(ta.locations)) != len(ta.locations):
         out.append(Violation("duplicate-location-name", ta.name))
     for i, c in enumerate(ta.clocks):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import SOLVE_FIXTURES, fixture_path, leaking_full, load_space, load_ta
@@ -17,7 +20,7 @@ from etopaq.game import (
     witness_to_metastrategy,
 )
 from etopaq.oracle import oracle_buckets, oracle_verdict
-from etopaq.regions import RegionContext
+from etopaq.regions import Region, RegionContext
 from etopaq.strategies import Bucket, MetaStrategy, UnitPlan, all_enabled
 
 PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
@@ -353,3 +356,63 @@ def test_distinct_successor_edges_keep_every_verdict(monkeypatch):
             assert got.stats.edges <= want.stats.edges, (name, mode)
             saved += want.stats.edges - got.stats.edges
     assert saved > 0
+
+
+# --- what a query leaves behind ------------------------------------------------------
+
+GADGETS = ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop")
+
+
+def _fresh_space(name: str) -> BeliefSpace:
+    return BeliefSpace(RegionContext(prepare(load_ta(name))))
+
+
+def test_a_finished_query_is_freed_by_reference_counting():
+    """No reference cycle holds a query's tables: with the cyclic collector
+    off, the belief space and the region context die with the last
+    reference to the space, after a solve in every mode, an existential
+    check, a meta-strategy check and an oracle table."""
+    counterex_phi = msformat.load(
+        str(fixture_path("counterex_phi.msf")), frozenset(load_ta("ta_counterex").controllable)
+    )
+    queries = [(name, lambda s, m=mode: solve(s, m)) for name in PAPER_FIXTURES for mode in Mode]
+    queries += [(name, check_exists) for name in PAPER_FIXTURES]
+    queries += [
+        ("ta_counterex", lambda s: check_metastrategy(s, counterex_phi, Mode.FULL)),
+        ("ta_counterex", lambda s: oracle_buckets(s.ctx, counterex_phi)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for name, query in queries:
+            space = _fresh_space(name)
+            refs = (weakref.ref(space), weakref.ref(space.ctx))
+            query(space)
+            del space
+            assert [ref() for ref in refs] == [None, None], name
+    finally:
+        gc.enable()
+
+
+def test_solving_builds_no_region_object_per_region(monkeypatch):
+    """The solve path and the oracle speak region ids: `solve` in every
+    mode, `check_metastrategy` and `oracle_buckets` build no `Region` but
+    the initial region's, once for the belief side and once for the oracle,
+    however many regions they meet."""
+    built: list[Region] = []
+    post_init = Region.__post_init__
+
+    def counted(region: Region) -> None:
+        built.append(region)
+        post_init(region)
+
+    monkeypatch.setattr(Region, "__post_init__", counted)
+    for name in PAPER_FIXTURES + GADGETS:
+        space = _fresh_space(name)
+        phi = all_enabled(space.ctx.ta)
+        built.clear()
+        for mode in Mode:
+            solve(space, mode, state_cap=300)
+        check_metastrategy(space, phi, Mode.FULL)
+        oracle_buckets(space.ctx, phi)
+        assert len(built) <= 2 < len(space.ctx.regions), (name, len(built))

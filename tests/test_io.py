@@ -251,6 +251,11 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     primed.write_text(re.sub(r"\blf\b", "lf^p", fixture_path("ta1.ta").read_text()))
     assert main(["check", str(primed), "--mode", "weak"]) == 64
     assert "reserved-location-suffix(lf^p)" in capsys.readouterr().err
+    # ``z`` is the tick clock that preparation adds
+    ticked = tmp_path / "ticked.ta"
+    ticked.write_text(re.sub(r"\bw\b", "z", fixture_path("ta1.ta").read_text()))
+    assert main(["check", str(ticked), "--mode", "weak"]) == 64
+    assert f"{ticked}: reserved-clock-name(z)" in capsys.readouterr().err
 
 
 def test_cli_non_urgent_final_hint(tmp_path, capsys):

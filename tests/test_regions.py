@@ -4,6 +4,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from conftest import (
     delay_steps,
     discrete_steps,
@@ -306,6 +308,19 @@ def test_successors_are_interned_with_dense_ids():
     assert ctx.private_finals | ctx.public_finals == finals
     assert all(ctx.is_secret(ctx.regions[i]) for i in ctx.private_finals)
     assert not any(ctx.is_secret(ctx.regions[i]) for i in ctx.public_finals)
+
+
+def test_region_view_indexes_like_a_list():
+    """`ctx.regions` builds each region's object once, whichever way its id
+    is written, and ends iteration at the last id."""
+    ctx = RegionContext(prepare(load_ta("ta1")))
+    _reachable(ctx, limit=20)
+    regions, n = ctx.regions, len(ctx.regions)
+    assert list(regions) == [regions[i] for i in range(n)]
+    assert all(regions[i - n] is regions[i] for i in range(n))
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            regions[bad]
 
 
 def _atom_holds_in(region, atom) -> bool:
