@@ -28,8 +28,6 @@ case of its own there, since every successor of it is itself.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 from .graphs import bfs
 from .regions import Region, RegionContext, encode
 from .ta import SILENT
@@ -53,7 +51,7 @@ class BeliefSpace:
     def __init__(self, ctx: RegionContext):
         self.ctx = ctx
         self.controllable = tuple(sorted(ctx.ta.controllable))
-        self.uncontrollable = frozenset(ctx.ta.uncontrollable)
+        self.uncontrollable = ctx.ta.uncontrollable
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
         self._bit.update(dict.fromkeys((SILENT.name, *self.uncontrollable), 0))  # free names
         self._succ: dict[tuple[object, str, frozenset[str]], Belief] = {}
@@ -81,10 +79,6 @@ class BeliefSpace:
         return self._subsets
 
     # -- construction --------------------------------------------------------
-
-    @cached_property
-    def _init_id(self) -> int:  # on the first step out of BOTTOM, not at set-up
-        return self.ctx.intern(self.ctx.initial_region())
 
     def _moves_of(self, rid: int) -> tuple:
         """Region ``rid``'s one-step moves as ids, built once:
@@ -149,7 +143,7 @@ class BeliefSpace:
         if belief is BOTTOM:
             if tick != "0":
                 raise ValueError("only the initial zero-time choice leaves bottom")
-            return {self._init_id}
+            return {self.ctx.initial_id()}
         if tick in TICKS:
             return self._delay_image(belief, tick)
         raise ValueError(f"bad tick {tick!r}")

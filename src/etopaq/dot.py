@@ -31,7 +31,7 @@ def regions_dot(
         out = [(f"{tag}/~", j) for tag, j in delays if j != i]
         return out + [(f"0/{a.name}", j) for a, j in discrete]
 
-    start = ctx.intern(ctx.initial_region())
+    start = ctx.initial_id()
     adj, order, parent, stopped = bfs(start, steps, state_cap, time_cap)
     names = {i: _q(ctx.format_region(regions[i])) for i in order}
     lines = ["digraph regions {", "  rankdir=LR;"]

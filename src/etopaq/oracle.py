@@ -99,9 +99,7 @@ def oracle_buckets(
             bucket, not private.isdisjoint(reached), not public.isdisjoint(reached)
         )
 
-    start = _closure(
-        ctx, {ctx.intern(ctx.initial_region())}, phi.point(0), unc, allow_delay=False
-    )
+    start = _closure(ctx, {ctx.initial_id()}, phi.point(0), unc, allow_delay=False)
     walk = walk_buckets(phi, start, step, extra_units)
     return OracleTable(
         tuple(flags(b, ids) for b, ids in walk.buckets), walk.cycle_start, walk.cycle_period

@@ -11,10 +11,11 @@ A `RegionContext` interns the regions it meets as (location, clock part)
 pairs, each with a dense int id in order of first sight and no object; final
 ids go into private and public sets by their location's side.  Its steps speak
 ids: `delay_steps(i)` and `discrete_steps(i)` take a region id and return
-(tag, id) and (action, id) pairs; `locations[i]` is the region's location, and
-`regions[i]` the `Region` object, built on its first read for rendering and
-tests.  Its successor kernel works on clock parts, a region's (ints, zero,
-pos) without its location.  Each clock part is interned once with its
+(tag, id) and (action, id) pairs; `initial_id()`, where every walk starts, is
+interned straight from the all-zero clock part.  `locations[i]` is the
+region's location, and `regions[i]` the `Region` object, built on its first
+read for rendering and tests.  Its successor kernel works on clock parts, a
+region's (ints, zero, pos) without its location.  Each clock part is interned once with its
 half-unit clock codes: 2n for a clock on the integer n, 2n+1 inside (n, n+1),
 2·cmax+1 above the clock's max constant.  A location's guards and invariants
 compile, on the first region expanded there, into (clock, lo, hi) range tests
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .ta import (
@@ -92,10 +94,9 @@ def _compile_atoms(atoms: Sequence[Atom], cmax: Sequence[int]) -> Ranges | None:
     clock's max constant, so each holds on a whole code range."""
     box: dict[int, tuple[int, int]] = {}
     for a in atoms:
-        d, top = 2 * a.bound, 2 * cmax[a.clock] + 1
-        lo, hi = {
-            "<": (0, d - 1), "<=": (0, d), "=": (d, d), ">=": (d, top), ">": (d + 1, top),
-        }[a.rel]
+        d, top, rel = 2 * a.bound, 2 * cmax[a.clock] + 1, a.rel
+        lo = d + 1 if rel == ">" else d if rel == ">=" or rel == "=" else 0
+        hi = d - 1 if rel == "<" else d if rel == "<=" or rel == "=" else top
         was_lo, was_hi = box.get(a.clock, (0, top))
         box[a.clock] = (max(lo, was_lo), min(hi, was_hi))
     if any(lo > hi for lo, hi in box.values()):
@@ -158,13 +159,10 @@ class RegionContext:
 
     def _max_constants(self) -> tuple[int, ...]:
         cmax = [0] * len(self.ta.clocks)
-        atoms: list[Atom] = []
-        for e in self.ta.edges:
-            atoms.extend(e.guard)
-        for inv in self.ta.invariants.values():
-            atoms.extend(inv)
-        for atom in atoms:
-            cmax[atom.clock] = max(cmax[atom.clock], atom.bound)
+        for atoms in chain((e.guard for e in self.ta.edges), self.ta.invariants.values()):
+            for a in atoms:
+                if a.bound > cmax[a.clock]:
+                    cmax[a.clock] = a.bound
         return tuple(cmax)
 
     # -- interning ------------------------------------------------------------
@@ -202,8 +200,13 @@ class RegionContext:
         self.regions._built.setdefault(rid, region)
         return rid
 
+    def initial_id(self) -> int:
+        """The initial region's id: the initial location, every clock on 0."""
+        n = len(self.cmax)
+        return self._region(self.ta.init, self._part((0,) * n, tuple(range(n)), ()))
+
     def initial_region(self) -> Region:
-        return self.regions[self.intern(self.region_of(self.ta.init, self.ta.zero_valuation()))]
+        return self.regions[self.initial_id()]
 
     def region_of(self, location: str, vals: Sequence[Fraction]) -> Region:
         return region_of(location, vals, self.cmax)

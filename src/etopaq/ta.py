@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from types import MappingProxyType
 from typing import Mapping
@@ -112,16 +113,18 @@ class TimedAutomaton:
                 return c
         raise KeyError(name)
 
-    @property
+    # the value is immutable, so what is derived from it is computed once
+    @cached_property
     def controllable(self) -> frozenset[str]:
         return frozenset(a.name for a in self.actions if a.kind == CONTROLLABLE)
 
-    @property
+    @cached_property
     def uncontrollable(self) -> frozenset[str]:
         return frozenset(a.name for a in self.actions if a.kind == UNCONTROLLABLE)
 
-    def zero_valuation(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(0) for _ in self.clocks)
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_check(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,8 +153,13 @@ def validate(ta: TimedAutomaton) -> list[Violation]:
     automata) and be urgent: some clock is reset on every edge into a final
     and pinned to 0 by the final's invariant.  Before duplication no location
     name may end in the prime suffix, which marks the private copy; before
-    augmentation no clock may take the tick clock's name.
+    augmentation no clock may take the tick clock's name.  The violations are
+    found once per automaton value; each call returns a fresh list of them.
     """
+    return list(ta._violations)
+
+
+def _check(ta: TimedAutomaton) -> list[Violation]:
     out: list[Violation] = []
     locs = set(ta.locations)
     names = [c.name for c in ta.clocks]
@@ -207,18 +215,17 @@ def validate(ta: TimedAutomaton) -> list[Violation]:
 def _check_final_urgency(ta: TimedAutomaton) -> list[Violation]:
     if not ta.finals:
         return []
-    # tick self-loops pass no time, so they need not witness urgency
-    incoming = [
-        e
-        for e in ta.edges
-        if e.target in ta.finals and not _is_tick_self_loop(ta, e)
-    ]
-    for c in ta.clocks:
-        pinned = all(
-            Atom(c.index, "=", 0) in ta.invariant(f) for f in ta.finals
+    urgent = {c.index for c in ta.clocks}  # pinned to 0 in every final, reset into it
+    for f in ta.finals:
+        urgent.intersection_update(
+            a.clock for a in ta.invariant(f) if a.rel == "=" and a.bound == 0
         )
-        if pinned and all(c.index in e.resets for e in incoming):
-            return []
+    for e in ta.edges:
+        # tick self-loops pass no time, so they need not witness urgency
+        if e.target in ta.finals and not _is_tick_self_loop(ta, e):
+            urgent &= e.resets
+    if urgent:
+        return []
     return [Violation("final-not-urgent", ",".join(sorted(ta.finals)))]
 
 
@@ -246,7 +253,8 @@ def make_finals_urgent(ta: TimedAutomaton) -> TimedAutomaton:
     idx = len(ta.clocks)
     clocks = ta.clocks + (Clock(idx, name),)
     edges = tuple(
-        replace(e, resets=e.resets | {idx}) if e.target in ta.finals else e
+        Edge(e.source, e.guard, e.action, e.resets | {idx}, e.target)
+        if e.target in ta.finals else e
         for e in ta.edges
     )
     invariants = dict(ta.invariants)
@@ -266,13 +274,10 @@ def add_tick_clock(ta: TimedAutomaton) -> TimedAutomaton:
         raise ValueError(f"clock name {TICK_CLOCK!r} is reserved")
     z = len(ta.clocks)
     clocks = ta.clocks + (Clock(z, TICK_CLOCK),)
-    invariants = {
-        loc: ta.invariant(loc) + (Atom(z, "<=", 1),) for loc in ta.locations
-    }
-    loops = tuple(
-        Edge(loc, (Atom(z, "=", 1),), SILENT, frozenset({z}), loc)
-        for loc in ta.locations
-    )
+    # immutable values, so every location shares one of each
+    bound, guard, reset = (Atom(z, "<=", 1),), (Atom(z, "=", 1),), frozenset({z})
+    invariants = {loc: ta.invariant(loc) + bound for loc in ta.locations}
+    loops = tuple(Edge(loc, guard, SILENT, reset, loc) for loc in ta.locations)
     return replace(
         ta,
         clocks=clocks,
@@ -296,15 +301,13 @@ def duplicate(ta: TimedAutomaton) -> TimedAutomaton:
     for loc in ta.locations:
         invariants[loc] = ta.invariant(loc)
         invariants[prime(loc)] = ta.invariant(loc)
-    edges: list[Edge] = []
-    for e in ta.edges:
-        if e.source != ta.private:
-            edges.append(e)
-    for e in ta.edges:
-        edges.append(replace(e, source=prime(e.source), target=prime(e.target)))
-    for e in ta.edges:
-        if e.source == ta.private:
-            edges.append(replace(e, target=prime(e.target)))
+    edges = [e for e in ta.edges if e.source != ta.private]
+    edges += [Edge(prime(e.source), e.guard, e.action, e.resets, prime(e.target))
+              for e in ta.edges]
+    edges += [
+        Edge(e.source, e.guard, e.action, e.resets, prime(e.target))
+        for e in ta.edges if e.source == ta.private
+    ]
     return replace(
         ta,
         locations=locations,
@@ -320,7 +323,8 @@ def prepare(ta: TimedAutomaton) -> TimedAutomaton:
 
     The tick clock is added to the duplicated automaton: its self-loop must
     stay on the private location rather than being redirected to the primed
-    copy like an ordinary outgoing edge.
+    copy like an ordinary outgoing edge.  An automaton already validated is
+    not checked again: its violations are kept on the value.
     """
     problems = validate(ta)
     if problems:

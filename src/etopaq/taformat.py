@@ -1,9 +1,12 @@
 """Line-oriented timed-automaton files.
 
-Sections in fixed order: clocks, controllable, uncontrollable, locations,
-edges.  Guard and invariant atoms are comma-separated ``clock <rel> bound``;
-``~`` names the silent action.  `dump(parse(text))` is byte-identical on
-files already in canonical form.
+An optional name line ``ta NAME`` comes first, then the sections in fixed
+order: clocks, controllable, uncontrollable, locations, edges.  Each is
+optional and appears at most once; a header out of this order is a
+`ParseError`.  A line is a section header or an entry of the open section,
+so a location named ``ta`` is no name line.  Guard and invariant atoms are
+comma-separated ``clock <rel> bound``; ``~`` names the silent action.
+`dump(parse(text))` is byte-identical on files already in canonical form.
 """
 from __future__ import annotations
 
@@ -27,24 +30,29 @@ _EDGE_RE = re.compile(
     r"(?:\s+guard:\s*(.*?))?(?:\s+reset:\s*([\w\s]*?))?\s*$"
 )
 
+# the name line, then the sections by header, in their fixed order
+_TA, _CLOCKS, _CONTROLLABLE, _UNCONTROLLABLE, _LOCATIONS, _EDGES = range(6)
+_RANKS = {"clocks": _CLOCKS, "controllable": _CONTROLLABLE, "uncontrollable": _UNCONTROLLABLE,
+          "locations": _LOCATIONS, "edges": _EDGES}
+
 
 class ParseError(ValueError):
     pass
 
 
-def _parse_atoms(text: str, clock_index: dict[str, int], where: str) -> Guard:
+def _parse_atoms(text: str, clock_index: dict[str, int], lineno: int) -> Guard:
     atoms = []
     for chunk in text.split(","):
         if not chunk.strip():
             continue
         m = _ATOM_RE.match(chunk)
         if not m:
-            raise ParseError(f"{where}: bad atom {chunk.strip()!r}")
+            raise ParseError(f"line {lineno}: bad atom {chunk.strip()!r}")
         name, rel, bound = m.group(1), m.group(2), int(m.group(3))
         if name not in clock_index:
-            raise ParseError(f"{where}: unknown clock {name!r}")
+            raise ParseError(f"line {lineno}: unknown clock {name!r}")
         if bound < 0:
-            raise ParseError(f"{where}: negative bound {bound} (clocks are nonnegative)")
+            raise ParseError(f"line {lineno}: negative bound {bound} (clocks are nonnegative)")
         atoms.append(Atom(clock_index[name], rel, bound))
     return tuple(atoms)
 
@@ -52,99 +60,75 @@ def _parse_atoms(text: str, clock_index: dict[str, int], where: str) -> Guard:
 def parse(text: str) -> TimedAutomaton:
     name = "ta"
     clocks: list[Clock] = []
-    actions: list[Action] = []
-    locations: list[str] = []
+    locations: dict[str, None] = {}  # in declaration order
     invariants: dict[str, Guard] = {}
     edges: list[Edge] = []
     init = private = None
     finals: set[str] = set()
     clock_index: dict[str, int] = {}
-    action_by_name: dict[str, Action] = {}
-    section = None
+    action_by_name: dict[str, Action] = {SILENT.name: SILENT}  # then those declared
+    section = -1  # the rank of the last header read, the name line's included
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
-        where = f"line {lineno}"
-        stripped = line.strip()
-        if stripped.startswith("ta "):
-            name = stripped[3:].strip()
-            continue
-        if stripped.startswith("clocks:"):
-            for cname in stripped[len("clocks:"):].split():
+        key, colon, rest = line.partition(":")
+        rank = _RANKS.get(key) if colon else None
+        if rest and rank is not None and rank >= _LOCATIONS:  # their headers stand alone
+            rank = None
+        if rank is None:  # an entry of the open section
+            if section == _EDGES:
+                edges.append(_parse_edge(line, clock_index, action_by_name, locations, lineno))
+                continue
+            if section == _LOCATIONS:
+                lname, _, invtext = line.partition(" invariant:")
+                lname, *flags = lname.split()
+                if lname in locations:
+                    raise ParseError(f"line {lineno}: duplicate location {lname!r}")
+                locations[lname] = None
+                for flag in flags:
+                    if flag == "init":
+                        if init is not None:
+                            raise ParseError(f"line {lineno}: second init location {lname!r}")
+                        init = lname
+                    elif flag == "private":
+                        if private is not None:
+                            raise ParseError(f"line {lineno}: second private location {lname!r}")
+                        private = lname
+                    elif flag == "final":
+                        finals.add(lname)
+                    else:
+                        raise ParseError(f"line {lineno}: unknown flag {flag!r}")
+                if invtext.strip():
+                    invariants[lname] = _parse_atoms(invtext, clock_index, lineno)
+                continue
+            if not line.startswith("ta "):
+                raise ParseError(f"line {lineno}: unexpected {line!r}")
+            key, rank, rest = "ta", _TA, line[3:]
+        if rank <= section:
+            raise ParseError(f"line {lineno}: section {key!r} repeated or out of order")
+        section = rank
+        if rank == _TA:
+            name = rest.strip()
+        elif rank == _CLOCKS:
+            for cname in rest.split():
                 if cname in clock_index:
-                    raise ParseError(f"{where}: duplicate clock {cname!r}")
+                    raise ParseError(f"line {lineno}: duplicate clock {cname!r}")
                 clock_index[cname] = len(clocks)
                 clocks.append(Clock(len(clocks), cname))
-            continue
-        if stripped.startswith("controllable:") or stripped.startswith("uncontrollable:"):
-            kind = CONTROLLABLE if stripped.startswith("controllable:") else UNCONTROLLABLE
-            for aname in stripped.split(":", 1)[1].split():
-                if aname in action_by_name or aname == SILENT.name:
-                    raise ParseError(f"{where}: duplicate action {aname!r}")
-                a = Action(aname, kind)
-                action_by_name[aname] = a
-                actions.append(a)
-            continue
-        if stripped == "locations:":
-            section = "locations"
-            continue
-        if stripped == "edges:":
-            section = "edges"
-            continue
-        if section == "locations":
-            head, _, invtext = stripped.partition(" invariant:")
-            parts = head.split()
-            lname, flags = parts[0], parts[1:]
-            if lname in locations:
-                raise ParseError(f"{where}: duplicate location {lname!r}")
-            locations.append(lname)
-            for flag in flags:
-                if flag == "init":
-                    if init is not None:
-                        raise ParseError(f"{where}: second init location {lname!r}")
-                    init = lname
-                elif flag == "private":
-                    if private is not None:
-                        raise ParseError(f"{where}: second private location {lname!r}")
-                    private = lname
-                elif flag == "final":
-                    finals.add(lname)
-                else:
-                    raise ParseError(f"{where}: unknown flag {flag!r}")
-            if invtext.strip():
-                invariants[lname] = _parse_atoms(invtext, clock_index, where)
-            continue
-        if section == "edges":
-            m = _EDGE_RE.match(stripped)
-            if not m:
-                raise ParseError(f"{where}: bad edge {stripped!r}")
-            src, tgt, aname, guardtext, resettext = m.groups()
-            if aname == SILENT.name:
-                action = SILENT
-            elif aname in action_by_name:
-                action = action_by_name[aname]
-            else:
-                raise ParseError(f"{where}: unknown action {aname!r}")
-            guard = _parse_atoms(guardtext or "", clock_index, where)
-            resets = set()
-            for cname in (resettext or "").split():
-                if cname not in clock_index:
-                    raise ParseError(f"{where}: unknown clock {cname!r}")
-                resets.add(clock_index[cname])
-            for loc in (src, tgt):
-                if loc not in locations:
-                    raise ParseError(f"{where}: unknown location {loc!r}")
-            edges.append(Edge(src, guard, action, frozenset(resets), tgt))
-            continue
-        raise ParseError(f"{where}: unexpected {stripped!r}")
+        elif rank < _LOCATIONS:
+            kind = CONTROLLABLE if rank == _CONTROLLABLE else UNCONTROLLABLE
+            for aname in rest.split():
+                if aname in action_by_name:
+                    raise ParseError(f"line {lineno}: duplicate action {aname!r}")
+                action_by_name[aname] = Action(aname, kind)
     if init is None:
         raise ParseError("no init location")
     if private is None:
         raise ParseError("no private location")
     return TimedAutomaton(
         name=name,
-        actions=tuple(actions),
+        actions=tuple(action_by_name.values())[1:],
         locations=tuple(locations),
         invariants=invariants,
         init=init,
@@ -153,6 +137,29 @@ def parse(text: str) -> TimedAutomaton:
         clocks=tuple(clocks),
         edges=tuple(edges),
     )
+
+
+def _parse_edge(
+    line: str, clock_index: dict[str, int], action_by_name: dict[str, Action],
+    locations: dict[str, None], lineno: int,
+) -> Edge:
+    m = _EDGE_RE.match(line)
+    if not m:
+        raise ParseError(f"line {lineno}: bad edge {line!r}")
+    src, tgt, aname, guardtext, resettext = m.groups()
+    action = action_by_name.get(aname)
+    if action is None:
+        raise ParseError(f"line {lineno}: unknown action {aname!r}")
+    guard = _parse_atoms(guardtext, clock_index, lineno) if guardtext else ()
+    resets = set()
+    for cname in resettext.split() if resettext else ():
+        if cname not in clock_index:
+            raise ParseError(f"line {lineno}: unknown clock {cname!r}")
+        resets.add(clock_index[cname])
+    for loc in (src, tgt):
+        if loc not in locations:
+            raise ParseError(f"line {lineno}: unknown location {loc!r}")
+    return Edge(src, guard, action, frozenset(resets), tgt)
 
 
 def _atom_str(ta: TimedAutomaton, atom: Atom) -> str:

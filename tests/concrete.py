@@ -38,7 +38,7 @@ class StepError(ValueError):
 
 
 def initial_state(ta: TimedAutomaton) -> State:
-    return (ta.init, ta.zero_valuation())
+    return (ta.init, tuple(Fraction(0) for _ in ta.clocks))
 
 
 def invariant_holds(ta: TimedAutomaton, loc: str, vals: Sequence[Fraction]) -> Atom | None:

@@ -396,9 +396,8 @@ def test_a_finished_query_is_freed_by_reference_counting():
 
 def test_solving_builds_no_region_object_per_region(monkeypatch):
     """The solve path and the oracle speak region ids: `solve` in every
-    mode, `check_metastrategy` and `oracle_buckets` build no `Region` but
-    the initial region's, once for the belief side and once for the oracle,
-    however many regions they meet."""
+    mode, `check_metastrategy` and `oracle_buckets` build no `Region`, not
+    even the initial region's, however many regions they meet."""
     built: list[Region] = []
     post_init = Region.__post_init__
 
@@ -415,4 +414,4 @@ def test_solving_builds_no_region_object_per_region(monkeypatch):
             solve(space, mode, state_cap=300)
         check_metastrategy(space, phi, Mode.FULL)
         oracle_buckets(space.ctx, phi)
-        assert len(built) <= 2 < len(space.ctx.regions), (name, len(built))
+        assert not built and len(space.ctx.regions) > 2, (name, len(built))

@@ -64,21 +64,115 @@ def test_ta_parse_rejects_negative_bounds():
         taformat.parse(text)
 
 
+# Line numbers count the comment-only and blank lines (1, 3, 10).
+PARSE_BASE = (
+    "# a comment-only line\n"
+    "ta bad\n"
+    "\n"
+    "clocks: x y\n"
+    "controllable: a\n"
+    "uncontrollable: u  # a trailing comment\n"
+    "locations:\n"
+    "  l0 init invariant: x <= 2\n"
+    "  lp private\n"
+    "   # an indented comment\n"
+    "  lf final\n"
+    "edges:\n"
+)
+
+# (line to replace, or None to append an edge line; replacement; exact message)
+PARSE_ERRORS = (
+    (None, "  l0 -> lf via a guard: x <> 1", "line 13: bad atom 'x <> 1'"),
+    (None, "  l0 -> lf via a guard: x = 0, w = 0", "line 13: unknown clock 'w'"),
+    (None, "  l0 -> lf via a guard: x <= -1",
+     "line 13: negative bound -1 (clocks are nonnegative)"),
+    ("  l0 init invariant: x <= 2", "  l0 init invariant: q < 1", "line 8: unknown clock 'q'"),
+    ("clocks: x y", "clocks: x y x", "line 4: duplicate clock 'x'"),
+    ("controllable: a", "controllable: a ~", "line 5: duplicate action '~'"),
+    ("uncontrollable: u  # a trailing comment", "uncontrollable: a",
+     "line 6: duplicate action 'a'"),
+    ("  lf final", "  lf final\n  lp", "line 12: duplicate location 'lp'"),
+    ("  lp private", "  lp private init", "line 9: second init location 'lp'"),
+    ("  lf final", "  lf final private", "line 11: second private location 'lf'"),
+    ("  lf final", "  lf final urgent", "line 11: unknown flag 'urgent'"),
+    (None, "  l0 lf a", "line 13: bad edge 'l0 lf a'"),
+    (None, "  l0 -> lf via b", "line 13: unknown action 'b'"),
+    (None, "  l0 -> lf via a reset: x w", "line 13: unknown clock 'w'"),
+    (None, "  l0 -> nowhere via a", "line 13: unknown location 'nowhere'"),
+    (None, "  nowhere -> lf via a", "line 13: unknown location 'nowhere'"),
+    ("", "bogus", "line 3: unexpected 'bogus'"),
+    ("locations:", "  l0 init", "line 7: unexpected 'l0 init'"),
+    ("  l0 init invariant: x <= 2", "  l0 invariant: x <= 2", "no init location"),
+    ("  lp private", "  lp", "no private location"),
+    # the name line first, then each section at most once, in the fixed order
+    ("", "ta again", "line 3: section 'ta' repeated or out of order"),
+    ("controllable: a", "ta other", "line 5: section 'ta' repeated or out of order"),
+    ("", "clocks: z", "line 4: section 'clocks' repeated or out of order"),
+    (None, "clocks: z", "line 13: section 'clocks' repeated or out of order"),
+    ("   # an indented comment", "controllable: b",
+     "line 10: section 'controllable' repeated or out of order"),
+    ("uncontrollable: u  # a trailing comment", "locations:",
+     "line 7: section 'locations' repeated or out of order"),
+    (None, "edges:", "line 13: section 'edges' repeated or out of order"),
+    ("locations:", "locations: l0", "line 7: unexpected 'locations: l0'"),
+)
+
+
 def test_ta_parse_rejects_unknowns():
-    base = (
-        "ta bad\nclocks: x\ncontrollable: a\nuncontrollable: u\n"
-        "locations:\n  l0 init\n  lp private\n  lf final\nedges:\n"
+    """Every `ParseError` of `taformat.parse`, with its exact message and line."""
+    for old, new, message in PARSE_ERRORS:
+        lines = PARSE_BASE.splitlines()
+        if old is None:
+            lines.append(new)
+        else:
+            lines[lines.index(old)] = new
+        with pytest.raises(taformat.ParseError) as info:
+            taformat.parse("\n".join(lines) + "\n")
+        assert str(info.value) == message
+
+
+def test_ta_parse_base_of_the_error_table_parses():
+    ta = taformat.parse(PARSE_BASE + "  l0 -> lf via a guard: x = 0 reset: y\n")
+    assert (ta.name, ta.init, ta.private, ta.finals) == ("bad", "l0", "lp", {"lf"})
+    assert len(ta.edges) == 1 and ta.edges[0].resets == {1}
+
+
+def test_ta_parse_sections_are_optional():
+    ta = taformat.parse("locations:\n  l0 init private\n")
+    assert (ta.name, ta.clocks, ta.actions, ta.locations, ta.edges) == ("ta", (), (), ("l0",), ())
+
+
+def test_ta_entries_shaped_like_headers_stay_entries():
+    """Only a line before the first section names the automaton, and the
+    `locations:` and `edges:` headers stand alone: locations `ta` and
+    `edges:x` keep their declarations and their edges, and the text
+    round-trips."""
+    text = (
+        "ta named\nclocks: x\ncontrollable: a\nuncontrollable: u\nlocations:\n"
+        "  ta init\n  edges:x private\n  lf final invariant: x = 0\nedges:\n"
+        "  ta -> edges:x via a reset: x\n  edges:x -> lf via u reset: x\n"
     )
-    with pytest.raises(taformat.ParseError):
-        taformat.parse(base + "  l0 -> nowhere via a\n")
-    with pytest.raises(taformat.ParseError):
-        taformat.parse(base + "  l0 -> lf via nope\n")
-    with pytest.raises(taformat.ParseError):
-        taformat.parse(base + "  l0 -> lf via a guard: y = 0\n")
-    with pytest.raises(taformat.ParseError, match="line 9"):
-        taformat.parse(base.replace("  lf final\n", "  lf final\n  l1 init private\n"))
-    with pytest.raises(taformat.ParseError, match="line 9"):
-        taformat.parse(base.replace("  lf final\n", "  lf final\n  l1 private\n"))
+    ta = taformat.parse(text)
+    assert ta.name == "named" and ta.init == "ta" and ta.locations == ("ta", "edges:x", "lf")
+    assert [(e.source, e.target) for e in ta.edges] == [("ta", "edges:x"), ("edges:x", "lf")]
+    assert taformat.dump(ta) == text
+    assert etopaq.validate(ta) == []
+
+
+def test_ta_round_trip_over_random_automata():
+    import random
+
+    from conftest import random_ta
+
+    rng = random.Random(16)
+    for i in range(200):
+        ta = random_ta(rng, name=f"trip{i}")
+        text = taformat.dump(ta)
+        back = taformat.parse(text)
+        assert taformat.dump(back) == text
+        assert (back.locations, back.invariants, back.clocks, back.edges) == (
+            ta.locations, ta.invariants, ta.clocks, ta.edges
+        )
 
 
 def test_ta_silent_action_round_trip():

@@ -37,6 +37,26 @@ def test_region_of_zero_valuation(opaque_space):
     assert r.pos == ()
 
 
+def test_initial_id_is_the_region_of_the_zero_valuation():
+    """`initial_id` interns the all-zero clock part without a valuation; it
+    is the id of the zero valuation's region, whichever is asked first."""
+    from conftest import random_ta
+
+    rng = random.Random(16)
+    names = ("ta1", "ta_opaque", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like",
+             "minsky_halt", "minsky_inc_halt", "minsky_ifz_loop")
+    automata = [load_ta(n) for n in names] + [random_ta(rng, name=f"z{i}") for i in range(40)]
+    for ta in automata:
+        prepared = prepare(ta)
+        zeros = (F(0),) * len(prepared.clocks)
+        ctx = RegionContext(prepared)
+        assert ctx.initial_id() == ctx.intern(ctx.region_of(prepared.init, zeros)) == 0
+        assert ctx.initial_id() == 0 and len(ctx.regions) == 1
+        other = RegionContext(prepared)
+        assert other.intern(other.region_of(prepared.init, zeros)) == other.initial_id()
+        assert ctx.initial_region() == region_of(prepared.init, zeros, ctx.cmax)
+
+
 def test_region_of_merges_equal_fractions():
     cmax = (1, 1)
     a = region_of("l", (F(3, 10), F(3, 10)), cmax)
@@ -238,7 +258,7 @@ def test_reset_moves_clock_to_zero_group():
 
 def test_final_secret_public_predicates(opaque_space):
     ctx = opaque_space.ctx
-    zeros = ctx.ta.zero_valuation()
+    zeros = (F(0),) * len(ctx.ta.clocks)
     fin_priv = ctx.region_of("lf^p", zeros)
     fin_pub = ctx.region_of("lf", zeros)
     priv = ctx.region_of("lpriv", zeros)

@@ -72,6 +72,69 @@ def test_make_finals_urgent_restores_validity():
     assert urgent.clocks[-1].name == "w1"  # ta1 declares w
 
 
+def test_validate_returns_a_fresh_list_each_call():
+    """The violations are found once per automaton value; each call still
+    hands out a list of its own."""
+    ta = load_ta("ta1")
+    bad = replace(ta, finals=frozenset({ta.private}))
+    first, second = validate(bad), validate(bad)
+    assert first == second != [] and first is not second
+    first.clear()
+    assert validate(bad) == second
+    clean = validate(ta)
+    clean.append(second[0])
+    assert validate(ta) == []
+
+
+def test_replace_is_validated_afresh():
+    ta = load_ta("ta1")
+    assert validate(ta) == []
+    bad = replace(ta, finals=frozenset({ta.private}))
+    assert "private-is-final" in {v.rule for v in validate(bad)}
+    assert validate(replace(bad, finals=ta.finals)) == []
+    assert validate(ta) == []
+    assert ta.controllable is ta.controllable == {"a", "b"}
+
+
+def test_prepare_of_an_invalid_automaton_raises():
+    bad = replace(load_ta("ta1"), finals=frozenset({"l0", "lf"}))
+    with pytest.raises(ValueError, match="final-has-outgoing"):
+        prepare(bad)
+    assert validate(bad)  # now its violations are kept on the value
+    with pytest.raises(ValueError, match="final-has-outgoing"):
+        prepare(bad)
+
+
+def test_final_urgency_matches_its_definition_on_random_automata():
+    """Some clock is pinned to 0 in every final and reset on every edge into
+    one: checked against that sentence, on draws with pins and resets dropped."""
+    from conftest import random_ta
+
+    rng = random.Random(16)
+    seen = set()
+    for i in range(200):
+        ta = random_ta(rng, name=f"urg{i}")
+        if rng.random() < 0.5:  # drop the pin of one clock, or every pin
+            keep = rng.choice([None, *range(len(ta.clocks))])
+            inv = {f: tuple(a for a in ta.invariant(f) if a.clock == keep) for f in ta.finals}
+            ta = replace(ta, invariants={**dict(ta.invariants), **inv})
+        edges = tuple(
+            replace(e, resets=frozenset(r for r in e.resets if rng.random() < 0.7))
+            for e in ta.edges
+        )
+        ta = replace(ta, edges=edges)
+        incoming = [e for e in ta.edges if e.target in ta.finals]
+        urgent = any(
+            all(Atom(c.index, "=", 0) in ta.invariant(f) for f in ta.finals)
+            and all(c.index in e.resets for e in incoming)
+            for c in ta.clocks
+        )
+        rules = {v.rule for v in validate(ta)}
+        assert ("final-not-urgent" not in rules) == urgent, i
+        seen.add(urgent)
+    assert seen == {True, False}
+
+
 def test_add_tick_clock_shape():
     ta = load_ta("ta_opaque")
     ticked = add_tick_clock(ta)
