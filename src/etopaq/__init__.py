@@ -13,7 +13,7 @@ from .ta import (
     prepare,
     validate,
 )
-from .regions import Region, RegionContext, region_of
+from .regions import RegionContext
 from .beliefs import BOTTOM, DEAD, BeliefSpace
 from .strategies import (
     Bucket,
@@ -44,7 +44,6 @@ __all__ = [
     "Edge",
     "MetaStrategy",
     "Mode",
-    "Region",
     "RegionContext",
     "SolveResult",
     "TimedAutomaton",
@@ -60,7 +59,6 @@ __all__ = [
     "oracle_buckets",
     "oracle_verdict",
     "prepare",
-    "region_of",
     "solve",
     "validate",
     "witness_to_metastrategy",

@@ -11,8 +11,8 @@ kept as an absorbing dead state so time can still be counted through
 intervals where no run survives.
 
 A belief is a frozenset of the dense region ids of the space's
-`RegionContext`; `BeliefSpace.regions_of` gives its `Region` objects.  The
-context answers each region's steps in ids; they are read once per region and
+`RegionContext`, which alone knows what each id stands for.  The context
+answers each region's steps in ids; they are read once per region and
 kept as id tuples, split into free steps, controllable steps by name bit,
 and the '0+'/'1' delay targets.
 The one closure routine and the delay images run over these tables alone,
@@ -29,10 +29,10 @@ case of its own there, since every successor of it is itself.
 from __future__ import annotations
 
 from .graphs import bfs
-from .regions import Region, RegionContext, encode
+from .regions import RegionContext
 from .ta import SILENT
 
-Belief = frozenset  # frozenset[int]: ids into the context's `regions`
+Belief = frozenset  # frozenset[int]: region ids of the space's context
 
 BOTTOM = "__bottom__"
 DEAD: Belief = frozenset()
@@ -250,11 +250,6 @@ class BeliefSpace:
             succ.setdefault((belief, tick, by_mask[cls]), parent)
             cls = (cls - relevant) & relevant  # the next submask of ``relevant``
 
-    def regions_of(self, belief: Belief) -> frozenset[Region]:
-        """The belief's `Region` objects."""
-        regions = self.ctx.regions
-        return frozenset([regions[i] for i in belief])
-
     def successors_computed(self) -> int:
         """Distinct belief successors computed so far, initial beliefs
         included."""
@@ -302,8 +297,3 @@ class BeliefGraph:
         self.transitions = transitions
         self.stopped = stopped  # why a capped walk stopped short, else ""
 
-
-def belief_key(regions: frozenset[Region]) -> tuple:
-    """Canonical sorted encoding of a belief's regions (`regions_of`), for
-    stable naming and ordering."""
-    return tuple(sorted(encode(r) for r in regions))

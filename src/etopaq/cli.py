@@ -87,7 +87,7 @@ def _print_stats(space: BeliefSpace, result=None) -> None:
         stats = asdict(result.stats)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
     stats.update(
-        regions=len(space.ctx.regions),
+        regions=len(space.ctx.locations),
         regions_expanded=space.ctx.expanded(),
         belief_successors=space.successors_computed(),
         peak_rss_mb=round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1),

@@ -4,11 +4,11 @@ did not); a capped export holds what was explored, without the edges to
 nodes past the state cap."""
 from __future__ import annotations
 
-from .beliefs import BOTTOM, BeliefGraph, BeliefSpace, belief_key
+from .beliefs import BOTTOM, BeliefGraph, BeliefSpace
 from .game import explore
 from .graphs import bfs
 from .modes import Mode
-from .regions import RegionContext, encode
+from .regions import RegionContext
 
 EXPORT_STATE_CAP = 10_000  # the command line's default; every paper fixture's graphs fit
 
@@ -23,20 +23,19 @@ def regions_dot(
     """The region graph reachable from the initial region under delays and
     all discrete actions, steps in (tag or action name, region) order."""
 
-    regions = ctx.regions
-
     def steps(i):
-        delays = sorted(ctx.delay_steps(i), key=lambda s: (s[0], encode(regions[s[1]])))
-        discrete = sorted(ctx.discrete_steps(i), key=lambda s: (s[0].name, encode(regions[s[1]])))
+        delays = sorted(ctx.delay_steps(i), key=lambda s: (s[0], ctx.key(s[1])))
+        discrete = sorted(ctx.discrete_steps(i), key=lambda s: (s[0].name, ctx.key(s[1])))
         out = [(f"{tag}/~", j) for tag, j in delays if j != i]
         return out + [(f"0/{a.name}", j) for a, j in discrete]
 
     start = ctx.initial_id()
     adj, order, parent, stopped = bfs(start, steps, state_cap, time_cap)
-    names = {i: _q(ctx.format_region(regions[i])) for i in order}
+    names = {i: _q(ctx.format_region(i)) for i in order}
     lines = ["digraph regions {", "  rankdir=LR;"]
     for i in order:
-        shape = "doublecircle" if ctx.is_final(regions[i]) else "ellipse"
+        final = i in ctx.private_finals or i in ctx.public_finals
+        shape = "doublecircle" if final else "ellipse"
         lines.append(f"  {names[i]} [shape={shape}];")
     for i, out in adj.items():
         for label, j in out:
@@ -66,7 +65,7 @@ def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
         by_depth.setdefault(d, []).append(b)
     names = {BOTTOM: "bot"}
     for d, group in by_depth.items():
-        group.sort(key=lambda b: (-len(b), belief_key(graph.space.regions_of(b))))
+        group.sort(key=lambda b: (-len(b), tuple(sorted(map(graph.space.ctx.key, b)))))
         base = f"b{(d - 1) // 2}" if d % 2 else f"b({d // 2 - 1},{d // 2})"
         for i, b in enumerate(group):
             names[b] = base + ("'" * i if i < 2 else f"'{i}")
@@ -89,9 +88,8 @@ def beliefs_dot(
         names = {BOTTOM: "bot"}
         for b in graph.states:
             if b is not BOTTOM:
-                digest = blake2b(
-                    repr(belief_key(space.regions_of(b))).encode(), digest_size=5
-                ).hexdigest()
+                key = tuple(sorted(map(space.ctx.key, b)))
+                digest = blake2b(repr(key).encode(), digest_size=5).hexdigest()
                 names[b] = f"B{digest}"
     lines = ["digraph beliefs {", "  rankdir=LR;"]
     for b in graph.states:
@@ -100,7 +98,7 @@ def beliefs_dot(
             continue
         leak = Mode.FULL.leaks(space.has_private_final(b), space.has_public_final(b))
         style = ' style=filled fillcolor="#ffcccc"' if leak else ""
-        tip = "; ".join(sorted(space.ctx.format_region(r) for r in space.regions_of(b)))
+        tip = "; ".join(sorted(map(space.ctx.format_region, b)))
         lines.append(
             f"  {_q(names[b])} [shape=box tooltip={_q(tip)}{style}];"
         )

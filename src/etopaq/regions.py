@@ -7,27 +7,28 @@ how the fractional part of the tick clock moved: '0' (discrete step), '0+'
 (delay staying off integers), '1' (delay entering or leaving an integer
 instant).
 
-A `RegionContext` interns the regions it meets as (location, clock part)
-pairs, each with a dense int id in order of first sight and no object; final
-ids go into private and public sets by their location's side.  Its steps speak
-ids: `delay_steps(i)` and `discrete_steps(i)` take a region id and return
-(tag, id) and (action, id) pairs; `initial_id()`, where every walk starts, is
-interned straight from the all-zero clock part.  `locations[i]` is the
-region's location, and `regions[i]` the `Region` object, built on its first
-read for rendering and tests.  Its successor kernel works on clock parts, a
-region's (ints, zero, pos) without its location.  Each clock part is interned once with its
-half-unit clock codes: 2n for a clock on the integer n, 2n+1 inside (n, n+1),
-2·cmax+1 above the clock's max constant.  A location's guards and invariants
-compile, on the first region expanded there, into (clock, lo, hi) range tests
-over these codes; an edge's test also covers the target invariant, decided
-outright on the clocks the edge resets.  The time successor of a clock part is
-computed once whatever the location, and each region is expanded once into
-both its delay and its discrete steps, in no particular order, kept in a list
-indexed by id.
+A region is an id of a `RegionContext`, which interns the regions it meets
+as (location, clock part) pairs, each with a dense int id in order of first
+sight and no object; final ids go into private and public sets by their
+location's side.  A clock part is (ints, zero, pos): per clock its capped
+integer part, the clocks on an integer, and the groups of the others by
+increasing fractional part.  Its steps speak ids: `delay_steps(i)` and
+`discrete_steps(i)` take a region id and return (tag, id) and (action, id)
+pairs.  Ids come in through `initial_id()`, where every walk starts, and
+`id_of(location, valuation)`, the region of a concrete clock valuation;
+`locations[i]` is a region's location, `key(i)` its orderable encoding and
+`format_region(i)` its label.  Its successor kernel works on clock parts,
+each interned once with its half-unit clock codes: 2n for a clock on the
+integer n, 2n+1 inside (n, n+1), 2·cmax+1 above the clock's max constant.
+A location's guards and invariants compile, on the first region expanded
+there, into (clock, lo, hi) range tests over these codes; an edge's test also
+covers the target invariant, decided outright on the clocks the edge resets.
+The time successor of a clock part is computed once whatever the location,
+and each region is expanded once into both its delay and its discrete steps,
+in no particular order, kept in a list indexed by id.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -41,48 +42,6 @@ from .ta import (
 )
 
 ABOVE = None  # integer-part marker for values past the clock's max constant
-
-
-@dataclass(frozen=True, slots=True)
-class Region:
-    location: str
-    ints: tuple[int | None, ...]
-    zero: tuple[int, ...]
-    pos: tuple[tuple[int, ...], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # `regions_of` and the renderers put regions in sets; hash the fields once
-        object.__setattr__(self, "_hash", hash((self.location, self.ints, self.zero, self.pos)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def fraction_is_zero(self, clock: int) -> bool:
-        return clock in self.zero
-
-
-def region_of(
-    location: str, vals: Sequence[Fraction], cmax: Sequence[int]
-) -> Region:
-    ints: list[int | None] = []
-    zero: list[int] = []
-    by_fraction: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(vals):
-        if v > cmax[i]:
-            ints.append(ABOVE)
-            continue
-        whole = int(v)
-        frac = v - whole
-        ints.append(whole)
-        if frac == 0:
-            zero.append(i)
-        else:
-            by_fraction.setdefault(frac, []).append(i)
-    pos = tuple(
-        tuple(sorted(by_fraction[f])) for f in sorted(by_fraction)
-    )
-    return Region(location, tuple(ints), tuple(zero), pos)
 
 
 Ranges = tuple[tuple[int, int, int], ...]  # (clock, lo, hi) over half-unit codes
@@ -104,32 +63,13 @@ def _compile_atoms(atoms: Sequence[Atom], cmax: Sequence[int]) -> Ranges | None:
     return tuple((c, lo, hi) for c, (lo, hi) in sorted(box.items()))
 
 
-class _Regions:
-    """A context's id -> `Region` view, each built on its first read and kept.  It
-    holds the context's tables, never the context, so no cycle outlives a query."""
-
-    def __init__(self, locations: list[str], part_of: list[int], parts: list[tuple]):
-        self._locations, self._part_of, self._parts, self._built = locations, part_of, parts, {}
-
-    def __len__(self) -> int:
-        return len(self._locations)
-
-    def __getitem__(self, rid: int) -> Region:
-        if rid not in self._built:  # negative ids count from the end; past it, IndexError
-            rid = range(len(self._locations))[rid]
-            if rid not in self._built:
-                self._built[rid] = Region(self._locations[rid], *self._parts[self._part_of[rid]])
-        return self._built[rid]
-
-
 class RegionContext:
     """Successor queries over the regions of a duplicated, tick-augmented
     automaton, computed once per region.
 
-    Steps are answered in region ids; ``intern(r)`` is the id of ``r``, and
-    ``regions[intern(r)]`` the one canonical object equal to it.
-    ``locations[i]`` is id i's location; ``private_finals`` and
-    ``public_finals`` hold the final ids by side of the duplication.
+    Steps are answered in region ids; ``locations[i]`` is id i's location;
+    ``private_finals`` and ``public_finals`` hold the final ids by side of
+    the duplication.
     """
 
     def __init__(self, ta: TimedAutomaton):
@@ -151,10 +91,9 @@ class RegionContext:
         self.locations: list[str] = []  # id -> location
         self._part_of: list[int] = []  # id -> part id
         self._steps: list[tuple | None] = []  # id -> (delay steps, discrete steps) once expanded
-        self.regions = _Regions(self.locations, self._part_of, self._parts)
         self.private_finals: set[int] = set()
         self.public_finals: set[int] = set()
-        sides = (self.public_finals, self.private_finals)  # indexed by `is_secret`'s test
+        sides = (self.public_finals, self.private_finals)  # indexed by "primed or private"
         self._side = {f: sides[is_primed(f) or f == ta.private] for f in ta.finals}  # -> its ids
 
     def _max_constants(self) -> tuple[int, ...]:
@@ -194,22 +133,28 @@ class RegionContext:
                 side.add(rid)
         return rid
 
-    def intern(self, region: Region) -> int:
-        """The region's id, assigned on first sight; the first object seen stays canonical."""
-        rid = self._region(region.location, self._part(region.ints, region.zero, region.pos))
-        self.regions._built.setdefault(rid, region)
-        return rid
+    def id_of(self, location: str, valuation: Sequence[Fraction]) -> int:
+        """The id of the region holding ``valuation`` (one value per clock)
+        at ``location``, assigned on first sight."""
+        ints: list[int | None] = []
+        zero: list[int] = []
+        by_fraction: dict[Fraction, list[int]] = {}
+        for i, (v, top) in enumerate(zip(valuation, self.cmax, strict=True)):
+            if v > top:
+                ints.append(ABOVE)
+                continue
+            whole = int(v)
+            ints.append(whole)
+            if v == whole:
+                zero.append(i)
+            else:
+                by_fraction.setdefault(v - whole, []).append(i)
+        pos = tuple(tuple(by_fraction[f]) for f in sorted(by_fraction))
+        return self._region(location, self._part(tuple(ints), tuple(zero), pos))
 
     def initial_id(self) -> int:
         """The initial region's id: the initial location, every clock on 0."""
-        n = len(self.cmax)
-        return self._region(self.ta.init, self._part((0,) * n, tuple(range(n)), ()))
-
-    def initial_region(self) -> Region:
-        return self.regions[self.initial_id()]
-
-    def region_of(self, location: str, vals: Sequence[Fraction]) -> Region:
-        return region_of(location, vals, self.cmax)
+        return self.id_of(self.ta.init, (0,) * len(self.cmax))
 
     # -- the kernel ------------------------------------------------------------
 
@@ -333,42 +278,28 @@ class RegionContext:
         """How many regions have had their steps computed."""
         return len(self._steps) - self._steps.count(None)
 
-    # -- predicates over the duplicated automaton ---------------------------
-
-    def is_final(self, region: Region) -> bool:
-        return region.location in self.ta.finals
-
-    def is_secret(self, region: Region) -> bool:
-        return is_primed(region.location) or region.location == self.ta.private
-
     # -- rendering -----------------------------------------------------------
 
-    def format_region(self, region: Region) -> str:
+    def key(self, rid: int) -> tuple:
+        """Region ``rid`` as (location, integer parts with -1 for above, clocks
+        on an integer, fractional order): orderable, and two ids share a key
+        only if they are the same id."""
+        ints, zero, pos = self._parts[self._part_of[rid]]
+        return (self.locations[rid], tuple(-1 if n is ABOVE else n for n in ints), zero, pos)
+
+    def format_region(self, rid: int) -> str:
+        ints, zero, pos = self._parts[self._part_of[rid]]
         parts = []
         for c in self.ta.clocks:
-            n = region.ints[c.index]
+            n = ints[c.index]
             if n is ABOVE:
                 parts.append(f"{c.name}>{self.cmax[c.index]}")
-            elif region.fraction_is_zero(c.index):
+            elif c.index in zero:
                 parts.append(f"{c.name}={n}")
             else:
                 parts.append(f"{n}<{c.name}<{n + 1}")
-        label = f"{region.location} | " + " ".join(parts)
-        if len(region.pos) > 1:
-            names = [
-                "{" + ",".join(self.ta.clocks[i].name for i in g) + "}"
-                for g in region.pos
-            ]
+        label = f"{self.locations[rid]} | " + " ".join(parts)
+        if len(pos) > 1:
+            names = ["{" + ",".join(self.ta.clocks[i].name for i in g) + "}" for g in pos]
             label += " | fr " + "<".join(names)
         return label
-
-
-def encode(region: Region) -> tuple:
-    """Canonical, orderable encoding; equality of encodings is region
-    equality."""
-    return (
-        region.location,
-        tuple(-1 if n is ABOVE else n for n in region.ints),
-        region.zero,
-        region.pos,
-    )

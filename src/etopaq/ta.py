@@ -5,7 +5,7 @@ Everything here is an immutable value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -92,7 +92,7 @@ class TimedAutomaton:
     name: str
     actions: tuple[Action, ...]
     locations: tuple[str, ...]
-    invariants: Mapping[str, Guard]
+    invariants: Mapping[str, Guard] = field(hash=False)  # a read-only view, so left out of the hash
     init: str
     private: str
     finals: frozenset[str]
@@ -103,6 +103,13 @@ class TimedAutomaton:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "invariants", MappingProxyType(dict(self.invariants)))
+
+    def __reduce__(self):
+        # a read-only view cannot be pickled: rebuild from the fields, invariants as a dict
+        return type(self), tuple(
+            dict(self.invariants) if f.name == "invariants" else getattr(self, f.name)
+            for f in fields(self)
+        )
 
     def invariant(self, location: str) -> Guard:
         return self.invariants.get(location, ())

@@ -387,11 +387,11 @@ def is_feasible(
 ) -> bool:
     """Feasible: some admitted prefix of the choice schedule reaches a belief
     containing the run's final region."""
-    last_region = space.ctx.region_of(run.last[0], run.last[1])
+    last_region = space.ctx.id_of(*run.last)
     state: tuple[tuple[Label, ...], object] = ((), BOTTOM)
     for _ in range(labels_for_units(phi, int(run.duration) + 2)):
         state = controlled_successor(space, state, phi)
         v, belief = state
-        if last_region in space.regions_of(belief) and run_admits(run, v, ta):
+        if last_region in belief and run_admits(run, v, ta):
             return True
     return False

@@ -53,30 +53,17 @@ def leaking_full(space: BeliefSpace, belief) -> bool:
     return space.has_private_final(belief) != space.has_public_final(belief)
 
 
-def delay_steps(ctx: RegionContext, region) -> tuple:
-    """`RegionContext.delay_steps` over `Region` objects: the region goes in
-    through `intern`, the target ids come back through `regions`."""
-    regions = ctx.regions
-    return tuple((tag, regions[j]) for tag, j in ctx.delay_steps(ctx.intern(region)))
-
-
-def discrete_steps(ctx: RegionContext, region) -> tuple:
-    """`RegionContext.discrete_steps` over `Region` objects, as `delay_steps`."""
-    regions = ctx.regions
-    return tuple((a, regions[j]) for a, j in ctx.discrete_steps(ctx.intern(region)))
-
-
-def time_successor(ctx: RegionContext, region):
-    """The delay step that leaves ``region`` (every delay step but the
-    stay-in-place one), or None when the invariant or the caps stop it."""
-    return next(((tag, r2) for tag, r2 in delay_steps(ctx, region) if r2 != region), None)
+def time_successor(ctx: RegionContext, rid: int):
+    """The delay step (tag, id) that leaves region ``rid`` (every delay step
+    but the stay-in-place one), or None when the invariant or the caps stop it."""
+    return next(((tag, j) for tag, j in ctx.delay_steps(rid) if j != rid), None)
 
 
 def valuations_equivalent(
     a: Sequence[Fraction], b: Sequence[Fraction], cmax: Sequence[int]
 ) -> bool:
     """Direct three-condition check, kept independent of the encoding so it
-    can arbitrate `region_of`."""
+    can arbitrate `RegionContext.id_of`."""
     n = len(a)
     for i in range(n):
         above_a, above_b = a[i] > cmax[i], b[i] > cmax[i]

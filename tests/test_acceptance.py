@@ -33,7 +33,7 @@ from etopaq.game import (
 )
 from etopaq.minsky import encode, parse_machine, structural_check
 from etopaq.oracle import oracle_buckets, oracle_verdict
-from etopaq.regions import RegionContext, region_of
+from etopaq.regions import RegionContext
 from etopaq.strategies import (
     Bucket,
     MetaStrategy,
@@ -240,7 +240,7 @@ def test_criterion_4_robust_modes():
 def test_criterion_5_region_canonicity():
     rng = random.Random(31415)
     for name in SOLVE_FIXTURES:
-        ctx = load_space(name).ctx
+        ctx = RegionContext(prepare(load_ta(name)))
         n = len(ctx.ta.clocks)
         disagreements = 0
         for _ in range(10_000):
@@ -255,7 +255,7 @@ def test_criterion_5_region_canonicity():
             else:
                 shift = Fraction(rng.randint(0, 24), 8)
                 b = tuple(v + shift for v in a)
-            same = region_of("l", a, ctx.cmax) == region_of("l", b, ctx.cmax)
+            same = ctx.id_of("l0", a) == ctx.id_of("l0", b)
             disagreements += same != valuations_equivalent(a, b, ctx.cmax)
         assert disagreements == 0, name
 

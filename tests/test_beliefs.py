@@ -6,19 +6,20 @@ from itertools import combinations
 
 import pytest
 
-from conftest import delay_steps, discrete_steps, leaking_full, load_space, load_ta
+from conftest import leaking_full, load_space, load_ta
 from etopaq import prepare
 from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace
 from etopaq.modes import Mode
 from etopaq.regions import RegionContext
 from etopaq.ta import SILENT_KIND
+from regionref import is_final, is_secret, regions
 
 A = frozenset({"a"})
 NONE = frozenset()
 
 
 def xproj(space, belief):
-    return sorted({(r.location, r.ints[0]) for r in space.regions_of(belief)})
+    return sorted({(r.location, r.ints[0]) for r in regions(space.ctx, belief)})
 
 
 def test_initial_belief_with_a(opaque_space):
@@ -40,7 +41,7 @@ def test_initial_belief_singleton_when_no_zero_edges():
     space = load_space("ta_counterex")
     b = space.initial(frozenset({"a", "b"}))
     # only the uncontrollable jump to the private location fires at time 0
-    assert sorted({r.location for r in space.regions_of(b)}) == ["l0", "lpriv"]
+    assert sorted({space.ctx.locations[i] for i in b}) == ["l0", "lpriv"]
 
 
 def test_successor_interval_beliefs(opaque_space):
@@ -124,23 +125,23 @@ def test_largest_set_property_random_paths(opaque_space):
     b0 = space.initial(A)
     for tick in ("1",):
         for enabled in (A, NONE):
-            target = space.regions_of(space.successor(b0, tick, enabled))
+            target = space.successor(b0, tick, enabled)
             for _ in range(200):
-                r = rng.choice(sorted(space.regions_of(b0), key=ctx.format_region))
-                hops = [r2 for tag, r2 in delay_steps(ctx, r) if tag == tick]
+                r = rng.choice(sorted(b0, key=ctx.format_region))
+                hops = [j for tag, j in ctx.delay_steps(r) if tag == tick]
                 if not hops:
                     continue
                 cur = rng.choice(hops)
                 assert cur in target
                 for _ in range(rng.randint(0, 4)):
                     moves = [
-                        t
-                        for a, t in discrete_steps(ctx, cur)
+                        j
+                        for a, j in ctx.discrete_steps(cur)
                         if a.kind == SILENT_KIND
                         or a.name in space.uncontrollable
                         or a.name in enabled
                     ]
-                    moves += [t for tag, t in delay_steps(ctx, cur) if tag == "0+"]
+                    moves += [j for tag, j in ctx.delay_steps(cur) if tag == "0+"]
                     if not moves:
                         break
                     cur = rng.choice(moves)
@@ -152,9 +153,10 @@ def test_successor_deterministic(opaque_space):
     b1 = opaque_space.initial(A)
     b2 = fresh.initial(A)
     # beliefs of different spaces compare by their regions, not their ids
-    assert opaque_space.regions_of(b1) == fresh.regions_of(b2)
-    assert opaque_space.regions_of(opaque_space.successor(b1, "1", NONE)) == fresh.regions_of(
-        fresh.successor(b2, "1", NONE)
+    mine, theirs = opaque_space.ctx, fresh.ctx
+    assert regions(mine, b1) == regions(theirs, b2)
+    assert regions(mine, opaque_space.successor(b1, "1", NONE)) == regions(
+        theirs, fresh.successor(b2, "1", NONE)
     )
 
 
@@ -292,7 +294,7 @@ def test_two_clock_belief_contents_match_published_lists():
                     -1 if r.ints[0] is None else r.ints[0],
                     -1 if r.ints[1] is None else r.ints[1],
                 )
-                for r in space.regions_of(b)
+                for r in regions(space.ctx, b)
             }
         )
 
@@ -324,7 +326,7 @@ def test_initial_belief_singleton_without_zero_time_moves():
     from conftest import mortal_ta
 
     space = BeliefSpace(RegionContext(prepare(mortal_ta())))
-    assert space.regions_of(space.initial(NONE)) == frozenset({space.ctx.initial_region()})
+    assert space.initial(NONE) == frozenset({space.ctx.initial_id()})
 
 
 def test_initial_closure_keeps_silent_zero_edges():
@@ -357,12 +359,13 @@ def test_initial_closure_keeps_silent_zero_edges():
         )
     )
     space = BeliefSpace(RegionContext(prepare(ta)))
-    assert {r.location for r in space.regions_of(space.initial(NONE))} == {"l0", "lmid", "lf"}
+    locations = space.ctx.locations
+    assert {locations[i] for i in space.initial(NONE)} == {"l0", "lmid", "lf"}
     b = space.initial(NONE)
-    assert {r.location for r in space.regions_of(space.successor(b, "1", NONE))} >= {"lmid"}
+    assert {locations[i] for i in space.successor(b, "1", NONE)} >= {"lmid"}
 
 
-# --- the id-based closure against a Region-level reference ----------------------
+# --- the belief closure against a reference closure over the region steps ------
 
 PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
 
@@ -373,27 +376,27 @@ def _reference_closure(ctx, seed, enabled, allow_delay):
     seen = set(seed)
     todo = list(seen)
     while todo:
-        r = todo.pop()
-        for action, r2 in discrete_steps(ctx, r):
+        i = todo.pop()
+        for action, j in ctx.discrete_steps(i):
             ok = action.kind == SILENT_KIND or action.name in unc or action.name in enabled
-            if ok and r2 not in seen:
-                seen.add(r2)
-                todo.append(r2)
+            if ok and j not in seen:
+                seen.add(j)
+                todo.append(j)
         if allow_delay:
-            for tag, r2 in delay_steps(ctx, r):
-                if tag == "0+" and r2 not in seen:
-                    seen.add(r2)
-                    todo.append(r2)
+            for tag, j in ctx.delay_steps(i):
+                if tag == "0+" and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
     return frozenset(seen)
 
 
 def _reference_successor(ctx, belief, tick, enabled):
-    seed = {r2 for r in belief for tag, r2 in delay_steps(ctx, r) if tag == tick}
+    seed = {j for i in belief for tag, j in ctx.delay_steps(i) if tag == tick}
     return _reference_closure(ctx, seed, enabled, allow_delay=True)
 
 
 def _reference_initial(ctx, enabled):
-    return _reference_closure(ctx, {ctx.initial_region()}, enabled, allow_delay=False)
+    return _reference_closure(ctx, {ctx.initial_id()}, enabled, allow_delay=False)
 
 
 def _assert_matches_reference(ta) -> int:
@@ -402,19 +405,19 @@ def _assert_matches_reference(ta) -> int:
     space = BeliefSpace(RegionContext(prepare(ta)))
     for enabled in space.enabled_sets():
         got = space.initial(enabled)
-        assert space.regions_of(got) == _reference_initial(space.ctx, enabled)
+        assert got == _reference_initial(space.ctx, enabled)
         assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
     ctx = space.ctx
     graph = space.explore(include_dead=True)
     for (b, tick, enabled), b2 in graph.transitions.items():
         if b is BOTTOM:
             continue
-        expected = _reference_successor(ctx, space.regions_of(b), tick, enabled)
-        assert space.regions_of(b2) == expected, (ta.name, tick, sorted(enabled))
+        expected = _reference_successor(ctx, b, tick, enabled)
+        assert b2 == expected, (ta.name, tick, sorted(enabled))
         assert sys.getsizeof(b2) <= sys.getsizeof(frozenset(set(b2)))
         for belief in (b2, b | b2):
-            priv = any(ctx.is_final(r) and ctx.is_secret(r) for r in space.regions_of(belief))
-            pub = any(ctx.is_final(r) and not ctx.is_secret(r) for r in space.regions_of(belief))
+            priv = any(is_final(ctx, i) and is_secret(ctx, i) for i in belief)
+            pub = any(is_final(ctx, i) and not is_secret(ctx, i) for i in belief)
             assert space.has_private_final(belief) == priv
             assert space.has_public_final(belief) == pub
             assert _finals_present(space, belief) == (priv or pub)

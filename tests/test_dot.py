@@ -1,0 +1,101 @@
+"""The DOT exports of the paper fixtures, pinned byte for byte by digest.
+
+Every rewrite of the region, belief or game layers must leave the exports
+byte-identical; a test that only checks an export starts with ``digraph``
+would let a changed ordering or label through."""
+from __future__ import annotations
+
+import hashlib
+
+from conftest import load_ta
+from etopaq import dot, prepare
+from etopaq.beliefs import BeliefSpace
+from etopaq.modes import Mode
+from etopaq.regions import RegionContext
+
+# per fixture: regions, beliefs, beliefs --pretty, then the game in each mode
+# of `Mode` (full, weak, almost, closed), each export uncapped and complete
+EXPORT_DIGESTS = {
+    "ta1": (
+        "99ba0c9474d5a39d8c6d71683b0ba4215ef07473e0437fd92f6f6bcba48fe388",
+        "80e17b001c98745045abb88b84405946f8c1fc3bf61efe1dc35f2f6c9061dd9e",
+        "ed747dada956bb648f8ce97e8067eca9c58a910ab2787c16ae82824faaf2d9a3",
+        "375d1b2722ef85064971f152c2674af7ffb7555d06059e72b0d68a67a4d33cbf",
+        "a192a0f4000b64dd1959872902a1e70b6c1deccd9374a74d8e19d7f3c75f1f70",
+        "f3210f6a3febab7d4475ac4cfc17ae9a486199867507e163158cabd8f4efc82f",
+        "e5dccb806315e38ecb635bd8ce02ccb2991e749b18cebfc29238c6131eac637c",
+    ),
+    "ta_opaque": (
+        "52f3f0c83293c4787b462e5c85ed8dc9dc62eb38b4a8b9929b2d69af056a0a07",
+        "bbd53d86dfeb4f924d2ac8f68e1d686c7c1cefaf3f4a94a5e1d09905e33f56ca",
+        "11da9b4184129a306c0c0c4b10021800d0daed25f94bc5ec90083ed789209378",
+        "341a640203e6f112d3abe34ecff675b176cc54011792bd1c4b3790d2f3986f54",
+        "55764be515af872044932445d7a8cdb0a1d2308300725a30a78825cdbb2b698a",
+        "5bd28fdad7fccdb14b3391a3e7481f4b4f532ef7211edfc7891d4fc4fc98b400",
+        "323207ac40fe7135d328151c3e6dde740d42a04ece29e4dd1ad94571cb5cf5bd",
+    ),
+    "ta_opaque2": (
+        "a7776b6468bc7da131296d0b0bf32b1c3a800cc6a7875c97716f1f207eac5f12",
+        "ff7c1735d84e6d25dcdd2ad695d645becc2e614ab53da3533336cd93194b3263",
+        "a8de05b83ec19c0b30239d20e071cd5d1845f1f62b4624a4478ec8dd9dddee22",
+        "8f7f1571b89d03a091c6c397fc35c796ceb1a994beff904f5da5fc2b964d8cff",
+        "fd495a460411676604830ced634becb0fbc99dc4927ceee0915bb987c9ec810c",
+        "604e8ab51d03a1adf741a1a2fdd1f9da3c8cc2e46d1a009575ba3fe679ff2829",
+        "8097662e7165dcbaba56e15bd4805005a5c65460408b2eedbd6526121ebee5d3",
+    ),
+    "ta_counterex": (
+        "a6fa845af83c8381e21671fb14617b18e3872739b777cf5a4b0cb7b43a771a17",
+        "67326895d7dbd247d37f1bb4104aa44b360d598a65aff3f85a848038a0c6c895",
+        "c650fe6d0e6aa2a5b8b682b1e709579dc826b8dbdd216a78ebfe06da6edc2a6a",
+        "6935492edbcada51f38b88ba13eea75b7658e241988e4e64db8d0fe6b4441fac",
+        "6935492edbcada51f38b88ba13eea75b7658e241988e4e64db8d0fe6b4441fac",
+        "205787354161affacd483beaea5b24e3cee726f19d598fb29292d7261697a89a",
+        "4769d216d64e067e5db54f6916117461eb1db54306111646b95aff32a690dac0",
+    ),
+    "ta_nfv": (
+        "d135963141eb7dfd05d08331a2e695ca38b207b8bf8bf07a2f613542921f3c1b",
+        "631c860b09d3a19547bb7396dc85072ab551869a28626510c20605e17802ba6f",
+        "f1693e6e6a9dd7dd784196e860ec005293a684bb95361cce2b7c2b2f9786e6c9",
+        "d22ec44466d942e5467bbe0448b4c6743161e37a127fad57f368b107cf9764be",
+        "49c6f0d4e3eb1468915d7cef755ba7a9e102e831bfdbaaa270c7d581ba4b09f0",
+        "b0783f3684ff2fe1de53f6c34b5adb68b60a3ded310b4df6e65a0cb01ab0ca6e",
+        "586c9731035f1cd6837d3bb621b514866ab382fbd30a51362e0ab396d04503d9",
+    ),
+    "t2_like": (
+        "1f3eeec46266e6d6716a5a803c1d3606eaa917252036fde54cbc946ca2f98f3a",
+        "5e25c247314d13c3ff3930cc58c839fab02b5ece2b56fad26424bef1e17bb7e6",
+        "8314b34739b4977477421d5fdcea583245d16802a7aae079a699f9d1c54b2613",
+        "8510dd5379a3a5d54b528158c8075f57ed3c649e08c81b61e3febfdf6f0b744b",
+        "8510dd5379a3a5d54b528158c8075f57ed3c649e08c81b61e3febfdf6f0b744b",
+        "0bfcd34fb8781f0be7a62ddde2b4c832918045f7a072cb776e88ead99dae9d11",
+        "e04736c3214785cb2d2552dd289807c01404c4c2e783cec08df52ae2aff93152",
+    ),
+    "t3_like": (
+        "02da8a944c72c5998eee5a759aede08dcdf120a958d0f4f9f7e71fe454043799",
+        "4038e49ba7b3b9b56fff2acc4596c0250bb457773e001ee3dd9e939c6af126c3",
+        "1f991e4d946599f2cdde0fce80c2ba2284cf9e2340e579b309f5962df511c2c5",
+        "56eef6e84aec7666dc19755bd4a1fc74d6fdbfe1d9dd32af90edd8528d5b2a7c",
+        "56eef6e84aec7666dc19755bd4a1fc74d6fdbfe1d9dd32af90edd8528d5b2a7c",
+        "0bfcd34fb8781f0be7a62ddde2b4c832918045f7a072cb776e88ead99dae9d11",
+        "a873af4c35432c1fc120816b31aff2432bea6ca47eec5300310a5512e713f1d2",
+    ),
+}
+
+
+def _exports(name: str):
+    ta = prepare(load_ta(name))
+    yield dot.regions_dot(RegionContext(ta))
+    yield dot.beliefs_dot(BeliefSpace(RegionContext(ta)))
+    yield dot.beliefs_dot(BeliefSpace(RegionContext(ta)), pretty=True)
+    for mode in Mode:
+        yield dot.game_dot(BeliefSpace(RegionContext(ta)), mode)
+
+
+def test_dot_exports_of_the_paper_fixtures_are_pinned_by_digest():
+    assert len(EXPORT_DIGESTS) == 7
+    for name, want in EXPORT_DIGESTS.items():
+        got = []
+        for text, stopped in _exports(name):
+            assert stopped == "", name
+            got.append(hashlib.sha256(text.encode()).hexdigest())
+        assert tuple(got) == want, name

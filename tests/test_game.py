@@ -20,7 +20,7 @@ from etopaq.game import (
     witness_to_metastrategy,
 )
 from etopaq.oracle import oracle_buckets, oracle_verdict
-from etopaq.regions import Region, RegionContext
+from etopaq.regions import RegionContext
 from etopaq.strategies import Bucket, MetaStrategy, UnitPlan, all_enabled
 
 PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
@@ -392,26 +392,3 @@ def test_a_finished_query_is_freed_by_reference_counting():
             assert [ref() for ref in refs] == [None, None], name
     finally:
         gc.enable()
-
-
-def test_solving_builds_no_region_object_per_region(monkeypatch):
-    """The solve path and the oracle speak region ids: `solve` in every
-    mode, `check_metastrategy` and `oracle_buckets` build no `Region`, not
-    even the initial region's, however many regions they meet."""
-    built: list[Region] = []
-    post_init = Region.__post_init__
-
-    def counted(region: Region) -> None:
-        built.append(region)
-        post_init(region)
-
-    monkeypatch.setattr(Region, "__post_init__", counted)
-    for name in PAPER_FIXTURES + GADGETS:
-        space = _fresh_space(name)
-        phi = all_enabled(space.ctx.ta)
-        built.clear()
-        for mode in Mode:
-            solve(space, mode, state_cap=300)
-        check_metastrategy(space, phi, Mode.FULL)
-        oracle_buckets(space.ctx, phi)
-        assert not built and len(space.ctx.regions) > 2, (name, len(built))

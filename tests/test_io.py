@@ -30,11 +30,13 @@ ALL_TA_FIXTURES = (
 
 
 def test_public_surface_holds_what_the_commands_run():
-    """`from etopaq import *` resolves every name in `__all__`, and the
-    concrete semantics of tests/concrete.py is in no module of the package."""
+    """`from etopaq import *` resolves every name in `__all__`; the concrete
+    semantics of tests/concrete.py is in no module of the package, and a
+    region is only an id of its context: no region object, and no layer
+    converting to one, is left."""
     namespace: dict = {}
     exec("from etopaq import *", namespace)
-    assert len(set(etopaq.__all__)) == len(etopaq.__all__) == 30
+    assert len(set(etopaq.__all__)) == len(etopaq.__all__) == 28
     assert set(etopaq.__all__) <= namespace.keys()
     moved = {
         name
@@ -45,6 +47,16 @@ def test_public_surface_holds_what_the_commands_run():
     for module in (etopaq, etopaq.ta, etopaq.strategies):
         assert not moved & set(vars(module)), module.__name__
     assert not hasattr(etopaq.strategies, "meta_of")
+    gone = {
+        etopaq: ("Region", "region_of"),
+        etopaq.regions: ("Region", "region_of", "encode", "_Regions"),
+        RegionContext: ("intern", "initial_region", "region_of", "is_final", "is_secret"),
+        BeliefSpace: ("regions_of",),
+        etopaq.beliefs: ("belief_key",),
+    }
+    for owner, names in gone.items():
+        assert not [n for n in names if hasattr(owner, n)], owner
+    assert not hasattr(RegionContext(prepare(load_ta("ta1"))), "regions")
 
 
 def test_ta_round_trip_is_byte_identical(tmp_path):
@@ -560,7 +572,8 @@ def test_cli_stats_line_on_indeterminate(capsys):
 def test_cli_stats_pin_the_gadgets_game_size(capsys):
     """The three weak-mode gadgets at caps 2000 and 20000: every class
     closure of the 256-way branching is cached once, however it is
-    computed."""
+    computed; at cap 2000 the regions interned and expanded are pinned too."""
+    regions = {"minsky_halt": (84, 57), "minsky_inc_halt": (91, 61), "minsky_ifz_loop": (91, 61)}
     for cap, want in ((2000, (2001, 2048, 2048)), (20000, (20001, 20224, 20224))):
         for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
             code = main(
@@ -570,6 +583,8 @@ def test_cli_stats_pin_the_gadgets_game_size(capsys):
             stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             got = (stats["states"], stats["edges"], stats["belief_successors"])
             assert got == want, (name, cap)
+            if cap == 2000:
+                assert (stats["regions"], stats["regions_expanded"]) == regions[name], name
 
 
 def test_cli_stats_line_without_a_game(tmp_path, capsys):

@@ -5,8 +5,6 @@ import random
 from concrete import nothing_enabled
 from conftest import (
     SOLVE_FIXTURES,
-    delay_steps,
-    discrete_steps,
     fixture_path,
     load_space,
     load_ta,
@@ -232,40 +230,41 @@ def test_offending_buckets_agree_between_paths():
     assert compared >= 15
 
 
-# --- the id-level oracle against the Region-level one it replaced ------------
+# --- the oracle against a reference walk over the region steps ----------------
 
 
 def _reference_closure(ctx, seed, enabled, unc, allow_delay):
     seen = set(seed)
     todo = list(seed)
     while todo:
-        r = todo.pop()
-        for action, r2 in discrete_steps(ctx, r):
+        i = todo.pop()
+        for action, j in ctx.discrete_steps(i):
             ok = action.kind == SILENT_KIND or action.name in unc or action.name in enabled
-            if ok and r2 not in seen:
-                seen.add(r2)
-                todo.append(r2)
+            if ok and j not in seen:
+                seen.add(j)
+                todo.append(j)
         if allow_delay:
-            for tag, r2 in delay_steps(ctx, r):
-                if tag == "0+" and r2 not in seen:
-                    seen.add(r2)
-                    todo.append(r2)
+            for tag, j in ctx.delay_steps(i):
+                if tag == "0+" and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
     return frozenset(seen)
 
 
 def _reference_delay_image(ctx, frontier, tag):
-    return {r2 for r in frontier for t, r2 in delay_steps(ctx, r) if t == tag}
+    return {j for i in frontier for t, j in ctx.delay_steps(i) if t == tag}
 
 
 def _reference_buckets(ctx, phi, extra_units=1) -> OracleTable:
-    """`oracle_buckets` as it ran over frozensets of `Region` objects."""
+    """`oracle_buckets` written out over sets of region ids, with the flags
+    read from each region's location."""
     ta = ctx.ta
     unc = ta.uncontrollable
     private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
     public = ta.finals - private
 
-    def flags(bucket, regions):
-        locations = {r.location for r in regions}
+    def flags(bucket, ids):
+        locations = {ctx.locations[i] for i in ids}
         return BucketFlags(
             bucket, not private.isdisjoint(locations), not public.isdisjoint(locations)
         )
@@ -275,7 +274,7 @@ def _reference_buckets(ctx, phi, extra_units=1) -> OracleTable:
             ctx, _reference_delay_image(ctx, frontier, tag), enabled, unc, True
         )
 
-    frontier = _reference_closure(ctx, {ctx.initial_region()}, phi.point(0), unc, False)
+    frontier = _reference_closure(ctx, {ctx.initial_id()}, phi.point(0), unc, False)
     rows = [flags(Bucket("point", 0), frontier)]
     seen = {(phi.lasso_pos(0), frontier): 0}
     cycle_start = cycle_period = pending = None

@@ -6,31 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (
-    delay_steps,
-    discrete_steps,
-    load_space,
-    load_ta,
-    time_successor,
-    valuations_equivalent,
-)
+from conftest import load_space, load_ta, time_successor, valuations_equivalent
 from etopaq import prepare
-from etopaq.regions import (
-    ABOVE,
-    Region,
-    RegionContext,
-    encode,
-    region_of,
-)
+from etopaq.regions import RegionContext
+from regionref import ABOVE, Region, is_final, is_secret, member, region
 
 
 def F(num, den=1):
     return Fraction(num, den)
 
 
+def _fresh_ctx(name: str) -> RegionContext:
+    return RegionContext(prepare(load_ta(name)))
+
+
 def test_region_of_zero_valuation(opaque_space):
     ctx = opaque_space.ctx
-    r = ctx.initial_region()
+    r = region(ctx, ctx.initial_id())
     assert r.location == "l0"
     assert all(n == 0 for n in r.ints)
     assert r.zero == tuple(range(len(ctx.ta.clocks)))
@@ -38,8 +30,8 @@ def test_region_of_zero_valuation(opaque_space):
 
 
 def test_initial_id_is_the_region_of_the_zero_valuation():
-    """`initial_id` interns the all-zero clock part without a valuation; it
-    is the id of the zero valuation's region, whichever is asked first."""
+    """`initial_id` is the id of the zero valuation's region at the initial
+    location, whichever is asked first."""
     from conftest import random_ta
 
     rng = random.Random(16)
@@ -50,24 +42,27 @@ def test_initial_id_is_the_region_of_the_zero_valuation():
         prepared = prepare(ta)
         zeros = (F(0),) * len(prepared.clocks)
         ctx = RegionContext(prepared)
-        assert ctx.initial_id() == ctx.intern(ctx.region_of(prepared.init, zeros)) == 0
-        assert ctx.initial_id() == 0 and len(ctx.regions) == 1
+        assert ctx.initial_id() == ctx.id_of(prepared.init, zeros) == 0
+        assert len(ctx.locations) == 1
         other = RegionContext(prepared)
-        assert other.intern(other.region_of(prepared.init, zeros)) == other.initial_id()
-        assert ctx.initial_region() == region_of(prepared.init, zeros, ctx.cmax)
+        assert other.id_of(prepared.init, zeros) == other.initial_id() == 0
+        n = len(prepared.clocks)
+        assert region(ctx, 0) == Region(prepared.init, (0,) * n, tuple(range(n)), ())
 
 
 def test_region_of_merges_equal_fractions():
-    cmax = (1, 1)
-    a = region_of("l", (F(3, 10), F(3, 10)), cmax)
-    b = region_of("l", (F(3, 5), F(3, 5)), cmax)
+    ctx = _fresh_ctx("ta_opaque2")  # clocks x, y, w, z with max constants 1, 2, 0, 1
+    a = ctx.id_of("l0", (F(3, 10), F(3, 10), F(0), F(0)))
+    b = ctx.id_of("l0", (F(3, 5), F(3, 5), F(0), F(0)))
     assert a == b
-    assert len(a.pos) == 1 and a.pos[0] == (0, 1)
+    assert region(ctx, a).pos == ((0, 1),)
+    with pytest.raises(ValueError):  # one value per clock, no fewer
+        ctx.id_of("l0", (F(3, 10), F(3, 10)))
 
 
 def test_region_of_above_with_lone_fraction():
-    cmax = (2, 1)
-    r = region_of("l", (F(5, 2), F(1, 2)), cmax)
+    ctx = _fresh_ctx("ta_opaque2")
+    r = region(ctx, ctx.id_of("l0", (F(5, 2), F(1, 2), F(0), F(0))))
     assert r.ints[0] is ABOVE
     assert r.ints[1] == 0
     assert r.pos == ((1,),)
@@ -83,11 +78,11 @@ def _random_valuation(rng: random.Random, n: int, cmax) -> tuple[Fraction, ...]:
 
 
 def test_region_canonicity_against_pairwise_oracle():
-    """region_of equality must coincide with the direct three-condition
+    """Equal `id_of` ids must coincide with the direct three-condition
     equivalence on random valuation pairs."""
     rng = random.Random(20240)
     for name in ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex"):
-        ctx = load_space(name).ctx
+        ctx = _fresh_ctx(name)
         n = len(ctx.ta.clocks)
         disagreements = 0
         for _ in range(10_000):
@@ -98,7 +93,7 @@ def test_region_canonicity_against_pairwise_oracle():
                 # nearby pair: equivalence should often hold
                 shift = Fraction(rng.randint(0, 3), rng.randint(4, 9))
                 b = tuple(v + shift for v in a)
-            same_region = region_of("l", a, ctx.cmax) == region_of("l", b, ctx.cmax)
+            same_region = ctx.id_of("l0", a) == ctx.id_of("l0", b)
             equivalent = valuations_equivalent(a, b, ctx.cmax)
             disagreements += same_region != equivalent
         assert disagreements == 0
@@ -106,9 +101,10 @@ def test_region_canonicity_against_pairwise_oracle():
 
 def test_time_successor_from_origin(opaque_space):
     ctx = opaque_space.ctx
-    step = time_successor(ctx, ctx.initial_region())
+    step = time_successor(ctx, ctx.initial_id())
     assert step is not None
-    tag, r = step
+    tag, j = step
+    r = region(ctx, j)
     assert tag == "1"
     assert r.zero == ()
     assert len(r.pos) == 1  # every clock shares the fraction
@@ -116,34 +112,35 @@ def test_time_successor_from_origin(opaque_space):
 
 def test_time_successor_reaches_boundary(opaque_space):
     ctx = opaque_space.ctx
-    _, mid = time_successor(ctx, ctx.initial_region())
+    _, mid = time_successor(ctx, ctx.initial_id())
     step = time_successor(ctx, mid)
     assert step is not None
-    tag, r = step
+    tag, j = step
+    r = region(ctx, j)
     assert tag == "1"
     x = 0
     assert r.ints[x] == 1 and r.fraction_is_zero(x)
 
 
 def test_time_successor_promotes_maximal_group_only():
-    space = load_space("ta_opaque2")
-    ctx = space.ctx
+    ctx = _fresh_ctx("ta_opaque2")
     z = ctx.tick
     # all fractions nonzero; the (y, z) group is maximal
     y = 1
     vals = [F(1, 4), F(1, 2), F(1, 4), F(1, 2)]
-    r = ctx.region_of("l0", tuple(vals))
-    assert len(r.pos) == 2 and z in r.pos[-1]
+    r = ctx.id_of("l0", tuple(vals))
+    pos = region(ctx, r).pos
+    assert len(pos) == 2 and z in pos[-1]
     step = time_successor(ctx, r)
     assert step is not None
-    tag, r2 = step
+    tag, _ = step
     assert tag == "1"  # promoted group contains z
     # now a region whose maximal group excludes z
     vals2 = [F(1, 2), F(3, 4), F(1, 2), F(1, 2)]
-    r3 = ctx.region_of("l0", tuple(vals2))
-    step3 = time_successor(ctx, r3)
+    step3 = time_successor(ctx, ctx.id_of("l0", tuple(vals2)))
     assert step3 is not None
-    tag3, r4 = step3
+    tag3, j = step3
+    r4 = region(ctx, j)
     assert tag3 == "0+"
     assert r4.ints[y] == 1 and r4.fraction_is_zero(y)
 
@@ -153,67 +150,68 @@ def test_delay_steps_tags_match_tick_flip():
     keep it nonzero at both ends."""
     for name in ("ta_opaque", "ta1", "ta_counterex", "ta_opaque2"):
         ctx = load_space(name).ctx
-        seen = [ctx.initial_region()]
+        seen = [ctx.initial_id()]
         frontier = list(seen)
         for _ in range(200):
             if not frontier:
                 break
-            r = frontier.pop()
-            for tag, r2 in delay_steps(ctx, r):
-                before = r.fraction_is_zero(ctx.tick)
-                after = r2.fraction_is_zero(ctx.tick)
+            i = frontier.pop()
+            for tag, j in ctx.delay_steps(i):
+                before = region(ctx, i).fraction_is_zero(ctx.tick)
+                after = region(ctx, j).fraction_is_zero(ctx.tick)
                 if tag == "1":
                     assert before != after
                 else:
                     assert not before and not after
-                if r2 not in seen:
-                    seen.append(r2)
-                    frontier.append(r2)
-            for _, r2 in discrete_steps(ctx, r):
-                if r2 not in seen:
-                    seen.append(r2)
-                    frontier.append(r2)
+                if j not in seen:
+                    seen.append(j)
+                    frontier.append(j)
+            for _, j in ctx.discrete_steps(i):
+                if j not in seen:
+                    seen.append(j)
+                    frontier.append(j)
 
 
 def test_exactly_one_transition_clause():
     """A generated transition is a discrete step, a '0+' delay, or a '1'
     delay, never two of them at once."""
     ctx = load_space("ta1").ctx
-    seen = {ctx.initial_region()}
+    seen = {ctx.initial_id()}
     frontier = list(seen)
     while frontier:
-        r = frontier.pop()
-        delays = delay_steps(ctx, r)
-        assert len({(tag, encode(t)) for tag, t in delays}) == len(delays)
+        i = frontier.pop()
+        delays = ctx.delay_steps(i)
+        assert len(set(delays)) == len(delays)
         by_target = {}
-        for tag, t in delays:
-            by_target.setdefault(encode(t), set()).add(tag)
+        for tag, j in delays:
+            by_target.setdefault(j, set()).add(tag)
         for tags in by_target.values():
             assert len(tags) == 1
-        for _, r2 in list(delays) + list(discrete_steps(ctx, r)):
-            if r2 not in seen and len(seen) < 400:
-                seen.add(r2)
-                frontier.append(r2)
+        for _, j in delays + ctx.discrete_steps(i):
+            if j not in seen and len(seen) < 400:
+                seen.add(j)
+                frontier.append(j)
 
 
 def test_time_successor_chain_terminates_in_cycle():
     """Integer parts never decrease along pure-delay-plus-tick-reset chains,
     and the chain loops."""
     ctx = load_space("ta1").ctx
-    r = ctx.initial_region()
+    r = ctx.initial_id()
     trail = [r]
     for _ in range(100):
         step = time_successor(ctx, r)
         if step is None:
             # blocked: the tick reset loop must apply
-            nxt = [t for a, t in discrete_steps(ctx, r) if a.kind == "silent"]
+            nxt = [j for a, j in ctx.discrete_steps(r) if a.kind == "silent"]
             assert nxt, "chain stuck without a tick reset"
             r = nxt[0]
         else:
             _, r2 = step
-            for i, n in enumerate(r.ints):
-                if n is not ABOVE and r2.ints[i] is not ABOVE and i != ctx.tick:
-                    assert r2.ints[i] >= n
+            before, after = region(ctx, r).ints, region(ctx, r2).ints
+            for i, n in enumerate(before):
+                if n is not ABOVE and after[i] is not ABOVE and i != ctx.tick:
+                    assert after[i] >= n
             r = r2
         if r in trail:
             return  # cycle found
@@ -223,10 +221,9 @@ def test_time_successor_chain_terminates_in_cycle():
 
 def test_discrete_successors_fire_on_zero_guard(opaque_space):
     ctx = opaque_space.ctx
-    r0 = ctx.initial_region()
-    steps = dict(
-        ((a.name, t.location), t) for a, t in discrete_steps(ctx, r0)
-    )
+    steps = {
+        (a.name, ctx.locations[j]): region(ctx, j) for a, j in ctx.discrete_steps(ctx.initial_id())
+    }
     assert ("u", "lpriv") in steps
     target = steps[("u", "lpriv")]
     assert target.ints[0] == 0 and target.fraction_is_zero(0)
@@ -234,37 +231,37 @@ def test_discrete_successors_fire_on_zero_guard(opaque_space):
 
 def test_discrete_successors_respect_unsatisfied_guard():
     ctx = load_space("ta1").ctx
-    _, mid = time_successor(ctx, ctx.initial_region())
+    _, mid = time_successor(ctx, ctx.initial_id())
     # guard x = 1 cannot fire from 0 < x < 1
     assert all(
-        t.location != "l0" or a.kind == "silent"
-        for a, t in discrete_steps(ctx, mid)
+        ctx.locations[j] != "l0" or a.kind == "silent"
+        for a, j in ctx.discrete_steps(mid)
         if a.name == "u"
     )
-    assert not any(t.location == "lpriv" for _, t in discrete_steps(ctx, mid))
+    assert not any(ctx.locations[j] == "lpriv" for _, j in ctx.discrete_steps(mid))
 
 
 def test_reset_moves_clock_to_zero_group():
     ctx = load_space("ta1").ctx
-    _, mid = time_successor(ctx, ctx.initial_region())
-    steps = [(a, t) for a, t in discrete_steps(ctx, mid) if a.name == "b"]
+    _, mid = time_successor(ctx, ctx.initial_id())
+    steps = [(a, j) for a, j in ctx.discrete_steps(mid) if a.name == "b"]
     assert steps
-    _, t = steps[0]
+    t = region(ctx, steps[0][1])
     assert t.location == "l2"
     x = 0
     assert t.fraction_is_zero(x) and t.ints[x] == 0
     assert all(x not in g for g in t.pos)
 
 
-def test_final_secret_public_predicates(opaque_space):
-    ctx = opaque_space.ctx
+def test_final_secret_public_predicates():
+    ctx = _fresh_ctx("ta_opaque")
     zeros = (F(0),) * len(ctx.ta.clocks)
-    fin_priv = ctx.region_of("lf^p", zeros)
-    fin_pub = ctx.region_of("lf", zeros)
-    priv = ctx.region_of("lpriv", zeros)
-    assert ctx.is_final(fin_priv) and ctx.is_secret(fin_priv)
-    assert ctx.is_final(fin_pub) and not ctx.is_secret(fin_pub)
-    assert ctx.is_secret(priv) and not ctx.is_final(priv)
+    fin_priv = ctx.id_of("lf^p", zeros)
+    fin_pub = ctx.id_of("lf", zeros)
+    priv = ctx.id_of("lpriv", zeros)
+    assert fin_priv in ctx.private_finals and fin_priv not in ctx.public_finals
+    assert fin_pub in ctx.public_finals and fin_pub not in ctx.private_finals
+    assert priv not in ctx.private_finals | ctx.public_finals
 
 
 def test_tick_clock_never_escapes_its_cap(opaque_space):
@@ -274,20 +271,19 @@ def test_tick_clock_never_escapes_its_cap(opaque_space):
 
 def test_format_region_readable(opaque_space):
     ctx = opaque_space.ctx
-    txt = ctx.format_region(ctx.initial_region())
+    txt = ctx.format_region(ctx.initial_id())
     assert txt.startswith("l0 | ")
     assert "x=0" in txt and "z=0" in txt
 
 
 def test_discrete_successors_filter_by_enabled(opaque_space):
     ctx = opaque_space.ctx
-    r0 = ctx.initial_region()
     unc = ctx.ta.uncontrollable
 
     def names(enabled, silent_ok=True):
         return {
             (a.name, a.kind)
-            for a, _ in discrete_steps(ctx, r0)
+            for a, _ in ctx.discrete_steps(ctx.initial_id())
             if (a.kind == "silent" and silent_ok) or a.name in unc or a.name in enabled
         }
 
@@ -298,49 +294,40 @@ def test_discrete_successors_filter_by_enabled(opaque_space):
     assert all(kind != "silent" for _, kind in names(frozenset(), silent_ok=False))
 
 
-# --- interning -------------------------------------------------------------------
+# --- interning ---------------------------------------------------------------
 
 
-def _reachable(ctx, limit=300):
-    seen = {ctx.initial_region()}
-    frontier = list(seen)
-    while frontier and len(seen) < limit:
-        r = frontier.pop()
-        for _, r2 in list(delay_steps(ctx, r)) + list(discrete_steps(ctx, r)):
-            if r2 not in seen:
-                seen.add(r2)
-                frontier.append(r2)
-    return sorted(seen, key=encode)
+def _walk(ctx, limit=None) -> list[int]:
+    """The ids reachable from the initial region, breadth first, at most
+    ``limit`` of them."""
+    order = [ctx.initial_id()]
+    seen = set(order)
+    for i in order:
+        for _, j in ctx.delay_steps(i) + ctx.discrete_steps(i):
+            if j not in seen and (limit is None or len(order) < limit):
+                seen.add(j)
+                order.append(j)
+    return order
 
 
 def test_successors_are_interned_with_dense_ids():
-    ctx = RegionContext(prepare(load_ta("ta1")))
-    regions = _reachable(ctx)
-    for r in regions:
-        rid = ctx.intern(r)
-        assert ctx.regions[rid] is r
-        for _, j in ctx.delay_steps(rid) + ctx.discrete_steps(rid):
-            assert ctx.intern(ctx.regions[j]) == j
-    assert sorted(ctx.intern(r) for r in ctx.regions) == list(range(len(ctx.regions)))
-    copy = Region(regions[-1].location, regions[-1].ints, regions[-1].zero, regions[-1].pos)
-    assert copy is not regions[-1] and ctx.regions[ctx.intern(copy)] is regions[-1]
-    finals = {i for i, r in enumerate(ctx.regions) if ctx.is_final(r)}
-    assert ctx.private_finals | ctx.public_finals == finals
-    assert all(ctx.is_secret(ctx.regions[i]) for i in ctx.private_finals)
-    assert not any(ctx.is_secret(ctx.regions[i]) for i in ctx.public_finals)
-
-
-def test_region_view_indexes_like_a_list():
-    """`ctx.regions` builds each region's object once, whichever way its id
-    is written, and ends iteration at the last id."""
-    ctx = RegionContext(prepare(load_ta("ta1")))
-    _reachable(ctx, limit=20)
-    regions, n = ctx.regions, len(ctx.regions)
-    assert list(regions) == [regions[i] for i in range(n)]
-    assert all(regions[i - n] is regions[i] for i in range(n))
-    for bad in (n, -n - 1):
-        with pytest.raises(IndexError):
-            regions[bad]
+    """After a walk the ids are dense and `key` is injective; `id_of` maps a
+    valuation inside each region back to its id; the final ids are those at
+    a final location, split primed-or-private."""
+    for name in ("ta1", "ta_opaque2", "ta_counterex", "minsky_halt"):
+        ctx = _fresh_ctx(name)
+        walked = _walk(ctx)
+        n = len(ctx.locations)
+        assert sorted(walked) == list(range(n)), name
+        assert len({ctx.key(i) for i in range(n)}) == n, name
+        for i in walked:
+            r = region(ctx, i)
+            assert ctx.id_of(r.location, member(r, ctx.cmax)) == i, (name, r)
+        assert len(ctx.locations) == n
+        finals = {i for i in range(n) if is_final(ctx, i)}
+        assert ctx.private_finals | ctx.public_finals == finals, name
+        private = {i for i in finals if is_secret(ctx, i)}
+        assert ctx.private_finals == private and ctx.private_finals and ctx.public_finals, name
 
 
 def _atom_holds_in(region, atom) -> bool:
@@ -420,17 +407,13 @@ def _assert_kernel_matches_reference(ta) -> int:
     discrete steps, with multiplicity, as the atom-by-atom path gives;
     returns how many regions were compared."""
     ctx = RegionContext(prepare(ta))
-    start = ctx.initial_region()
-    seen = {start}
-    queue = [start]
-    for r in queue:
-        delay, discrete = delay_steps(ctx, r), discrete_steps(ctx, r)
-        assert (Counter(delay), Counter(discrete)) == _reference_steps(ctx, r), (ta.name, r)
-        for _, r2 in delay + discrete:
-            if r2 not in seen:
-                seen.add(r2)
-                queue.append(r2)
-    return len(queue)
+    walked = _walk(ctx)
+    for i in walked:
+        r = region(ctx, i)
+        delay = Counter((tag, region(ctx, j)) for tag, j in ctx.delay_steps(i))
+        discrete = Counter((a, region(ctx, j)) for a, j in ctx.discrete_steps(i))
+        assert (delay, discrete) == _reference_steps(ctx, r), (ta.name, r)
+    return len(walked)
 
 
 def test_kernel_matches_reference_on_paper_fixtures():

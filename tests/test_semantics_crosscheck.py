@@ -23,7 +23,7 @@ from conftest import load_space, load_ta, random_metastrategy, random_ta, time_s
 from etopaq import prepare
 from etopaq.beliefs import BeliefSpace
 from etopaq.oracle import oracle_buckets
-from etopaq.regions import RegionContext, region_of
+from etopaq.regions import RegionContext
 from etopaq.strategies import Bucket, all_enabled, encountered_beliefs
 from etopaq.ta import is_primed
 
@@ -105,8 +105,7 @@ def test_concrete_runs_are_covered_by_bucket_flags():
                 assert row.has_private_final, (dup.name, bucket)
             else:
                 assert row.has_public_final, (dup.name, bucket)
-            region = space.ctx.region_of(loc, run.last[1])
-            assert region in space.regions_of(enc[bucket]), (dup.name, bucket)
+            assert space.ctx.id_of(loc, run.last[1]) in enc[bucket], (dup.name, bucket)
     assert covered >= 40
 
 
@@ -137,13 +136,13 @@ def test_time_successor_matches_concrete_delay_oracle():
     location of the automata, so no invariant stops the delay."""
     rng = random.Random(5150)
     for name in ("ta_opaque2", "ta_counterex"):
-        ctx = load_space(name).ctx
+        ctx = RegionContext(prepare(load_ta(name)))
         n = len(ctx.ta.clocks)
         for _ in range(400):
             vals = tuple(
                 Fraction(rng.randint(0, (ctx.cmax[i] + 1) * 6), 6) for i in range(n)
             )
-            region = region_of("l", vals, ctx.cmax)
+            region = ctx.id_of("l", vals)
             fracts = sorted(
                 {v - int(v) for i, v in enumerate(vals) if v <= ctx.cmax[i]}
             )
@@ -157,6 +156,6 @@ def test_time_successor_matches_concrete_delay_oracle():
             else:
                 # ride to the next boundary: the largest fraction hits 1
                 d = 1 - fracts[-1]
-            expected = region_of("l", tuple(v + d for v in vals), ctx.cmax)
+            expected = ctx.id_of("l", tuple(v + d for v in vals))
             _tag, got = time_successor(ctx, region)
             assert got == expected, (vals, d)

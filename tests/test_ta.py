@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +26,7 @@ from etopaq import (
     duplicate,
     make_finals_urgent,
     prepare,
+    taformat,
     validate,
 )
 from etopaq.ta import (
@@ -440,3 +443,20 @@ def test_init_may_coincide_with_private():
     space = BeliefSpace(RegionContext(prepare(ta)))
     assert not check_exists(space).holds  # no public run can ever exist
     assert not check_metastrategy(space, all_enabled(ta), Mode.WEAK).ok
+
+
+def test_automata_are_hashable_picklable_values():
+    """An automaton is an immutable value: its hash agrees with ``==``, also
+    across a dump/parse round trip, and pickling or deep-copying it, prepared
+    or not, gives an equal value whose invariants are still read-only."""
+    for name in ("ta1", "ta_opaque", "ta_counterex", "minsky_halt"):
+        ta = load_ta(name)
+        again = taformat.parse(taformat.dump(ta))
+        assert again == ta and hash(again) == hash(ta), name
+        prepared = prepare(ta)
+        assert {ta: 0, again: 1, prepared: 2} == {ta: 1, prepared: 2}, name
+        for value in (ta, prepared):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert twin == value and hash(twin) == hash(value), name
+                with pytest.raises(TypeError):
+                    twin.invariants[value.init] = ()
