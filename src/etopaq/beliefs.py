@@ -81,12 +81,12 @@ class BeliefSpace:
     # -- construction --------------------------------------------------------
 
     def _moves_of(self, rid: int) -> tuple:
-        """Region ``rid``'s one-step moves as ids, built once:
-        (steps free inside an interval, steps free at the initial instant,
+        """Region ``rid``'s one-step moves as ids, built once: (free steps,
         ((controllable name bit, steps), ...), '0+' delay targets, '1' delay
         targets, bit mask of those controllable names).  ``_bit`` sorts the
-        steps by action name; the silent and uncontrollable ones map to 0,
-        free; inside an interval, off-integer delays are free too."""
+        steps by action name; silent and uncontrollable steps are free, and
+        so are off-integer delays, even at the initial instant: there the
+        tick clock sits on 0, and no region with it on an integer has one."""
         moves = self._moves.get(rid)
         if moves is not None:
             return moves
@@ -101,7 +101,6 @@ class BeliefSpace:
             (delay0p if tag == "0+" else delay1).append(j)
         moves = (
             tuple(free + [j for j in delay0p if j != rid]),
-            tuple(free),
             tuple([(bit, tuple(js)) for bit, js in by_bit.items()]),
             tuple(delay0p),
             tuple(delay1),
@@ -110,26 +109,23 @@ class BeliefSpace:
         self._moves[rid] = moves
         return moves
 
-    def _closure(
-        self, seen: set[int], enabled: int, at_initial: bool, todo: list[int] | None = None
-    ) -> Belief:
+    def _closure(self, seen: set[int], enabled: int, todo: list[int] | None = None) -> Belief:
         """Zero-time closure of the region ids in ``seen`` (grown in place):
-        free steps plus the discrete steps of the controllable names in the
-        bit mask ``enabled``, with off-integer delays unless ``at_initial``.
-        Only the ids in ``todo`` (all of ``seen`` by default) and what they
-        reach are walked, so ``seen`` may already hold a closure."""
-        free = 1 if at_initial else 0
+        free steps, off-integer delays among them, plus the discrete steps
+        of the controllable names in the bit mask ``enabled``.  Only the ids
+        in ``todo`` (all of ``seen`` by default) and what they reach are
+        walked, so ``seen`` may already hold a closure."""
         table = self._moves
         if todo is None:
             todo = list(seen)
         while todo:
             i = todo.pop()
             moves = table.get(i) or self._moves_of(i)
-            for j in moves[free]:
+            for j in moves[0]:
                 if j not in seen:
                     seen.add(j)
                     todo.append(j)
-            for bit, js in moves[2]:
+            for bit, js in moves[1]:
                 if bit & enabled:
                     for j in js:
                         if j not in seen:
@@ -155,7 +151,7 @@ class BeliefSpace:
         last = self._last_image
         if last[0] is belief and last[1] == tick:
             return set(last[2])
-        delay = 3 if tick == "0+" else 4
+        delay = 2 if tick == "0+" else 3
         table, moves_of = self._moves, self._moves_of
         image: set[int] = set()
         for i in belief:
@@ -179,7 +175,7 @@ class BeliefSpace:
             bit, mask = self._bit, 0
             for name in enabled:
                 mask |= bit.get(name, 0)
-            cached = self._closure(self._seed(belief, tick), mask, belief is BOTTOM)
+            cached = self._closure(self._seed(belief, tick), mask)
             self._succ[key] = cached
         return cached
 
@@ -201,7 +197,7 @@ class BeliefSpace:
         full = self.successor(belief, tick, subsets[-1])
         relevant = 0
         for i in full:
-            relevant |= table[i][5]
+            relevant |= table[i][4]
         by_mask = self._by_mask
         # the lattice caches ∅ with every other class, so it runs once per
         # (belief, tick) however often the game asks
@@ -230,13 +226,12 @@ class BeliefSpace:
         serves every parent.  Classes come in increasing order, so c′ is
         cached before c.  Closures are monotone and idempotent, so this is
         the closure of the seed under c."""
-        at_initial = belief is BOTTOM
         succ, by_mask, table = self._succ, self._by_mask, self._moves
         steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         for i in full:
-            for bit, js in table[i][2]:
+            for bit, js in table[i][1]:
                 steps.setdefault(bit, []).append((i, js))
-        base = self._closure(self._seed(belief, tick), 0, at_initial)
+        base = self._closure(self._seed(belief, tick), 0)
         succ.setdefault((belief, tick, by_mask[0]), base)
         cls = relevant & -relevant  # the lowest name alone: the class after ∅
         while cls != relevant:
@@ -246,7 +241,7 @@ class BeliefSpace:
             if todo:
                 seen = set(parent)
                 seen.update(todo)
-                parent = self._closure(seen, cls, at_initial, todo)
+                parent = self._closure(seen, cls, todo)
             succ.setdefault((belief, tick, by_mask[cls]), parent)
             cls = (cls - relevant) & relevant  # the next submask of ``relevant``
 

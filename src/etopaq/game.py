@@ -3,10 +3,9 @@
 Game states pair the current belief with the belief accumulated since the
 last tick-1 action; closing a bucket (taking a tick-1) is guarded by the
 mode's leak schedule (`modes.Mode.rule`) on the accumulated belief.  States
-carry the rule's two memo bits, which only closed mode sets: whether the
-last closed interval contained a final region, and a pending obligation
-that the next interval must.  A winning play is a reachable lasso whose
-loop takes tick-1 actions; its labels directly spell an eventually periodic
+carry the one memo the rule hands from each bucket to the next, which only
+closed mode sets.  A winning play is a reachable lasso whose loop takes
+tick-1 actions; its labels directly spell an eventually periodic
 meta-strategy.  Enabled sets that lead to the same successor state are one
 move, labelled with the first of them in `enabled_sets()` order.
 
@@ -42,8 +41,7 @@ class GameState(NamedTuple):
     current: object  # Belief or BOTTOM
     accumulated: Belief
     at_integer: bool
-    prev_interval_finals: bool = False
-    obligation: bool = False
+    memo: bool = False  # what `Mode.rule` handed on from the bucket before
 
 
 INITIAL = GameState(BOTTOM, DEAD, True)
@@ -54,33 +52,24 @@ def game_successors(
 ) -> list[tuple[Label, GameState]]:
     """Legal moves.  Integer-phase states only offer tick-1 actions (the
     choice schedule of a meta-strategy never switches mid-point), interval
-    states offer '0+' and '1'; losing moves are pruned here.  A move's
-    target depends on its tick and successor belief alone, so each distinct
-    successor belief gives one move, labelled with the first enabled set
-    that yields it (`BeliefSpace.successors`): the edges left out duplicate
-    an earlier edge of the same state, so every walk discovers the same
-    states through the same edges."""
+    states offer '0+' and '1'; a tick-1 closes the state's bucket, and
+    `Mode.rule` prunes it when the bucket loses.  A move's target depends
+    on its tick and successor belief alone, so each distinct successor
+    belief gives one move, labelled with the first enabled set that yields
+    it (`BeliefSpace.successors`): the edges left out duplicate an earlier
+    edge of the same state, so every walk discovers the same states through
+    the same edges."""
     if st.current is BOTTOM:
         return [(("0", e), GameState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
-    acc = st.accumulated
-    priv, pub = space.has_private_final(acc), space.has_public_final(acc)
-    prev = st.prev_interval_finals
-    if st.at_integer:
-        obligation = mode.rule(True, priv, pub, prev)
-        if obligation is None:
-            return []
-        return [
-            (("1", e), GameState(b, b, False, prev, obligation))
-            for e, b in space.successors(st.current, "1")
-        ]
-    out: list[tuple[Label, GameState]] = [
-        (("0+", e), GameState(b, acc | b, False, prev, st.obligation))
+    acc, point = st.accumulated, st.at_integer
+    out: list[tuple[Label, GameState]] = [] if point else [
+        (("0+", e), GameState(b, acc | b, False, st.memo))
         for e, b in space.successors(st.current, "0+")
     ]
-    finals = mode.rule(False, priv, pub, st.obligation)
-    if finals is not None:
+    memo = mode.rule(point, space.has_private_final(acc), space.has_public_final(acc), st.memo)
+    if memo is not None:
         out += [
-            (("1", e), GameState(b, b, True, finals, False))
+            (("1", e), GameState(b, b, not point, memo))
             for e, b in space.successors(st.current, "1")
         ]
     return out

@@ -32,7 +32,7 @@ class Mode(Enum):
         excuses a point leak by a final in the interval before it (the memo
         it reads) or else after it (the obligation it hands on, which an
         interval reaching no final fails); after an interval the memo says
-        whether it reached a final.  Only closed mode sets either memo."""
+        whether it reached a final.  Only closed mode sets the memo."""
         leak = self.leaks(priv, pub)
         if point:
             if not leak or self is Mode.ALMOST_FULL:

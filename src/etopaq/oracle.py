@@ -78,9 +78,7 @@ def _delay_image(ctx: RegionContext, frontier: frozenset[int], tag: str) -> set[
     return {j for i in frontier for t, j in ctx.delay_steps(i) if t == tag}
 
 
-def oracle_buckets(
-    ctx: RegionContext, phi: MetaStrategy, extra_units: int = 1
-) -> OracleTable:
+def oracle_buckets(ctx: RegionContext, phi: MetaStrategy) -> OracleTable:
     """Per-bucket final-reachability flags under ``phi``, its frontiers
     walked by `walk_buckets` with this module's closure and delay image."""
     ta = ctx.ta
@@ -100,7 +98,7 @@ def oracle_buckets(
         )
 
     start = _closure(ctx, {ctx.initial_id()}, phi.point(0), unc, allow_delay=False)
-    walk = walk_buckets(phi, start, step, extra_units)
+    walk = walk_buckets(phi, start, step)
     return OracleTable(
         tuple(flags(b, ids) for b, ids in walk.buckets), walk.cycle_start, walk.cycle_period
     )

@@ -94,15 +94,14 @@ def walk_buckets(
     phi: MetaStrategy,
     start: frozenset,
     step: Callable[[frozenset, str, frozenset[str]], frozenset],
-    extra_units: int = 1,
 ) -> BucketedBeliefs:
     """The controlled walk under ``phi`` over sets of region ids, from
     ``start``, the set at point 0.  Each unit k steps by ``step(set, tick,
     enabled)`` through its choices: '1' into the interval, '0+' per further
     interval choice, '1' onto point k+1.  An interval's bucket gets the union
-    of the sets inside it.  The walk stops once the (lasso position, point
-    set) pair repeats; the buckets then cover at least one full period plus
-    ``extra_units`` units past it for neighbour lookups."""
+    of the sets inside it.  Once the (lasso position, point set) pair
+    repeats, the walk lists one unit more and stops: the buckets cover a
+    full period and both neighbour intervals of each of its points."""
     buckets = [(Bucket("point", 0), start)]
 
     def unit(k: int, cur: frozenset) -> frozenset:
@@ -122,15 +121,12 @@ def walk_buckets(
         cur = unit(k, cur)
         k += 1
     cycle_start = seen[key]
-    for j in range(k, k + extra_units):
-        cur = unit(j, cur)
+    unit(k, cur)
     return BucketedBeliefs(tuple(buckets), cycle_start, k - cycle_start)
 
 
-def encountered_beliefs(
-    space: BeliefSpace, phi: MetaStrategy, extra_units: int = 1
-) -> BucketedBeliefs:
+def encountered_beliefs(space: BeliefSpace, phi: MetaStrategy) -> BucketedBeliefs:
     """Beliefs per time bucket under ``phi``: the belief at each integer
     point, and the union of beliefs across each open interval, walked by
     `walk_buckets` with the belief successor."""
-    return walk_buckets(phi, space.initial(phi.point(0)), space.successor, extra_units)
+    return walk_buckets(phi, space.initial(phi.point(0)), space.successor)

@@ -437,6 +437,45 @@ def test_closure_matches_reference_on_random_automata():
         assert _assert_matches_reference(random_ta(rng, name=f"ref{i}")) > 0
 
 
+def _assert_no_stay_delay_on_tick_integers(ta) -> int:
+    """The closure has one table of free steps, off-integer delays among
+    them, also at the initial instant.  That rests on two facts checked
+    here: discrete steps alone keep the tick clock on an integer from the
+    initial region, and no region reachable under all steps with the tick
+    clock on an integer has a '0+' delay step.  Returns how many such
+    regions were seen."""
+    ctx = RegionContext(prepare(ta))
+
+    def on_integer(i):
+        return ctx.tick in ctx.key(i)[2]
+
+    initial = _reference_closure(ctx, {ctx.initial_id()}, ctx.ta.controllable, False)
+    assert all(map(on_integer, initial))
+    seen = {ctx.initial_id()}
+    todo = list(seen)
+    while todo:
+        i = todo.pop()
+        steps = ctx.delay_steps(i) + ctx.discrete_steps(i)
+        for j in (j for _, j in steps if j not in seen):
+            seen.add(j)
+            todo.append(j)
+    ticking = [i for i in seen if on_integer(i)]
+    for i in ticking:
+        assert all(tag != "0+" for tag, _ in ctx.delay_steps(i)), ctx.format_region(i)
+    return len(ticking)
+
+
+def test_no_stay_delay_with_the_tick_clock_on_an_integer():
+    from conftest import random_ta
+
+    names = PAPER_FIXTURES + ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop")
+    for name in names:
+        assert _assert_no_stay_delay_on_tick_integers(load_ta(name)) > 0, name
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(60):
+        assert _assert_no_stay_delay_on_tick_integers(random_ta(rng, name=f"tick{i}")) > 0
+
+
 
 # --- one successor per distinct belief against every enabled set --------------
 

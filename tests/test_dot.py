@@ -59,7 +59,7 @@ EXPORT_DIGESTS = {
         "d22ec44466d942e5467bbe0448b4c6743161e37a127fad57f368b107cf9764be",
         "49c6f0d4e3eb1468915d7cef755ba7a9e102e831bfdbaaa270c7d581ba4b09f0",
         "b0783f3684ff2fe1de53f6c34b5adb68b60a3ded310b4df6e65a0cb01ab0ca6e",
-        "586c9731035f1cd6837d3bb621b514866ab382fbd30a51362e0ab396d04503d9",
+        "b0783f3684ff2fe1de53f6c34b5adb68b60a3ded310b4df6e65a0cb01ab0ca6e",
     ),
     "t2_like": (
         "1f3eeec46266e6d6716a5a803c1d3606eaa917252036fde54cbc946ca2f98f3a",
@@ -68,7 +68,7 @@ EXPORT_DIGESTS = {
         "8510dd5379a3a5d54b528158c8075f57ed3c649e08c81b61e3febfdf6f0b744b",
         "8510dd5379a3a5d54b528158c8075f57ed3c649e08c81b61e3febfdf6f0b744b",
         "0bfcd34fb8781f0be7a62ddde2b4c832918045f7a072cb776e88ead99dae9d11",
-        "e04736c3214785cb2d2552dd289807c01404c4c2e783cec08df52ae2aff93152",
+        "0bfcd34fb8781f0be7a62ddde2b4c832918045f7a072cb776e88ead99dae9d11",
     ),
     "t3_like": (
         "02da8a944c72c5998eee5a759aede08dcdf120a958d0f4f9f7e71fe454043799",

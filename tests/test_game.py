@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
+from typing import NamedTuple
 
 import pytest
 
@@ -307,34 +309,36 @@ def test_solver_deterministic_across_fresh_spaces():
 
 def _all_subsets_successors(space, st, mode):
     """The game's moves with one edge per enabled set, duplicates kept: the
-    relation `game_successors` emits one edge per distinct target of."""
+    relation `game_successors` emits one edge per distinct target of.  The
+    leak schedule is written out here apart from `Mode.rule`."""
     subsets = space.enabled_sets()
     if st.current is BOTTOM:
         return [(("0", e), GameState(space.initial(e), space.initial(e), True)) for e in subsets]
     acc = st.accumulated
     priv, pub = space.has_private_final(acc), space.has_public_final(acc)
     leak = mode.leaks(priv, pub)
-    prev = st.prev_interval_finals
+    closed = mode is Mode.CLOSED_FULL
     if st.at_integer:
+        # closed mode excuses a point leak by a final in the interval before
+        # (the memo) or else obliges the next interval to reach one
         obligation = False
-        if mode is Mode.CLOSED_FULL:
-            obligation = leak and not prev
+        if closed:
+            obligation = leak and not st.memo
         elif leak and mode is not Mode.ALMOST_FULL:
             return []
         moves = []
         for e in subsets:
             b = space.successor(st.current, "1", e)
-            moves.append((("1", e), GameState(b, b, False, prev, obligation)))
+            moves.append((("1", e), GameState(b, b, False, obligation)))
         return moves
     moves = []
     for e in subsets:
         b = space.successor(st.current, "0+", e)
-        moves.append((("0+", e), GameState(b, acc | b, False, prev, st.obligation)))
-    closed = mode is Mode.CLOSED_FULL
-    if not leak and not (closed and st.obligation and not (priv or pub)):
+        moves.append((("0+", e), GameState(b, acc | b, False, st.memo)))
+    if not leak and not (closed and st.memo and not (priv or pub)):
         for e in subsets:
             b = space.successor(st.current, "1", e)
-            moves.append((("1", e), GameState(b, b, True, closed and (priv or pub), False)))
+            moves.append((("1", e), GameState(b, b, True, closed and (priv or pub))))
     return moves
 
 
@@ -356,6 +360,91 @@ def test_distinct_successor_edges_keep_every_verdict(monkeypatch):
             assert got.stats.edges <= want.stats.edges, (name, mode)
             saved += want.stats.edges - got.stats.edges
     assert saved > 0
+
+
+# --- the one-memo game against a game with two memo bits ---------------------------
+
+
+class _TwoBitState(NamedTuple):
+    current: object
+    accumulated: frozenset
+    at_integer: bool
+    prev_interval_finals: bool = False
+    obligation: bool = False
+
+
+def _two_bit_successors(space, st, mode):
+    """The game step with two memo bits: whether the last closed interval
+    reached a final, read at a point, and the obligation a point hands to
+    the interval after it.  Neither bit is read in the states that carry
+    the other, so the one-memo game is a quotient of this one."""
+    if st.current is BOTTOM:
+        return [(("0", e), _TwoBitState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
+    acc = st.accumulated
+    priv, pub = space.has_private_final(acc), space.has_public_final(acc)
+    prev = st.prev_interval_finals
+    if st.at_integer:
+        obligation = mode.rule(True, priv, pub, prev)
+        if obligation is None:
+            return []
+        return [
+            (("1", e), _TwoBitState(b, b, False, prev, obligation))
+            for e, b in space.successors(st.current, "1")
+        ]
+    out = [
+        (("0+", e), _TwoBitState(b, acc | b, False, prev, st.obligation))
+        for e, b in space.successors(st.current, "0+")
+    ]
+    finals = mode.rule(False, priv, pub, st.obligation)
+    if finals is not None:
+        out += [
+            (("1", e), _TwoBitState(b, b, True, finals, False))
+            for e, b in space.successors(st.current, "1")
+        ]
+    return out
+
+
+def _assert_quotient_of_two_bit_game(ta, monkeypatch, state_cap) -> int:
+    """Same status in every mode; the same game and witness in full, weak
+    and almost mode, where neither bit is ever set; in closed mode no more
+    states or edges when both games are complete.  Returns the closed-mode
+    states saved."""
+    import etopaq.game as game_mod
+
+    saved = 0
+    for mode in Mode:
+        space = BeliefSpace(RegionContext(prepare(ta)))
+        got = solve(space, mode, state_cap)
+        with monkeypatch.context() as m:
+            m.setattr(game_mod, "game_successors", _two_bit_successors)
+            m.setattr(game_mod, "INITIAL", _TwoBitState(BOTTOM, frozenset(), True))
+            ref_space = BeliefSpace(RegionContext(prepare(ta)))
+            want = solve(ref_space, mode, state_cap)
+        assert got.status == want.status, (ta.name, mode)
+        if mode is not Mode.CLOSED_FULL:
+            assert (got.witness, got.detail) == (want.witness, want.detail), (ta.name, mode)
+            assert (got.stats.states, got.stats.edges) == (want.stats.states, want.stats.edges)
+            assert space.successors_computed() == ref_space.successors_computed()
+        elif got.status != "INDETERMINATE":
+            assert got.stats.states <= want.stats.states, ta.name
+            assert got.stats.edges <= want.stats.edges, ta.name
+            saved += want.stats.states - got.stats.states
+        if got.status == "SAT":
+            assert check_metastrategy(space, witness_to_metastrategy(got.witness), mode).ok
+    return saved
+
+
+def test_one_memo_game_is_a_quotient_of_the_two_bit_game(monkeypatch):
+    from conftest import random_ta
+
+    saved = sum(
+        _assert_quotient_of_two_bit_game(load_ta(name), monkeypatch, 20_000)
+        for name in PAPER_FIXTURES
+    )
+    assert saved > 0  # ta_nfv and t2_like lose a closed-mode interval state each
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(40):
+        _assert_quotient_of_two_bit_game(random_ta(rng, name=f"memo{i}"), monkeypatch, 20_000)
 
 
 # --- what a query leaves behind ------------------------------------------------------

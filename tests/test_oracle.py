@@ -255,9 +255,9 @@ def _reference_delay_image(ctx, frontier, tag):
     return {j for i in frontier for t, j in ctx.delay_steps(i) if t == tag}
 
 
-def _reference_buckets(ctx, phi, extra_units=1) -> OracleTable:
+def _reference_buckets(ctx, phi) -> OracleTable:
     """`oracle_buckets` written out over sets of region ids, with the flags
-    read from each region's location."""
+    read from each region's location, listing one unit past the period."""
     ta = ctx.ta
     unc = ta.uncontrollable
     private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
@@ -293,7 +293,7 @@ def _reference_buckets(ctx, phi, extra_units=1) -> OracleTable:
         key = (phi.lasso_pos(k), frontier)
         if cycle_start is None and key in seen:
             cycle_start, cycle_period = seen[key], k - seen[key]
-            pending = extra_units
+            pending = 1
         elif cycle_start is None:
             seen[key] = k
         if pending is not None:

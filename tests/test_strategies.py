@@ -251,19 +251,18 @@ def _folded_walk(space, phi, units: int):
 
 
 def _assert_walk_matches_controlled_automaton(space, phi) -> None:
-    for extra_units in (1, 2):
-        enc = encountered_beliefs(space, phi, extra_units)
-        units = len(enc.buckets) // 2
-        assert list(enc.buckets) == _folded_walk(space, phi, units)
-        points = [b for bucket, b in enc.buckets if bucket.kind == "point"]
-        first: dict = {}
-        for k, b in enumerate(points):
-            key = (phi.lasso_pos(k), b)
-            if key in first:
-                break
-            first[key] = k
-        assert (enc.cycle_start, enc.cycle_period) == (first[key], k - first[key])
-        assert units == k + extra_units
+    enc = encountered_beliefs(space, phi)
+    units = len(enc.buckets) // 2
+    assert list(enc.buckets) == _folded_walk(space, phi, units)
+    points = [b for bucket, b in enc.buckets if bucket.kind == "point"]
+    first: dict = {}
+    for k, b in enumerate(points):
+        key = (phi.lasso_pos(k), b)
+        if key in first:
+            break
+        first[key] = k
+    assert (enc.cycle_start, enc.cycle_period) == (first[key], k - first[key])
+    assert units == k + 1  # one unit past the period
 
 
 def test_encountered_beliefs_fold_the_controlled_automaton():
