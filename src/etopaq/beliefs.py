@@ -19,12 +19,13 @@ The one closure routine and the delay images run over these tables alone,
 and the leak predicates test a belief against the context's private- and
 public-final id sets.  `BeliefSpace.successors` gives each distinct
 successor of a belief once, with one closure per class of enabled sets that
-agree on the controllable names able to fire.  With two such names or more,
-the classes form a lattice: each class grows from the class one name smaller,
-seeded with that name's steps out of it, which an index of the closure under
-every name holds, and walks only the regions they add.  `BeliefSpace.explore`
-walks the reachable belief graph with `graphs.bfs`; the dead belief needs no
-case of its own there, since every successor of it is itself.
+agree on the controllable names able to fire.  The classes form a lattice:
+each class grows from the class one name smaller, seeded with that name's
+steps out of it, which an index of the closure under every name holds, and
+walks only the regions they add.  `BeliefSpace.explore` walks the reachable
+belief graph with `graphs.bfs` through `successors`, as the game does; the
+dead belief needs no case of its own there, since every successor of it is
+itself.
 """
 from __future__ import annotations
 
@@ -54,29 +55,26 @@ class BeliefSpace:
         self.uncontrollable = ctx.ta.uncontrollable
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
         self._bit.update(dict.fromkeys((SILENT.name, *self.uncontrollable), 0))  # free names
+        self._every_name = frozenset(self.controllable)
         self._succ: dict[tuple[object, str, frozenset[str]], Belief] = {}
-        self._subsets: tuple[frozenset[str], ...] | None = None
-        self._masks: tuple[int, ...] = ()  # parallel to `_subsets`
-        self._by_mask: list[frozenset[str]] = []  # name mask -> its subset
+        self._classes: dict[int, dict[int, frozenset[str]]] = {}  # T -> its classes
         self._moves: dict[int, tuple] = {}
-        self._last_image: tuple = (None, None, frozenset())
 
     # -- label helpers -------------------------------------------------------
 
-    def enabled_sets(self) -> tuple[frozenset[str], ...]:
-        """All controllable subsets, smallest first, then lexicographic."""
-        if self._subsets is None:
-            names = self.controllable
-            by_mask = [
-                frozenset(n for i, n in enumerate(names) if mask >> i & 1)
-                for mask in range(1 << len(names))
-            ]
-            masks = sorted(
-                range(len(by_mask)), key=lambda m: (len(by_mask[m]), tuple(sorted(by_mask[m])))
-            )
-            self._by_mask, self._masks = by_mask, tuple(masks)
-            self._subsets = tuple(by_mask[m] for m in masks)
-        return self._subsets
+    def _classes_below(self, names: int) -> dict[int, frozenset[str]]:
+        """Every submask of the name mask ``names`` with its enabled set, in
+        label order (fewest names first, then by sorted names); built once
+        per mask."""
+        classes = self._classes.get(names)
+        if classes is None:
+            subs = [(0, frozenset())]
+            for i, name in enumerate(self.controllable):
+                if names >> i & 1:
+                    subs += [(m | 1 << i, e | {name}) for m, e in subs]
+            subs.sort(key=lambda c: (len(c[1]), sorted(c[1])))
+            classes = self._classes[names] = dict(subs)
+        return classes
 
     # -- construction --------------------------------------------------------
 
@@ -135,28 +133,19 @@ class BeliefSpace:
 
     def _seed(self, belief: object, tick: str) -> set[int]:
         """The region ids that the step out of ``belief`` under ``tick``
-        closes over."""
+        closes over: the initial region out of `BOTTOM`, else the ``tick``
+        delay targets of the belief's regions."""
         if belief is BOTTOM:
             if tick != "0":
                 raise ValueError("only the initial zero-time choice leaves bottom")
             return {self.ctx.initial_id()}
-        if tick in TICKS:
-            return self._delay_image(belief, tick)
-        raise ValueError(f"bad tick {tick!r}")
-
-    def _delay_image(self, belief: Belief, tick: str) -> set[int]:
-        """Ids of the ``tick`` delay targets of the belief's regions.  The
-        game asks for one belief under every enabled set in a row, so the
-        last image is kept."""
-        last = self._last_image
-        if last[0] is belief and last[1] == tick:
-            return set(last[2])
+        if tick not in TICKS:
+            raise ValueError(f"bad tick {tick!r}")
         delay = 2 if tick == "0+" else 3
         table, moves_of = self._moves, self._moves_of
         image: set[int] = set()
         for i in belief:
             image.update((table.get(i) or moves_of(i))[delay])
-        self._last_image = (belief, tick, frozenset(image))
         return image
 
     def initial(self, enabled: frozenset[str]) -> Belief:
@@ -180,69 +169,65 @@ class BeliefSpace:
         return cached
 
     def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], Belief]]:
-        """Each distinct successor of ``belief`` under ``tick`` once, in
-        `enabled_sets()` order, labelled with the first enabled set that
-        yields it.
+        """Each distinct successor of ``belief`` under ``tick`` once,
+        labelled with the smallest enabled set that yields it, in label
+        order: fewest names first, then by sorted names.
 
         The closure under every controllable name is computed first.  Only
         the names T with a step from one of its regions can fire under any
         enabled set e (closures grow with e), so the closure under e is the
-        closure under e ∩ T: one closure per distinct e ∩ T, asked for with
-        the `enabled_sets()` object equal to it.  With two names or more in
-        T, `_grow_classes` caches the classes below T first, each grown
-        from the class one name smaller with the steps that the closure
-        under every name indexes."""
-        subsets = self.enabled_sets()
+        closure under e ∩ T: one closure per submask c of T, and c is the
+        smallest enabled set of its class.  `_grow_classes` caches the
+        classes below T first, each grown from the class one name smaller
+        with the steps that the closure under every name indexes."""
         table = self._moves
-        full = self.successor(belief, tick, subsets[-1])
+        full = self.successor(belief, tick, self._every_name)
         relevant = 0
         for i in full:
             relevant |= table[i][4]
-        by_mask = self._by_mask
+        classes = self._classes_below(relevant)
         # the lattice caches ∅ with every other class, so it runs once per
         # (belief, tick) however often the game asks
-        if relevant & (relevant - 1) and (belief, tick, by_mask[0]) not in self._succ:
+        if relevant and (belief, tick, classes[0]) not in self._succ:
             self._grow_classes(belief, tick, full, relevant)
         out: list[tuple[frozenset[str], Belief]] = []
-        classes: set[int] = set()
         found: set[Belief] = set()
-        for e, mask in zip(subsets, self._masks):
-            cls = mask & relevant
-            if cls not in classes:
-                classes.add(cls)
-                b = full if cls == relevant else self.successor(belief, tick, by_mask[cls])
-                if b not in found:
-                    found.add(b)
-                    out.append((e, b))
+        for mask, e in classes.items():
+            b = full if mask == relevant else self.successor(belief, tick, e)
+            if b not in found:
+                found.add(b)
+                out.append((e, b))
         return out
 
     def _grow_classes(self, belief: object, tick: str, full: Belief, relevant: int) -> None:
         """Cache the closure under every class of names c ⊊ ``relevant``
-        (bit masks).  The class ∅ is closed from the seed.  Any other c is
-        grown from the closure under c′, c without its lowest name n: from
-        the targets of the n-steps of c′'s regions, walking only the regions
-        that c′ lacks.  ``full``, the closure under every name, holds every
-        class's regions, so one index of its controllable steps by name bit
-        serves every parent.  Classes come in increasing order, so c′ is
-        cached before c.  Closures are monotone and idempotent, so this is
-        the closure of the seed under c."""
-        succ, by_mask, table = self._succ, self._by_mask, self._moves
+        (bit masks, read as enabled sets from `_classes_below`).  The class
+        ∅ is closed from the seed.  Any other c is grown from the closure
+        under c′, c without its lowest name n: from the targets of the
+        n-steps of c′'s regions, walking only the regions that c′ lacks.
+        ``full``, the closure under every name, holds every class's regions,
+        so one index of its controllable steps by name bit serves every
+        parent.  Classes come in increasing order, so c′ is cached before c.
+        Closures are monotone and idempotent, so this is the closure of the
+        seed under c."""
+        succ, classes, table = self._succ, self._classes[relevant], self._moves
+        succ.setdefault((belief, tick, classes[0]), self._closure(self._seed(belief, tick), 0))
+        cls = relevant & -relevant  # the lowest name alone: the class after ∅
+        if cls == relevant:  # one name: no class lies between ∅ and it
+            return
         steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         for i in full:
             for bit, js in table[i][1]:
                 steps.setdefault(bit, []).append((i, js))
-        base = self._closure(self._seed(belief, tick), 0)
-        succ.setdefault((belief, tick, by_mask[0]), base)
-        cls = relevant & -relevant  # the lowest name alone: the class after ∅
         while cls != relevant:
-            parent = succ[belief, tick, by_mask[cls & (cls - 1)]]
+            parent = succ[belief, tick, classes[cls & (cls - 1)]]
             n_steps = steps.get(cls & -cls, ())  # n is the lowest name of cls
             todo = [j for i, js in n_steps if i in parent for j in js if j not in parent]
             if todo:
                 seen = set(parent)
                 seen.update(todo)
                 parent = self._closure(seen, cls, todo)
-            succ.setdefault((belief, tick, by_mask[cls]), parent)
+            succ.setdefault((belief, tick, classes[cls]), parent)
             cls = (cls - relevant) & relevant  # the next submask of ``relevant``
 
     def successors_computed(self) -> int:
@@ -266,13 +251,14 @@ class BeliefSpace:
         state_cap: int | None = None,
         time_cap: float | None = None,
     ) -> "BeliefGraph":
-        """The reachable belief graph, all enabled-set labels considered,
-        explored by `graphs.bfs` under its caps.  Without ``include_dead``
-        moves into the dead belief are left out."""
-        subsets = self.enabled_sets()
+        """The reachable belief graph, explored by `graphs.bfs` under its
+        caps: one edge per distinct successor of a belief under a tick,
+        labelled with the smallest enabled set that yields it, as in the
+        game.  Without ``include_dead`` moves into the dead belief are left
+        out."""
 
         def moves(b):
-            steps = [((t, e), self.successor(b, t, e)) for t in ticks_from(b) for e in subsets]
+            steps = [((t, e), b2) for t in ticks_from(b) for e, b2 in self.successors(b, t)]
             return steps if include_dead else [s for s in steps if s[1] != DEAD]
 
         adj, order, parent, stopped = bfs(BOTTOM, moves, state_cap, time_cap)

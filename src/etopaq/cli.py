@@ -1,14 +1,15 @@
 """Command-line surface.
 
-Exit codes: 0 SAT/OK/true, 1 UNSAT/NOT-OK/false, 2 INDETERMINATE,
-64 input error (bad files and malformed command lines alike).  With
-``--stats``, `check`, `synthesize` and `verdict` end by writing one JSON line
-of counters to stderr, whatever the verdict.  `--state-cap`/`--time-cap` bound
-the graph that `check`, `synthesize`, `regions`, `beliefs` and `game` explore;
-the state cap defaults to the game's `DEFAULT_STATE_CAP`, and to the smaller
-`dot.EXPORT_STATE_CAP` for the exports.  A capped DOT export holds what was
-explored and exits 2 too.  `--mode exists` and `check --strategy` walk no
-graph, so a cap given to them is a usage error.
+Exit codes: 0 SAT/OK/true, 1 UNSAT/NOT-OK/false, 2 INDETERMINATE (a cap
+hit, or memory run out), 64 input error (bad files and malformed command
+lines alike).  With ``--stats``, `check`, `synthesize` and `verdict` end by
+writing one JSON line of counters to stderr, whatever the verdict.
+`--state-cap`/`--time-cap` bound the graph that `check`, `synthesize`,
+`regions`, `beliefs` and `game` explore; the state cap defaults to the
+game's `DEFAULT_STATE_CAP`, and to the smaller `dot.EXPORT_STATE_CAP` for
+the exports.  A capped DOT export holds what was explored and exits 2 too.
+`--mode exists` and `check --strategy` walk no graph, so a cap given to them
+is a usage error.
 """
 from __future__ import annotations
 
@@ -332,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        return _indeterminate("out of memory")
     finally:
         if args.stats and args.space is not None:
             _print_stats(args.space, args.result)

@@ -14,7 +14,7 @@ EXPORT_STATE_CAP = 10_000  # the command line's default; every paper fixture's g
 
 
 def _q(s: str) -> str:
-    return '"' + s.replace('"', r"\"") + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def regions_dot(
@@ -78,7 +78,9 @@ def beliefs_dot(
     state_cap: int | None = None,
     time_cap: float | None = None,
 ) -> tuple[str, str]:
-    """The belief graph without the dead belief."""
+    """The belief graph without the dead belief: one edge per distinct
+    successor of a belief under a tick, labelled with the smallest enabled
+    set that yields it."""
     graph = space.explore(include_dead=False, state_cap=state_cap, time_cap=time_cap)
     if pretty:
         names = pretty_belief_names(graph)
@@ -115,7 +117,8 @@ def game_dot(
     space: BeliefSpace, mode, state_cap: int | None = None, time_cap: float | None = None
 ) -> tuple[str, str]:
     """The pruned game as `solve` explores it: one edge per distinct
-    successor state, labelled with the first enabled set that leads there."""
+    successor state, labelled with the smallest enabled set that leads
+    there."""
     adj, order, _, stopped = explore(space, mode, state_cap, time_cap)
     names = {st: f"g{i}" for i, st in enumerate(order)}
     lines = ["digraph game {", "  rankdir=LR;"]

@@ -7,7 +7,8 @@ carry the one memo the rule hands from each bucket to the next, which only
 closed mode sets.  A winning play is a reachable lasso whose loop takes
 tick-1 actions; its labels directly spell an eventually periodic
 meta-strategy.  Enabled sets that lead to the same successor state are one
-move, labelled with the first of them in `enabled_sets()` order.
+move, labelled with the smallest of them: fewest names first, then by sorted
+names.
 
 `solve` explores the pruned game with `graphs.bfs` under its caps, then
 searches the explored graph once: Tarjan's SCCs, the first tick-1 edge
@@ -55,10 +56,10 @@ def game_successors(
     states offer '0+' and '1'; a tick-1 closes the state's bucket, and
     `Mode.rule` prunes it when the bucket loses.  A move's target depends
     on its tick and successor belief alone, so each distinct successor
-    belief gives one move, labelled with the first enabled set that yields
-    it (`BeliefSpace.successors`): the edges left out duplicate an earlier
-    edge of the same state, so every walk discovers the same states through
-    the same edges."""
+    belief gives one move, labelled with the smallest enabled set that
+    yields it (`BeliefSpace.successors`): the edges left out duplicate an
+    earlier edge of the same state, so every walk discovers the same states
+    through the same edges."""
     if st.current is BOTTOM:
         return [(("0", e), GameState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
     acc, point = st.accumulated, st.at_integer
@@ -172,7 +173,7 @@ def solve(
     comp = _sccs(adj, order)
     # Discovery order is BFS order, so the first tick-1 edge inside an SCC,
     # scanning states in that order and each state's edges as emitted
-    # (ticks "0" < "0+" < "1", then `enabled_sets()` order), is the one
+    # (ticks "0" < "0+" < "1", then smallest enabled set first), is the one
     # closest to the start with the smallest label.
     best = next(
         (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -45,6 +46,14 @@ def load_space(name: str) -> BeliefSpace:
     if name not in _space_cache:
         _space_cache[name] = BeliefSpace(RegionContext(prepare(load_ta(name))))
     return _space_cache[name]
+
+
+def every_enabled_set(space: BeliefSpace) -> tuple[frozenset[str], ...]:
+    """Every subset of the controllable names, smallest first, then by
+    sorted names: the order in which a class's smallest enabled set labels
+    its moves, listed apart from `BeliefSpace`."""
+    names = sorted(space.ctx.ta.controllable)
+    return tuple(frozenset(c) for k in range(len(names) + 1) for c in combinations(names, k))
 
 
 def leaking_full(space: BeliefSpace, belief) -> bool:

@@ -14,6 +14,7 @@ from concrete import build_run, classify_run, is_feasible, run_admits
 from conftest import (
     SOLVE_FIXTURES,
     edges_by_key,
+    every_enabled_set,
     fixture_path,
     leaking_full,
     load_space,
@@ -266,7 +267,7 @@ def test_criterion_6_monotonicity_suite():
         space = load_space(name)
         graph = space.explore(include_dead=True)
         beliefs = [b for b in graph.states if b is not BOTTOM]
-        subsets = space.enabled_sets()
+        subsets = every_enabled_set(space)
         for small, big in itertools.combinations(subsets, 2):
             if not small <= big:
                 continue

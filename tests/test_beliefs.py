@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import leaking_full, load_space, load_ta
+from conftest import every_enabled_set, leaking_full, load_space, load_ta
 from etopaq import prepare
 from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace
 from etopaq.modes import Mode
@@ -101,7 +101,7 @@ def test_finals_present_examples(opaque_space):
 def test_successor_monotone_in_enabled():
     for name in ("ta_opaque", "ta1", "ta_counterex"):
         space = load_space(name)
-        subsets = space.enabled_sets()
+        subsets = every_enabled_set(space)
         graph = space.explore(include_dead=True)
         beliefs = [b for b in graph.states if b is not BOTTOM]
         for small, big in combinations(subsets, 2):
@@ -400,28 +400,36 @@ def _reference_initial(ctx, enabled):
 
 
 def _assert_matches_reference(ta) -> int:
-    """Every initial belief and every reachable belief transition; returns
-    the number of transitions compared."""
+    """Every initial belief, and every successor of every reachable belief
+    under every tick and every enabled set, the explored edges among them;
+    returns the number of successors compared."""
     space = BeliefSpace(RegionContext(prepare(ta)))
-    for enabled in space.enabled_sets():
+    subsets = every_enabled_set(space)
+    for enabled in subsets:
         got = space.initial(enabled)
         assert got == _reference_initial(space.ctx, enabled)
         assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
     ctx = space.ctx
     graph = space.explore(include_dead=True)
-    for (b, tick, enabled), b2 in graph.transitions.items():
+    compared = 0
+    for b in graph.states:
         if b is BOTTOM:
             continue
-        expected = _reference_successor(ctx, b, tick, enabled)
-        assert b2 == expected, (ta.name, tick, sorted(enabled))
-        assert sys.getsizeof(b2) <= sys.getsizeof(frozenset(set(b2)))
-        for belief in (b2, b | b2):
-            priv = any(is_final(ctx, i) and is_secret(ctx, i) for i in belief)
-            pub = any(is_final(ctx, i) and not is_secret(ctx, i) for i in belief)
-            assert space.has_private_final(belief) == priv
-            assert space.has_public_final(belief) == pub
-            assert _finals_present(space, belief) == (priv or pub)
-    return len(graph.transitions)
+        for tick in ("0+", "1"):
+            for enabled in subsets:
+                b2 = space.successor(b, tick, enabled)
+                expected = _reference_successor(ctx, b, tick, enabled)
+                assert b2 == expected, (ta.name, tick, sorted(enabled))
+                assert graph.transitions.get((b, tick, enabled), expected) == expected
+                assert sys.getsizeof(b2) <= sys.getsizeof(frozenset(set(b2)))
+                for belief in (b2, b | b2):
+                    priv = any(is_final(ctx, i) and is_secret(ctx, i) for i in belief)
+                    pub = any(is_final(ctx, i) and not is_secret(ctx, i) for i in belief)
+                    assert space.has_private_final(belief) == priv
+                    assert space.has_public_final(belief) == pub
+                    assert _finals_present(space, belief) == (priv or pub)
+                compared += 1
+    return compared
 
 
 def test_closure_matches_reference_on_paper_fixtures():
@@ -483,16 +491,17 @@ def test_no_stay_delay_with_the_tick_clock_on_an_integer():
 def _assert_successors_dedup(space, state_cap=None) -> tuple[int, int]:
     """On every belief reachable within ``state_cap``, `successors` equals
     the first-seen dedup of `successor` (or `initial`) over every enabled
-    set, as computed by a second space over the same regions, the one that
-    explores; returns the number of beliefs checked and the most distinct
-    successors of one belief under one tick."""
+    set, as computed by a second space over the same regions that only
+    closes; returns the number of beliefs checked and the most distinct
+    successors of one belief under one tick.  ``space`` explores: a lost
+    successor of an explored belief fails the comparison there."""
+    beliefs = space.explore(include_dead=True, state_cap=state_cap).states
     ref = BeliefSpace(space.ctx)
-    beliefs = ref.explore(include_dead=True, state_cap=state_cap).states
     widest = 0
     for b in beliefs:
         for tick in ("0",) if b is BOTTOM else ("0+", "1"):
             expected: dict = {}
-            for e in ref.enabled_sets():
+            for e in every_enabled_set(ref):
                 b2 = ref.initial(e) if b is BOTTOM else ref.successor(b, tick, e)
                 expected.setdefault(b2, e)
             got = space.successors(b, tick)

@@ -6,20 +6,23 @@ would let a changed ordering or label through."""
 from __future__ import annotations
 
 import hashlib
+import re
 
-from conftest import load_ta
-from etopaq import dot, prepare
+from conftest import load_space, load_ta
+from etopaq import dot, prepare, taformat
 from etopaq.beliefs import BeliefSpace
+from etopaq.game import check_exists, solve
 from etopaq.modes import Mode
 from etopaq.regions import RegionContext
+from etopaq.ta import make_finals_urgent
 
 # per fixture: regions, beliefs, beliefs --pretty, then the game in each mode
 # of `Mode` (full, weak, almost, closed), each export uncapped and complete
 EXPORT_DIGESTS = {
     "ta1": (
         "99ba0c9474d5a39d8c6d71683b0ba4215ef07473e0437fd92f6f6bcba48fe388",
-        "80e17b001c98745045abb88b84405946f8c1fc3bf61efe1dc35f2f6c9061dd9e",
-        "ed747dada956bb648f8ce97e8067eca9c58a910ab2787c16ae82824faaf2d9a3",
+        "34b53e447d16f2c61c5bac91d73ddeb8b03928ef8f65d530cf984a39ba78f941",
+        "ad824722d293bdd78e7382be54207a485964ce087eff8e507738550960011aa5",
         "375d1b2722ef85064971f152c2674af7ffb7555d06059e72b0d68a67a4d33cbf",
         "a192a0f4000b64dd1959872902a1e70b6c1deccd9374a74d8e19d7f3c75f1f70",
         "f3210f6a3febab7d4475ac4cfc17ae9a486199867507e163158cabd8f4efc82f",
@@ -45,8 +48,8 @@ EXPORT_DIGESTS = {
     ),
     "ta_counterex": (
         "a6fa845af83c8381e21671fb14617b18e3872739b777cf5a4b0cb7b43a771a17",
-        "67326895d7dbd247d37f1bb4104aa44b360d598a65aff3f85a848038a0c6c895",
-        "c650fe6d0e6aa2a5b8b682b1e709579dc826b8dbdd216a78ebfe06da6edc2a6a",
+        "f67529957d8dac694b43ac54e7d9d6b1f8d3ff7f504434aab5154eaf1e2e50fd",
+        "e6f2eee7dd7f5693181e80fdbdc6917c58bbc20efaf3702d08ee091482ef16fc",
         "6935492edbcada51f38b88ba13eea75b7658e241988e4e64db8d0fe6b4441fac",
         "6935492edbcada51f38b88ba13eea75b7658e241988e4e64db8d0fe6b4441fac",
         "205787354161affacd483beaea5b24e3cee726f19d598fb29292d7261697a89a",
@@ -54,8 +57,8 @@ EXPORT_DIGESTS = {
     ),
     "ta_nfv": (
         "d135963141eb7dfd05d08331a2e695ca38b207b8bf8bf07a2f613542921f3c1b",
-        "631c860b09d3a19547bb7396dc85072ab551869a28626510c20605e17802ba6f",
-        "f1693e6e6a9dd7dd784196e860ec005293a684bb95361cce2b7c2b2f9786e6c9",
+        "50e487d068b262d903b1a13b866cb69ea5b02d9f11a5df1512154b2fab26a090",
+        "24634c86b468c6b2f45783a29e522e23b986808b1035dfdaf63206056591890b",
         "d22ec44466d942e5467bbe0448b4c6743161e37a127fad57f368b107cf9764be",
         "49c6f0d4e3eb1468915d7cef755ba7a9e102e831bfdbaaa270c7d581ba4b09f0",
         "b0783f3684ff2fe1de53f6c34b5adb68b60a3ded310b4df6e65a0cb01ab0ca6e",
@@ -99,3 +102,77 @@ def test_dot_exports_of_the_paper_fixtures_are_pinned_by_digest():
             assert stopped == "", name
             got.append(hashlib.sha256(text.encode()).hexdigest())
         assert tuple(got) == want, name
+
+
+# --- names that hold the characters a DOT string escapes -------------------------
+
+_DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+QUOTED_TA = r"""ta quoted
+clocks: x
+controllable: ab\ a"b
+uncontrollable: u
+locations:
+  l0 init
+  l"1
+  l\2
+  lp private
+  lf final
+edges:
+  l0 -> l"1 via ab\ guard: x < 1
+  l"1 -> lf via u
+  l0 -> l\2 via a"b
+  l\2 -> lp via u guard: x > 1
+  lp -> lf via u
+"""
+
+
+def _dot_strings(text: str) -> list[str]:
+    """The unescaped quoted strings of a DOT export, after checking that
+    every one closes on its line: none of the characters a string escapes
+    is left outside one."""
+    out = []
+    for line in text.splitlines():
+        assert not set(_DOT_STRING.sub("", line)) & {'"', "\\"}, line
+        out += [re.sub(r"\\(.)", r"\1", s) for s in _DOT_STRING.findall(line)]
+    return out
+
+
+def test_dot_strings_close_when_names_hold_quotes_and_backslashes():
+    ta = prepare(make_finals_urgent(taformat.parse(QUOTED_TA)))
+    regions, stopped = dot.regions_dot(RegionContext(ta))
+    assert stopped == ""
+    labels = _dot_strings(regions)
+    assert {"0/ab\\", '0/a"b'} <= set(labels)
+    assert any(s.startswith('l"1') for s in labels) and any(s.startswith("l\\2") for s in labels)
+    for pretty in (False, True):
+        text, stopped = dot.beliefs_dot(BeliefSpace(RegionContext(ta)), pretty=pretty)
+        assert stopped == ""
+        tips = _dot_strings(text)
+        assert any('l"1' in s for s in tips) and any("l\\2" in s for s in tips)
+        assert any("ab\\" in s for s in tips) and any('a"b' in s for s in tips)
+    for mode in Mode:
+        text, stopped = dot.game_dot(BeliefSpace(RegionContext(ta)), mode)
+        assert stopped == ""
+        assert any("ab\\" in s or 'a"b' in s for s in _dot_strings(text)), mode
+
+
+# --- controllable names that no edge carries --------------------------------------
+
+
+def test_unused_controllable_names_change_no_export_and_no_verdict():
+    """`ta_wide` is `ta_counterex` with 22 more controllable names that no
+    edge carries, 24 in all.  A belief step walks only the classes of the
+    names able to fire, so every export and every solve is that of
+    `ta_counterex`, and as cheap: 2^24 enabled sets are never listed."""
+    assert len(load_ta("ta_wide").controllable) == 24
+    assert list(_exports("ta_wide")) == list(_exports("ta_counterex"))
+    for mode in Mode:
+        wide, narrow = (
+            BeliefSpace(RegionContext(prepare(load_ta(name)))) for name in ("ta_wide", "ta_counterex")
+        )
+        got, want = solve(wide, mode), solve(narrow, mode)
+        assert (got.status, got.witness, got.detail) == (want.status, want.witness, want.detail)
+        assert (got.stats.states, got.stats.edges) == (want.stats.states, want.stats.edges), mode
+        assert wide.successors_computed() == narrow.successors_computed(), mode
+    assert check_exists(load_space("ta_wide")) == check_exists(load_space("ta_counterex"))

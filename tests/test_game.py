@@ -7,7 +7,14 @@ from typing import NamedTuple
 
 import pytest
 
-from conftest import SOLVE_FIXTURES, fixture_path, leaking_full, load_space, load_ta
+from conftest import (
+    SOLVE_FIXTURES,
+    every_enabled_set,
+    fixture_path,
+    leaking_full,
+    load_space,
+    load_ta,
+)
 from etopaq import msformat, prepare
 from etopaq.beliefs import BOTTOM, BeliefSpace
 from etopaq.game import (
@@ -311,7 +318,7 @@ def _all_subsets_successors(space, st, mode):
     """The game's moves with one edge per enabled set, duplicates kept: the
     relation `game_successors` emits one edge per distinct target of.  The
     leak schedule is written out here apart from `Mode.rule`."""
-    subsets = space.enabled_sets()
+    subsets = every_enabled_set(space)
     if st.current is BOTTOM:
         return [(("0", e), GameState(space.initial(e), space.initial(e), True)) for e in subsets]
     acc = st.accumulated

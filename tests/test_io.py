@@ -20,6 +20,7 @@ ALL_TA_FIXTURES = (
     "ta_opaque",
     "ta_opaque2",
     "ta_counterex",
+    "ta_wide",
     "ta_nfv",
     "t2_like",
     "t3_like",
@@ -47,11 +48,12 @@ def test_public_surface_holds_what_the_commands_run():
     for module in (etopaq, etopaq.ta, etopaq.strategies):
         assert not moved & set(vars(module)), module.__name__
     assert not hasattr(etopaq.strategies, "meta_of")
+    space = BeliefSpace(RegionContext(prepare(load_ta("ta1"))))
     gone = {
         etopaq: ("Region", "region_of"),
         etopaq.regions: ("Region", "region_of", "encode", "_Regions"),
         RegionContext: ("intern", "initial_region", "region_of", "is_final", "is_secret"),
-        BeliefSpace: ("regions_of",),
+        space: ("regions_of", "enabled_sets", "_subsets", "_masks", "_by_mask", "_last_image"),
         etopaq.beliefs: ("belief_key",),
     }
     for owner, names in gone.items():
@@ -585,6 +587,25 @@ def test_cli_stats_pin_the_gadgets_game_size(capsys):
             assert got == want, (name, cap)
             if cap == 2000:
                 assert (stats["regions"], stats["regions_expanded"]) == regions[name], name
+
+
+def test_cli_out_of_memory_is_indeterminate_with_its_stats_line(capsys, monkeypatch):
+    """A MemoryError ends in INDETERMINATE and exit 2, not in a traceback
+    and exit 1, the UNSAT code; the --stats line is still written."""
+    import etopaq.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(etopaq.cli, "solve", exhausted)
+    assert main(["check", fx("ta1.ta"), "--mode", "weak", "--stats"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[0] == "INDETERMINATE out of memory"
+    stats = json.loads(err[-1])
+    assert stats["states"] is None and stats["belief_successors"] == 0
+    assert stats["peak_rss_mb"] > 0
 
 
 def test_cli_stats_line_without_a_game(tmp_path, capsys):
