@@ -17,12 +17,15 @@ kept as id tuples, split into free steps, controllable steps by name bit,
 and the '0+'/'1' delay targets.
 The one closure routine and the delay images run over these tables alone,
 and the leak predicates test a belief against the context's private- and
-public-final id sets.  `BeliefSpace.successors` gives each distinct
-successor of a belief once, with one closure per class of enabled sets that
-agree on the controllable names able to fire.  The classes form a lattice:
-each class grows from the class one name smaller, seeded with that name's
-steps out of it, which an index of the closure under every name holds, and
-walks only the regions they add.  `BeliefSpace.explore` walks the reachable
+public-final id sets.  `BeliefSpace.successors`, the game's step, gives
+each distinct successor of a belief once, with one closure per class of
+enabled sets that agree on the controllable names able to fire, and keeps
+the list per (belief, tick): the space's one belief cache.  The classes form
+a lattice: each class grows from the class one name smaller, seeded with
+that name's steps out of it, which an index of the closure under every name
+holds, and walks only the regions they add.  `BeliefSpace.successor`, the
+step under one enabled set that the strategy walks take, closes once per
+call and keeps nothing.  `BeliefSpace.explore` walks the reachable
 belief graph with `graphs.bfs` through `successors`, as the game does; the
 dead belief needs no case of its own there, since every successor of it is
 itself.
@@ -55,8 +58,8 @@ class BeliefSpace:
         self.uncontrollable = ctx.ta.uncontrollable
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
         self._bit.update(dict.fromkeys((SILENT.name, *self.uncontrollable), 0))  # free names
-        self._every_name = frozenset(self.controllable)
-        self._succ: dict[tuple[object, str, frozenset[str]], Belief] = {}
+        self._succs: dict[tuple[object, str], list[tuple[frozenset[str], Belief]]] = {}
+        self._computed = 0  # class closures, see `successors_computed`
         self._classes: dict[int, dict[int, frozenset[str]]] = {}  # T -> its classes
         self._moves: dict[int, tuple] = {}
 
@@ -156,84 +159,76 @@ class BeliefSpace:
     def successor(self, belief: object, tick: str, enabled: frozenset[str]) -> Belief:
         """One delay step tagged ``tick`` per member region, then closure;
         out of `BOTTOM` (tick '0' only) the closure of the initial region
-        without delays.  The result may be the dead belief."""
-        enabled = frozenset(enabled)
-        key = (belief, tick, enabled)
-        cached = self._succ.get(key)
-        if cached is None:
-            bit, mask = self._bit, 0
-            for name in enabled:
-                mask |= bit.get(name, 0)
-            cached = self._closure(self._seed(belief, tick), mask)
-            self._succ[key] = cached
-        return cached
+        without delays.  The result may be the dead belief; not cached."""
+        bit, mask = self._bit, 0
+        for name in enabled:
+            mask |= bit.get(name, 0)
+        b = self._closure(self._seed(belief, tick), mask)
+        self._computed += 1
+        return b
 
     def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], Belief]]:
         """Each distinct successor of ``belief`` under ``tick`` once,
         labelled with the smallest enabled set that yields it, in label
-        order: fewest names first, then by sorted names.
+        order: fewest names first, then by sorted names; memoized.
 
         The closure under every controllable name is computed first.  Only
         the names T with a step from one of its regions can fire under any
         enabled set e (closures grow with e), so the closure under e is the
         closure under e ∩ T: one closure per submask c of T, and c is the
-        smallest enabled set of its class.  `_grow_classes` caches the
-        classes below T first, each grown from the class one name smaller
-        with the steps that the closure under every name indexes."""
-        table = self._moves
-        full = self.successor(belief, tick, self._every_name)
-        relevant = 0
+        smallest enabled set of its class.  `_grow_classes` closes them,
+        each grown from the class one name smaller."""
+        out = self._succs.get((belief, tick))
+        if out is not None:
+            return out
+        seed = self._seed(belief, tick)
+        full = self._closure(set(seed), -1)  # -1 has every name bit set
+        table, relevant = self._moves, 0
         for i in full:
             relevant |= table[i][4]
         classes = self._classes_below(relevant)
-        # the lattice caches ∅ with every other class, so it runs once per
-        # (belief, tick) however often the game asks
-        if relevant and (belief, tick, classes[0]) not in self._succ:
-            self._grow_classes(belief, tick, full, relevant)
-        out: list[tuple[frozenset[str], Belief]] = []
-        found: set[Belief] = set()
+        closed = self._grow_classes(seed, full, relevant) if relevant else {0: full}
+        first: dict[Belief, frozenset[str]] = {}  # in label order
         for mask, e in classes.items():
-            b = full if mask == relevant else self.successor(belief, tick, e)
-            if b not in found:
-                found.add(b)
-                out.append((e, b))
+            first.setdefault(closed[mask], e)
+        out = self._succs[belief, tick] = [(e, b) for b, e in first.items()]
+        self._computed += len(classes)
         return out
 
-    def _grow_classes(self, belief: object, tick: str, full: Belief, relevant: int) -> None:
-        """Cache the closure under every class of names c ⊊ ``relevant``
-        (bit masks, read as enabled sets from `_classes_below`).  The class
-        ∅ is closed from the seed.  Any other c is grown from the closure
+    def _grow_classes(self, seed: set[int], full: Belief, relevant: int) -> dict[int, Belief]:
+        """The closure under every class of names c ⊆ ``relevant`` (bit
+        masks).  The class ∅ is closed from the seed (taken over), the class
+        ``relevant`` is ``full``.  Any other c is grown from the closure
         under c′, c without its lowest name n: from the targets of the
         n-steps of c′'s regions, walking only the regions that c′ lacks.
         ``full``, the closure under every name, holds every class's regions,
         so one index of its controllable steps by name bit serves every
-        parent.  Classes come in increasing order, so c′ is cached before c.
+        parent.  Classes come in increasing order, so c′ is closed before c.
         Closures are monotone and idempotent, so this is the closure of the
         seed under c."""
-        succ, classes, table = self._succ, self._classes[relevant], self._moves
-        succ.setdefault((belief, tick, classes[0]), self._closure(self._seed(belief, tick), 0))
+        closed = {0: self._closure(seed, 0), relevant: full}
         cls = relevant & -relevant  # the lowest name alone: the class after ∅
         if cls == relevant:  # one name: no class lies between ∅ and it
-            return
+            return closed
         steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         for i in full:
-            for bit, js in table[i][1]:
+            for bit, js in self._moves[i][1]:
                 steps.setdefault(bit, []).append((i, js))
         while cls != relevant:
-            parent = succ[belief, tick, classes[cls & (cls - 1)]]
+            parent = closed[cls & (cls - 1)]
             n_steps = steps.get(cls & -cls, ())  # n is the lowest name of cls
             todo = [j for i, js in n_steps if i in parent for j in js if j not in parent]
             if todo:
-                seen = set(parent)
-                seen.update(todo)
-                parent = self._closure(seen, cls, todo)
-            succ.setdefault((belief, tick, classes[cls]), parent)
+                parent = self._closure({*parent, *todo}, cls, todo)
+            closed[cls] = parent
             cls = (cls - relevant) & relevant  # the next submask of ``relevant``
+        return closed
 
     def successors_computed(self) -> int:
-        """Distinct belief successors computed so far, initial beliefs
-        included."""
-        return len(self._succ)
+        """Class closures computed so far: one per `successor` call
+        (`initial` included), one per class of enabled sets on each
+        (belief, tick) that `successors` steps from."""
+        return self._computed
 
     # -- leak predicates -----------------------------------------------------
 

@@ -252,7 +252,8 @@ def check_metastrategy(
     """Applies the mode's leak schedule to the encountered beliefs; the
     bucket list is periodic, so scanning the enumerated prefix decides.  One
     unit past the period lists both neighbour intervals of every point of
-    the period but the last, whose periodic twin is judged before it."""
+    the period but the last, whose periodic twin is judged before it; that
+    unit's beliefs are copied from the period's first, not stepped again."""
     enc = encountered_beliefs(space, phi)
     ok, offending = bucket_verdict(
         mode,

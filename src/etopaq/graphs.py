@@ -22,21 +22,25 @@ def bfs(
     time: adjacency of the expanded nodes (successors kept as emitted),
     discovery order, BFS parent edges, and why exploration stopped short
     ("" when it did not).  The time cap is checked before each expansion,
-    the state cap at each discovery."""
+    the state cap at each discovery; a walk that runs out of memory stops
+    as a capped one does, with what it explored."""
     deadline = None if time_cap is None else time.monotonic() + time_cap
     adj: Adjacency = {}
     order = [start]
     parent: Tree = {start: None}
-    for node in order:  # `order` grows behind the cursor: a FIFO queue
-        if deadline is not None and time.monotonic() > deadline:
-            return adj, order, parent, f"time cap {time_cap}s exceeded"
-        adj[node] = steps = successors(node)
-        for label, n2 in steps:
-            if n2 not in parent:
-                parent[n2] = (node, label)
-                order.append(n2)
-                if state_cap is not None and len(order) > state_cap:
-                    return adj, order, parent, f"state cap {state_cap} exceeded"
+    try:
+        for node in order:  # `order` grows behind the cursor: a FIFO queue
+            if deadline is not None and time.monotonic() > deadline:
+                return adj, order, parent, f"time cap {time_cap}s exceeded"
+            adj[node] = steps = successors(node)
+            for label, n2 in steps:
+                if n2 not in parent:
+                    parent[n2] = (node, label)
+                    order.append(n2)
+                    if state_cap is not None and len(order) > state_cap:
+                        return adj, order, parent, f"state cap {state_cap} exceeded"
+    except MemoryError:
+        return adj, order, parent, "out of memory"
     return adj, order, parent, ""
 
 

@@ -101,27 +101,25 @@ def walk_buckets(
     interval choice, '1' onto point k+1.  An interval's bucket gets the union
     of the sets inside it.  Once the (lasso position, point set) pair
     repeats, the walk lists one unit more and stops: the buckets cover a
-    full period and both neighbour intervals of each of its points."""
+    full period and both neighbour intervals of each of its points.  That
+    unit is the period's first again (same plan, same set, and a
+    deterministic ``step``), so its buckets are copied, not stepped."""
     buckets = [(Bucket("point", 0), start)]
-
-    def unit(k: int, cur: frozenset) -> frozenset:
+    seen: dict[tuple[int, frozenset], int] = {}
+    cur, k = start, 0
+    while (key := (phi.lasso_pos(k), cur)) not in seen:
+        seen[key] = k
         choices = phi.interval(k)
         cur = union = step(cur, "1", choices[0])
         for enabled in choices[1:]:
             cur = step(cur, "0+", enabled)
             union = union | cur
         cur = step(cur, "1", phi.point(k + 1))
-        buckets.extend(((Bucket("interval", k), union), (Bucket("point", k + 1), cur)))
-        return cur
-
-    seen: dict[tuple[int, frozenset], int] = {}
-    cur, k = start, 0
-    while (key := (phi.lasso_pos(k), cur)) not in seen:
-        seen[key] = k
-        cur = unit(k, cur)
+        buckets += ((Bucket("interval", k), union), (Bucket("point", k + 1), cur))
         k += 1
     cycle_start = seen[key]
-    unit(k, cur)
+    (_, union), (_, cur) = buckets[2 * cycle_start + 1 : 2 * cycle_start + 3]
+    buckets += ((Bucket("interval", k), union), (Bucket("point", k + 1), cur))
     return BucketedBeliefs(tuple(buckets), cycle_start, k - cycle_start)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import every_enabled_set, leaking_full, load_space, load_ta
 from etopaq import prepare
-from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace
+from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace, ticks_from
 from etopaq.modes import Mode
 from etopaq.regions import RegionContext
 from etopaq.ta import SILENT_KIND
@@ -168,20 +168,74 @@ def test_only_tick_zero_leaves_bottom_and_only_delays_leave_a_belief():
                                   (b0, "0", "bad tick '0'")):
         with pytest.raises(ValueError, match=message):
             space.successor(belief, tick, A)
+        with pytest.raises(ValueError, match=message):
+            space.successors(belief, tick)
     assert space.successors_computed() == 1
 
 
 def test_initial_is_the_step_out_of_bottom_counted_once():
+    """`successor` keeps no cache: each call, `initial` included, is one
+    closure, counted once."""
     space = BeliefSpace(RegionContext(prepare(load_ta("ta_opaque"))))
     assert space.successors_computed() == 0
     b0 = space.initial(A)
-    assert b0 is space.successor(BOTTOM, "0", A)
-    assert space.initial({"a"}) is b0
     assert space.successors_computed() == 1
-    space.initial(NONE)
-    space.successor(b0, "1", NONE)
-    space.successor(b0, "1", NONE)
+    assert b0 == space.successor(BOTTOM, "0", A)
+    assert space.initial({"a"}) == b0
     assert space.successors_computed() == 3
+    assert space.initial(NONE) != b0
+    assert space.successor(b0, "1", NONE) == space.successor(b0, "1", NONE)
+    assert space.successors_computed() == 6
+
+
+def _closures_counted(monkeypatch) -> list:
+    """Patches `BeliefSpace._closure` and `_seed` to log each call by name."""
+    calls = []
+    for name in ("_closure", "_seed"):
+        real = getattr(BeliefSpace, name)
+
+        def logged(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(BeliefSpace, name, logged)
+    return calls
+
+
+def test_a_second_successors_call_computes_no_closure(monkeypatch):
+    """`successors` is memoized per (belief, tick): the second call returns
+    the stored list and closes nothing, on every belief the walk reaches."""
+    calls = _closures_counted(monkeypatch)
+    for name in PAPER_FIXTURES + ("minsky_halt",):
+        space = BeliefSpace(RegionContext(prepare(load_ta(name))))
+        for b in space.explore(include_dead=True, state_cap=200).states:
+            for tick in ticks_from(b):
+                first = space.successors(b, tick)
+                computed, made = space.successors_computed(), len(calls)
+                assert space.successors(b, tick) is first, name
+                assert (space.successors_computed(), len(calls)) == (computed, made), name
+
+
+def test_a_successors_miss_computes_the_delay_image_once(monkeypatch):
+    """A memo miss seeds every class closure from one delay image: one
+    `_seed` call, and one closure per class at most, on beliefs whose steps
+    need two classes or more."""
+    calls = _closures_counted(monkeypatch)
+    lattices = 0
+    for name in PAPER_FIXTURES + ("minsky_halt",):
+        space = BeliefSpace(RegionContext(prepare(load_ta(name))))
+        beliefs = space.explore(include_dead=True, state_cap=200).states
+        fresh = BeliefSpace(space.ctx)
+        for b in beliefs:
+            for tick in ticks_from(b):
+                calls.clear()
+                before = fresh.successors_computed()
+                fresh.successors(b, tick)
+                classes = fresh.successors_computed() - before
+                assert calls.count("_seed") == 1, (name, tick)
+                assert 1 <= calls.count("_closure") <= classes, (name, tick)
+                lattices += classes > 1
+    assert lattices > 100
 
 
 def test_no_offinteger_moves_from_point_beliefs(opaque_space):

@@ -573,8 +573,9 @@ def test_cli_stats_line_on_indeterminate(capsys):
 
 def test_cli_stats_pin_the_gadgets_game_size(capsys):
     """The three weak-mode gadgets at caps 2000 and 20000: every class
-    closure of the 256-way branching is cached once, however it is
-    computed; at cap 2000 the regions interned and expanded are pinned too."""
+    closure of the 256-way branching is counted once per (belief, tick),
+    however it is computed; at cap 2000 the regions interned and expanded
+    are pinned too."""
     regions = {"minsky_halt": (84, 57), "minsky_inc_halt": (91, 61), "minsky_ifz_loop": (91, 61)}
     for cap, want in ((2000, (2001, 2048, 2048)), (20000, (20001, 20224, 20224))):
         for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
@@ -606,6 +607,30 @@ def test_cli_out_of_memory_is_indeterminate_with_its_stats_line(capsys, monkeypa
     stats = json.loads(err[-1])
     assert stats["states"] is None and stats["belief_successors"] == 0
     assert stats["peak_rss_mb"] > 0
+
+
+def test_cli_out_of_memory_while_exploring_keeps_the_partial_counts(capsys, monkeypatch):
+    """A game walk that runs out of memory ends as a capped one does: exit
+    2, and the --stats line says how far it got."""
+    import etopaq.game
+
+    real, expanded = etopaq.game.game_successors, []
+
+    def exhausted_after_five(space, st, mode):
+        if len(expanded) == 5:
+            raise MemoryError
+        expanded.append(st)
+        return real(space, st, mode)
+
+    monkeypatch.setattr(etopaq.game, "game_successors", exhausted_after_five)
+    assert main(["check", fx("minsky_halt.ta"), "--mode", "weak", "--stats"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[0] == "INDETERMINATE out of memory"
+    stats = json.loads(err[-1])
+    assert stats["states"] > 5 and stats["edges"] > 5 and stats["seconds"] is not None
+    assert stats["belief_successors"] > 0
 
 
 def test_cli_stats_line_without_a_game(tmp_path, capsys):

@@ -23,6 +23,7 @@ from concrete import (
 )
 from conftest import (
     edges_by_key,
+    fixture_path,
     leaking_full,
     load_space,
     load_ta,
@@ -203,7 +204,7 @@ def test_encountered_beliefs_counterexample_leak():
     ta = load_ta("ta_counterex")
     space = load_space("ta_counterex")
     phi = msformat.load(
-        str(__import__("conftest").fixture_path("counterex_phi.msf")),
+        str(fixture_path("counterex_phi.msf")),
         frozenset(ta.controllable),
     )
     enc = encountered_beliefs(space, phi)
@@ -405,7 +406,7 @@ def test_feasible_but_not_sigma_compatible():
     ta = load_ta("ta_counterex")
     space = load_space("ta_counterex")
     phi = msformat.load(
-        str(__import__("conftest").fixture_path("counterex_phi.msf")),
+        str(fixture_path("counterex_phi.msf")),
         frozenset(ta.controllable),
     )
     run = _counterex_private_run(space)
@@ -467,3 +468,58 @@ def test_feasibility_equals_sampled_compatibility_at_desk_scale(opaque_space):
             assert is_feasible(run, phi, space, dup) == sampled_witness_exists(
                 run, phi
             )
+
+
+# --- the walk steps each unit before the repeat once ----------------------------
+
+
+def _count_steps(monkeypatch) -> list:
+    """Wraps `walk_buckets` in both of its callers' modules: each walk logs
+    (steps taken, steps its units before the repeat need)."""
+    import etopaq.oracle
+    import etopaq.strategies
+
+    real = etopaq.strategies.walk_buckets
+    walks = []
+
+    def counted(phi, start, step):
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        walk = real(phi, start, counting)
+        units = walk.cycle_start + walk.cycle_period
+        walks.append((calls, sum(len(phi.interval(k)) + 1 for k in range(units))))
+        return walk
+
+    for module in (etopaq.strategies, etopaq.oracle):
+        monkeypatch.setattr(module, "walk_buckets", counted)
+    return walks
+
+
+def test_walk_buckets_steps_no_unit_after_the_repeat(monkeypatch):
+    """The unit listed past the repeat is the period's first unit again, so
+    neither the belief side nor the oracle steps through it, on the fixture
+    strategies and on random draws."""
+    from etopaq.oracle import oracle_buckets
+
+    walks = _count_steps(monkeypatch)
+    cases = []
+    for name, msf in (("ta_counterex", "counterex_phi"), ("ta_opaque", "opaque_star"),
+                      ("ta1", "all_enabled_ab")):
+        ta = load_ta(name)
+        cases.append((ta, msformat.load(str(fixture_path(f"{msf}.msf")), ta.controllable)))
+    rng = random.Random(20261019)
+    for i in range(40):
+        ta = random_ta(rng, name=f"walk{i}")
+        cases.append((ta, random_metastrategy(rng, ta.controllable)))
+    for ta, phi in cases:
+        space = BeliefSpace(RegionContext(prepare(ta)))
+        encountered_beliefs(space, phi)
+        oracle_buckets(space.ctx, phi)
+    assert len(walks) == 2 * len(cases)
+    for calls, needed in walks:
+        assert calls == needed
