@@ -10,25 +10,23 @@ it as out of any belief (`ticks_from` names the ticks).  The empty belief is
 kept as an absorbing dead state so time can still be counted through
 intervals where no run survives.
 
-A belief is a frozenset of the dense region ids of the space's
-`RegionContext`, which alone knows what each id stands for.  The context
-answers each region's steps in ids; they are read once per region and
-kept as id tuples, split into free steps, controllable steps by name bit,
-and the '0+'/'1' delay targets.
-The one closure routine and the delay images run over these tables alone,
-and the leak predicates test a belief against the context's private- and
-public-final id sets.  `BeliefSpace.successors`, the game's step, gives
-each distinct successor of a belief once, with one closure per class of
-enabled sets that agree on the controllable names able to fire, and keeps
-the list per (belief, tick): the space's one belief cache.  The classes form
-a lattice: each class grows from the class one name smaller, seeded with
-that name's steps out of it, which an index of the closure under every name
-holds, and walks only the regions they add.  `BeliefSpace.successor`, the
-step under one enabled set that the strategy walks take, closes once per
-call and keeps nothing.  `BeliefSpace.explore` walks the reachable
-belief graph with `graphs.bfs` through `successors`, as the game does; the
-dead belief needs no case of its own there, since every successor of it is
-itself.
+A belief is an int bit mask over the dense region ids of the space's
+`RegionContext`, which alone knows what each id stands for: bit i is set
+when region i is possible, and the dead belief is 0.  Each region's steps
+are read once and kept as one-step target masks: free steps (silent and
+uncontrollable actions, off-integer delays to other regions), one mask per
+controllable name bit, and the '0+'/'1' delay images.  The one closure ORs
+the masks of a frontier's regions and goes on from the bits that are new;
+the leak predicates AND a belief with the context's final masks, read live
+since both grow as regions are interned.  `BeliefSpace.successors`, the
+game's step, gives each distinct successor of a belief once, with one
+closure per class of enabled sets that agree on the controllable names
+able to fire, and keeps the list per (belief, tick): the space's one
+belief cache.  Each class grows from the class one name smaller, by that
+name's steps out of it and a closure of the bits they add.  The game keeps
+beliefs as plain ints; `BeliefSpace.successor`, the strategy walks' step
+under one enabled set, keeps nothing and hands out a `Belief`, the set
+view that `explore` and the other readers use too.
 """
 from __future__ import annotations
 
@@ -36,10 +34,32 @@ from .graphs import bfs
 from .regions import RegionContext
 from .ta import SILENT
 
-Belief = frozenset  # frozenset[int]: region ids of the space's context
+
+class Belief(int):
+    """A belief mask read as a set of region ids: ``len`` counts them, iteration
+    gives them in increasing order, ``in`` tests one, and ``|`` is the union."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self.bit_count()
+
+    def __iter__(self):
+        mask, out = self, []
+        while mask:
+            out.append(mask.bit_length() - 1)
+            mask ^= 1 << out[-1]
+        return reversed(out)
+
+    def __contains__(self, rid: int) -> bool:
+        return self >> rid & 1 == 1
+
+    def __or__(self, other: int) -> Belief:
+        return Belief(int(self) | other)
+
 
 BOTTOM = "__bottom__"
-DEAD: Belief = frozenset()
+DEAD = 0
 
 TICKS = ("0+", "1")
 
@@ -58,7 +78,7 @@ class BeliefSpace:
         self.uncontrollable = ctx.ta.uncontrollable
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
         self._bit.update(dict.fromkeys((SILENT.name, *self.uncontrollable), 0))  # free names
-        self._succs: dict[tuple[object, str], list[tuple[frozenset[str], Belief]]] = {}
+        self._succs: dict[tuple[object, str], list[tuple[frozenset[str], int]]] = {}
         self._computed = 0  # class closures, see `successors_computed`
         self._classes: dict[int, dict[int, frozenset[str]]] = {}  # T -> its classes
         self._moves: dict[int, tuple] = {}
@@ -82,73 +102,60 @@ class BeliefSpace:
     # -- construction --------------------------------------------------------
 
     def _moves_of(self, rid: int) -> tuple:
-        """Region ``rid``'s one-step moves as ids, built once: (free steps,
-        ((controllable name bit, steps), ...), '0+' delay targets, '1' delay
-        targets, bit mask of those controllable names).  ``_bit`` sorts the
-        steps by action name; silent and uncontrollable steps are free, and
-        so are off-integer delays, even at the initial instant: there the
-        tick clock sits on 0, and no region with it on an integer has one."""
-        moves = self._moves.get(rid)
-        if moves is not None:
-            return moves
+        """Region ``rid``'s one-step target masks, built once: (free steps,
+        ((controllable name bit, targets), ...), '0+' delay targets, '1'
+        delay targets, bit mask of those controllable names).  Silent and
+        uncontrollable steps are free, and so are off-integer delays, even
+        at the initial instant: there the tick clock sits on 0, and no
+        region with it on an integer has one."""
         ctx, bit_of = self.ctx, self._bit
-        by_bit: dict[int, list[int]] = {}  # name bit -> targets, 0 for the free steps
+        by_bit: dict[int, int] = {}  # name bit -> targets, 0 for the free steps
         for action, j in ctx.discrete_steps(rid):
-            by_bit.setdefault(bit_of[action.name], []).append(j)
-        free = by_bit.pop(0, [])
-        delay0p: list[int] = []
-        delay1: list[int] = []
+            b = bit_of[action.name]
+            by_bit[b] = by_bit.get(b, 0) | 1 << j
+        delays = {"0+": 0, "1": 0}  # in the order of `moves`
         for tag, j in ctx.delay_steps(rid):
-            (delay0p if tag == "0+" else delay1).append(j)
-        moves = (
-            tuple(free + [j for j in delay0p if j != rid]),
-            tuple([(bit, tuple(js)) for bit, js in by_bit.items()]),
-            tuple(delay0p),
-            tuple(delay1),
-            sum(by_bit),
-        )
-        self._moves[rid] = moves
+            delays[tag] |= 1 << j
+        free = by_bit.pop(0, 0) | delays["0+"] & ~(1 << rid)
+        moves = self._moves[rid] = (free, tuple(by_bit.items()), *delays.values(), sum(by_bit))
         return moves
 
-    def _closure(self, seen: set[int], enabled: int, todo: list[int] | None = None) -> Belief:
-        """Zero-time closure of the region ids in ``seen`` (grown in place):
-        free steps, off-integer delays among them, plus the discrete steps
-        of the controllable names in the bit mask ``enabled``.  Only the ids
-        in ``todo`` (all of ``seen`` by default) and what they reach are
-        walked, so ``seen`` may already hold a closure."""
-        table = self._moves
-        if todo is None:
-            todo = list(seen)
+    def _closure(self, closed: int, enabled: int) -> int:
+        """Zero-time closure of the mask ``closed``: free steps, off-integer
+        delays among them, plus the discrete steps of the controllable names
+        in the bit mask ``enabled``."""
+        table, todo = self._moves, closed
         while todo:
-            i = todo.pop()
-            moves = table.get(i) or self._moves_of(i)
-            for j in moves[0]:
-                if j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-            for bit, js in moves[1]:
-                if bit & enabled:
-                    for j in js:
-                        if j not in seen:
-                            seen.add(j)
-                            todo.append(j)
-        return frozenset(seen)
+            nxt = 0
+            while todo:
+                i = todo.bit_length() - 1
+                todo ^= 1 << i
+                moves = table.get(i) or self._moves_of(i)
+                nxt |= moves[0]
+                if moves[4] & enabled:
+                    for bit, js in moves[1]:
+                        if bit & enabled:
+                            nxt |= js
+            todo = nxt & ~closed
+            closed |= todo
+        return closed
 
-    def _seed(self, belief: object, tick: str) -> set[int]:
-        """The region ids that the step out of ``belief`` under ``tick``
-        closes over: the initial region out of `BOTTOM`, else the ``tick``
-        delay targets of the belief's regions."""
+    def _seed(self, belief: object, tick: str) -> int:
+        """The mask that the step out of ``belief`` under ``tick`` closes
+        over: the initial region out of `BOTTOM`, else the ``tick`` delay
+        targets of the belief's regions."""
         if belief is BOTTOM:
             if tick != "0":
                 raise ValueError("only the initial zero-time choice leaves bottom")
-            return {self.ctx.initial_id()}
+            return 1 << self.ctx.initial_id()
         if tick not in TICKS:
             raise ValueError(f"bad tick {tick!r}")
         delay = 2 if tick == "0+" else 3
-        table, moves_of = self._moves, self._moves_of
-        image: set[int] = set()
-        for i in belief:
-            image.update((table.get(i) or moves_of(i))[delay])
+        table, moves_of, image = self._moves, self._moves_of, 0
+        while belief:
+            i = belief.bit_length() - 1
+            belief ^= 1 << i
+            image |= (table.get(i) or moves_of(i))[delay]
         return image
 
     def initial(self, enabled: frozenset[str]) -> Belief:
@@ -163,14 +170,14 @@ class BeliefSpace:
         bit, mask = self._bit, 0
         for name in enabled:
             mask |= bit.get(name, 0)
-        b = self._closure(self._seed(belief, tick), mask)
+        seed = self._seed(belief, tick)
         self._computed += 1
-        return b
+        return Belief(self._closure(seed, mask))
 
-    def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], Belief]]:
-        """Each distinct successor of ``belief`` under ``tick`` once,
-        labelled with the smallest enabled set that yields it, in label
-        order: fewest names first, then by sorted names; memoized.
+    def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], int]]:
+        """Each distinct successor of ``belief`` under ``tick`` once, as a
+        plain int, labelled with the smallest enabled set that yields it, in
+        label order: fewest names first, then by sorted names; memoized.
 
         The closure under every controllable name is computed first.  Only
         the names T with a step from one of its regions can fire under any
@@ -182,44 +189,61 @@ class BeliefSpace:
         if out is not None:
             return out
         seed = self._seed(belief, tick)
-        full = self._closure(set(seed), -1)  # -1 has every name bit set
-        table, relevant = self._moves, 0
-        for i in full:
+        full = self._closure(seed, -1)  # -1 has every name bit set
+        table, relevant, rest = self._moves, 0, full
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
             relevant |= table[i][4]
         classes = self._classes_below(relevant)
         closed = self._grow_classes(seed, full, relevant) if relevant else {0: full}
-        first: dict[Belief, frozenset[str]] = {}  # in label order
+        first: dict[int, frozenset[str]] = {}  # in label order
         for mask, e in classes.items():
             first.setdefault(closed[mask], e)
         out = self._succs[belief, tick] = [(e, b) for b, e in first.items()]
         self._computed += len(classes)
         return out
 
-    def _grow_classes(self, seed: set[int], full: Belief, relevant: int) -> dict[int, Belief]:
+    def _grow_classes(self, seed: int, full: int, relevant: int) -> dict[int, int]:
         """The closure under every class of names c ⊆ ``relevant`` (bit
-        masks).  The class ∅ is closed from the seed (taken over), the class
+        masks).  The class ∅ is closed from the seed, the class
         ``relevant`` is ``full``.  Any other c is grown from the closure
-        under c′, c without its lowest name n: from the targets of the
-        n-steps of c′'s regions, walking only the regions that c′ lacks.
-        ``full``, the closure under every name, holds every class's regions,
-        so one index of its controllable steps by name bit serves every
-        parent.  Classes come in increasing order, so c′ is closed before c.
-        Closures are monotone and idempotent, so this is the closure of the
-        seed under c."""
+        under c′, c without its lowest name n: ORed with the targets of the
+        n-steps of c′'s regions, closing only the bits c′ lacks.  ``full``
+        holds every class's regions, so one index of its controllable steps
+        by name bit, as (source bit, target mask) pairs, serves every
+        parent.  Classes come in increasing order, so c′ is closed before
+        c.  Closures are monotone and idempotent, so this is the closure of
+        the seed under c."""
         closed = {0: self._closure(seed, 0), relevant: full}
         cls = relevant & -relevant  # the lowest name alone: the class after ∅
         if cls == relevant:  # one name: no class lies between ∅ and it
             return closed
-        steps: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for i in full:
-            for bit, js in self._moves[i][1]:
-                steps.setdefault(bit, []).append((i, js))
+        steps: dict[int, list[tuple[int, int]]] = {}
+        table = self._moves
+        for i in Belief(full):
+            for bit, js in table[i][1]:
+                steps.setdefault(bit, []).append((1 << i, js))
         while cls != relevant:
             parent = closed[cls & (cls - 1)]
-            n_steps = steps.get(cls & -cls, ())  # n is the lowest name of cls
-            todo = [j for i, js in n_steps if i in parent for j in js if j not in parent]
-            if todo:
-                parent = self._closure({*parent, *todo}, cls, todo)
+            todo = 0
+            for src, js in steps[cls & -cls]:  # n is the lowest name of cls
+                if src & parent:
+                    todo |= js
+            todo &= ~parent
+            while todo:  # `_closure`'s walk, inlined: a call per class costs 3 %
+                parent |= todo
+                nxt = 0
+                while todo:
+                    i = todo.bit_length() - 1
+                    todo ^= 1 << i
+                    moves = table[i]
+                    nxt |= moves[0]
+                    if moves[4] & cls:
+                        for bit, js in moves[1]:
+                            if bit & cls:
+                                nxt |= js
+                todo = nxt & ~parent
             closed[cls] = parent
             cls = (cls - relevant) & relevant  # the next submask of ``relevant``
         return closed
@@ -232,11 +256,11 @@ class BeliefSpace:
 
     # -- leak predicates -----------------------------------------------------
 
-    def has_private_final(self, belief: Belief) -> bool:
-        return not self.ctx.private_finals.isdisjoint(belief)
+    def has_private_final(self, belief: int) -> bool:
+        return belief & self.ctx.private_mask != 0
 
-    def has_public_final(self, belief: Belief) -> bool:
-        return not self.ctx.public_finals.isdisjoint(belief)
+    def has_public_final(self, belief: int) -> bool:
+        return belief & self.ctx.public_mask != 0
 
     # -- exploration ----------------------------------------------------------
 
@@ -249,21 +273,21 @@ class BeliefSpace:
         """The reachable belief graph, explored by `graphs.bfs` under its
         caps: one edge per distinct successor of a belief under a tick,
         labelled with the smallest enabled set that yields it, as in the
-        game.  Without ``include_dead`` moves into the dead belief are left
-        out."""
+        game, its beliefs read as `Belief`.  Without ``include_dead`` moves
+        into the dead belief are left out."""
 
         def moves(b):
             steps = [((t, e), b2) for t in ticks_from(b) for e, b2 in self.successors(b, t)]
             return steps if include_dead else [s for s in steps if s[1] != DEAD]
 
-        adj, order, parent, stopped = bfs(BOTTOM, moves, state_cap, time_cap)
+        g = bfs(BOTTOM, moves, state_cap, time_cap)
+        view = [b if b is BOTTOM else Belief(b) for b in g.nodes]
         transitions = {
-            (b, tick, e): b2
-            for b, steps in adj.items()
-            for (tick, e), b2 in steps
-            if b2 in parent  # a capped walk leaves its last targets out
+            (view[i], *g.labels[label]): view[j]
+            for i in range(len(g.ends))
+            for label, j in g.steps(i)
         }
-        return BeliefGraph(self, tuple(order), transitions, stopped)
+        return BeliefGraph(self, tuple(view), transitions, g.stopped)
 
 
 class BeliefGraph:

@@ -29,20 +29,18 @@ def regions_dot(
         out = [(f"{tag}/~", j) for tag, j in delays if j != i]
         return out + [(f"0/{a.name}", j) for a, j in discrete]
 
-    start = ctx.initial_id()
-    adj, order, parent, stopped = bfs(start, steps, state_cap, time_cap)
-    names = {i: _q(ctx.format_region(i)) for i in order}
+    g = bfs(ctx.initial_id(), steps, state_cap, time_cap)
+    names = [_q(ctx.format_region(i)) for i in g.nodes]  # by node id
+    finals = ctx.private_mask | ctx.public_mask
     lines = ["digraph regions {", "  rankdir=LR;"]
-    for i in order:
-        final = i in ctx.private_finals or i in ctx.public_finals
-        shape = "doublecircle" if final else "ellipse"
+    for i, rid in enumerate(g.nodes):
+        shape = "doublecircle" if finals >> rid & 1 else "ellipse"
         lines.append(f"  {names[i]} [shape={shape}];")
-    for i, out in adj.items():
-        for label, j in out:
-            if j in parent:
-                lines.append(f"  {names[i]} -> {names[j]} [label={_q(label)}];")
+    for i in range(len(g.ends)):
+        for label, j in g.steps(i):
+            lines.append(f"  {names[i]} -> {names[j]} [label={_q(g.labels[label])}];")
     lines.append("}")
-    return "\n".join(lines) + "\n", stopped
+    return "\n".join(lines) + "\n", g.stopped
 
 
 def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
@@ -55,14 +53,13 @@ def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
         graph.transitions.items(), key=lambda kv: (kv[0][1], sorted(kv[0][2]))
     ):
         steps.setdefault(src, []).append((tick, tgt))
-    _, order, parent, _ = bfs(BOTTOM, lambda b: steps.get(b, ()))
-    depth: dict[object, int] = {BOTTOM: 0}
+    g = bfs(BOTTOM, lambda b: steps.get(b, ()))
+    depth = [0] * len(g.nodes)
     by_depth: dict[int, list] = {}
-    for b in order[1:]:
-        src, tick = parent[b]
+    for i in range(1, len(g.nodes)):
         # "0" and "1" move on to the next point or interval, "0+" stays
-        depth[b] = d = depth[src] + (tick != "0+")
-        by_depth.setdefault(d, []).append(b)
+        depth[i] = d = depth[g.parent[i]] + (g.labels[g.via[i]] != "0+")
+        by_depth.setdefault(d, []).append(g.nodes[i])
     names = {BOTTOM: "bot"}
     for d, group in by_depth.items():
         group.sort(key=lambda b: (-len(b), tuple(sorted(map(graph.space.ctx.key, b)))))
@@ -118,19 +115,18 @@ def game_dot(
 ) -> tuple[str, str]:
     """The pruned game as `solve` explores it: one edge per distinct
     successor state, labelled with the smallest enabled set that leads
-    there."""
-    adj, order, _, stopped = explore(space, mode, state_cap, time_cap)
-    names = {st: f"g{i}" for i, st in enumerate(order)}
+    there; state g{i} is the state of id i."""
+    g = explore(space, mode, state_cap, time_cap)
     lines = ["digraph game {", "  rankdir=LR;"]
-    for st in order:
+    for i, st in enumerate(g.nodes):
         kind = "point" if st.at_integer else "interval"
         if st.current is BOTTOM:
             kind = "start"
-        lines.append(f"  {names[st]} [shape=box label={_q(kind)}];")
-    for st in order:
-        for (tick, enabled), s2 in adj.get(st, ()):
-            if s2 in names:
-                label = f"{tick}, {{{','.join(sorted(enabled))}}}"
-                lines.append(f"  {names[st]} -> {names[s2]} [label={_q(label)}];")
+        lines.append(f"  g{i} [shape=box label={_q(kind)}];")
+    for i in range(len(g.ends)):
+        for lid, j in g.steps(i):
+            tick, enabled = g.labels[lid]
+            label = f"{tick}, {{{','.join(sorted(enabled))}}}"
+            lines.append(f"  g{i} -> g{j} [label={_q(label)}];")
     lines.append("}")
-    return "\n".join(lines) + "\n", stopped
+    return "\n".join(lines) + "\n", g.stopped

@@ -8,21 +8,23 @@ closed mode sets.  A winning play is a reachable lasso whose loop takes
 tick-1 actions; its labels directly spell an eventually periodic
 meta-strategy.  Enabled sets that lead to the same successor state are one
 move, labelled with the smallest of them: fewest names first, then by sorted
-names.
+names.  Both beliefs of a state are plain int masks (`beliefs`).
 
-`solve` explores the pruned game with `graphs.bfs` under its caps, then
-searches the explored graph once: Tarjan's SCCs, the first tick-1 edge
-inside an SCC in discovery order, the BFS parent chain as the stem, and as
-the loop a shortest path inside the SCC (`bfs` again, restricted to it).
+`solve` explores the pruned game with `graphs.bfs` under its caps, into
+its interned state store, then searches it once, on ids: Tarjan's SCCs,
+the first tick-1 edge inside an SCC in discovery order, the BFS parent
+chain as the stem, and as the loop a shortest path inside the SCC (`bfs`
+again, over ids, restricted to it).  Only the witness maps ids back.
 """
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .beliefs import BOTTOM, DEAD, Belief, BeliefSpace
-from .graphs import Adjacency, Tree, bfs, path_to
+from .beliefs import BOTTOM, DEAD, BeliefSpace
+from .graphs import Explored, bfs, path_to
 from .modes import Mode, bucket_verdict
 from .strategies import (
     Bucket,
@@ -39,13 +41,14 @@ DEFAULT_STATE_CAP = 200_000
 class GameState(NamedTuple):
     """A tuple, so that building, hashing and comparing one runs in C."""
 
-    current: object  # Belief or BOTTOM
-    accumulated: Belief
+    current: object  # belief mask or BOTTOM
+    accumulated: int
     at_integer: bool
     memo: bool = False  # what `Mode.rule` handed on from the bucket before
 
 
 INITIAL = GameState(BOTTOM, DEAD, True)
+_state = tuple.__new__  # `_state(GameState, fields)` builds one in C; `GameState(...)` does not
 
 
 def game_successors(
@@ -64,13 +67,13 @@ def game_successors(
         return [(("0", e), GameState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
     acc, point = st.accumulated, st.at_integer
     out: list[tuple[Label, GameState]] = [] if point else [
-        (("0+", e), GameState(b, acc | b, False, st.memo))
+        (("0+", e), _state(GameState, (b, acc | b, False, st.memo)))
         for e, b in space.successors(st.current, "0+")
     ]
     memo = mode.rule(point, space.has_private_final(acc), space.has_public_final(acc), st.memo)
     if memo is not None:
         out += [
-            (("1", e), GameState(b, b, not point, memo))
+            (("1", e), _state(GameState, (b, b, not point, memo)))
             for e, b in space.successors(st.current, "1")
         ]
     return out
@@ -99,56 +102,50 @@ class SolveResult:
 
 def explore(
     space: BeliefSpace, mode: Mode, state_cap: int | None, time_cap: float | None
-) -> tuple[Adjacency, list[GameState], Tree, str]:
+) -> Explored:
     """The reachable pruned game graph as `graphs.bfs` returns it."""
     return bfs(INITIAL, lambda st: game_successors(space, st, mode), state_cap, time_cap)
 
 
-def _sccs(adj: Adjacency, order: list[GameState]) -> dict[GameState, int]:
-    """Iterative Tarjan; returns the component index per state."""
-    index: dict[GameState, int] = {}
-    low: dict[GameState, int] = {}
-    comp: dict[GameState, int] = {}
-    stack: list[GameState] = []
-    on_stack: set[GameState] = set()
-    counter = 0
-    ncomp = 0
-    for root in order:
-        if root in index:
+def _sccs(g: Explored) -> array:
+    """Iterative Tarjan over a fully expanded ``g``: the component index per id."""
+    n = len(g.ends)
+    index, low, comp = array("i", [-1]) * n, array("i", [-1]) * n, array("i", [-1]) * n
+    on_stack, stack = bytearray(n), []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adj[root]))]
+        work = [(root, g.steps(root))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
         while work:
             node, it = work[-1]
-            advanced = False
             for _, child in it:
-                if child not in index:
+                if index[child] < 0:
                     index[child] = low[child] = counter
                     counter += 1
                     stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adj[child])))
-                    advanced = True
+                    on_stack[child] = 1
+                    work.append((child, g.steps(child)))
                     break
-                if child in on_stack:
+                if on_stack[child]:
                     low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp
-                    if w == node:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp[w] = ncomp
+                        if w == node:
+                            break
+                    ncomp += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return comp
 
 
@@ -164,13 +161,11 @@ def solve(
     resource cap is hit.  ``workers`` is accepted and ignored: the solver is
     sequential, and the benchmark harness still passes ``workers=1``."""
     t0 = time.monotonic()
-    adj, order, parent, stopped = explore(space, mode, state_cap, time_cap)
-    stats = SolveStats(
-        len(order), sum(len(v) for v in adj.values()), time.monotonic() - t0
-    )
-    if stopped:
-        return SolveResult("INDETERMINATE", None, stats, stopped)
-    comp = _sccs(adj, order)
+    g = explore(space, mode, state_cap, time_cap)
+    stats = SolveStats(len(g.nodes), g.edges, time.monotonic() - t0)
+    if g.stopped:
+        return SolveResult("INDETERMINATE", None, stats, g.stopped)
+    comp = _sccs(g)
     # Discovery order is BFS order, so the first tick-1 edge inside an SCC,
     # scanning states in that order and each state's edges as emitted
     # (ticks "0" < "0+" < "1", then smallest enabled set first), is the one
@@ -178,9 +173,9 @@ def solve(
     best = next(
         (
             (u, label, w)
-            for u in order
-            for label, w in adj[u]
-            if label[0] == "1" and comp[u] == comp[w]
+            for u in range(len(g.nodes))
+            for label, w in g.steps(u)
+            if g.labels[label][0] == "1" and comp[u] == comp[w]
         ),
         None,
     )
@@ -189,14 +184,14 @@ def solve(
     u, label, w = best
     # the shortest path back from w to u inside their SCC, breadth first
     scc = comp[u]
-    _, _, within, _ = bfs(w, lambda s: [(l, s2) for l, s2 in adj[s] if comp[s2] == scc])
-    cycle = [(label, w)] + path_to(within, u)
-    stem = [lbl for lbl, _ in path_to(parent, u)]
+    within = bfs(w, lambda s: [(l, s2) for l, s2 in g.steps(s) if comp[s2] == scc])
+    cycle = [(label, w)] + path_to(within, within.nodes.index(u))  # ids of g
+    stem = [lbl for lbl, _ in path_to(g, u)]
     # rotation: start the loop right after a tick-1 landing on an integer point
     states = [u] + [s for _, s in cycle]
-    rot = next(i for i, s in enumerate(states[:-1]) if s.at_integer)
-    loop_labels = tuple(lbl for lbl, _ in cycle[rot:] + cycle[:rot])
-    stem_labels = tuple(stem + [lbl for lbl, _ in cycle[:rot]])
+    rot = next(i for i, s in enumerate(states[:-1]) if g.nodes[s].at_integer)
+    loop_labels = tuple(g.labels[lbl] for lbl, _ in cycle[rot:] + cycle[:rot])
+    stem_labels = tuple(stem + [g.labels[lbl] for lbl, _ in cycle[:rot]])
     return SolveResult("SAT", WinningWitness(stem_labels, loop_labels), stats)
 
 

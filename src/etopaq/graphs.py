@@ -1,15 +1,39 @@
 """The one breadth-first explorer behind every graph etopaq walks (regions,
-beliefs, the game, and the loop search inside one SCC), and its one cap rule.
+beliefs, the game, and the loop search inside one SCC), its one cap rule,
+and the interned state store it fills, as SPIN's is (Holzmann, IEEE TSE
+1997): each node once, under a dense id in discovery order, and each label
+once, under an id.  The expanded nodes' edges are (label id, target id)
+pairs in one `array('i')`, node after node, and the BFS tree is two
+arrays: each node's parent id and the label id of the edge from it.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Hashable, Sequence
+from array import array
+from collections.abc import Callable, Hashable, Iterator, Sequence
+from dataclasses import dataclass
 
 Node = Hashable
 Steps = Sequence[tuple[object, Node]]  # (label, successor) pairs, in emission order
-Adjacency = dict[Node, Steps]
-Tree = dict[Node, tuple[Node, object] | None]  # BFS parent edges
+
+
+@dataclass(eq=False)
+class Explored:
+    """What `bfs` found, as ids: node i is ``nodes[i]``, label l is ``labels[l]``."""
+
+    nodes: list  # id -> node, in discovery order
+    labels: list  # label id -> label
+    pairs: array  # the expanded nodes' (label id, target id) pairs, node after node
+    ends: array  # id -> where its pairs end in `pairs`, expanded nodes only
+    parent: array  # id -> parent id, -1 at the start
+    via: array  # id -> label id of the edge from the parent, -1 at the start
+    edges: int = 0  # steps of the expanded nodes, those past a state cap included
+    stopped: str = ""  # why exploration stopped short, "" when it did not
+
+    def steps(self, i: int) -> Iterator[tuple[int, int]]:
+        """Node ``i``'s (label id, target id) pairs as emitted, less those past a cap."""
+        row = self.pairs[self.ends[i - 1] if i else 0 : self.ends[i]]
+        return zip(row[::2], row[1::2])
 
 
 def bfs(
@@ -17,39 +41,51 @@ def bfs(
     successors: Callable[[Node], Steps],
     state_cap: int | None = None,
     time_cap: float | None = None,
-) -> tuple[Adjacency, list[Node], Tree, str]:
+) -> Explored:
     """The graph reachable from ``start``, breadth first, one node at a
-    time: adjacency of the expanded nodes (successors kept as emitted),
-    discovery order, BFS parent edges, and why exploration stopped short
-    ("" when it did not).  The time cap is checked before each expansion,
-    the state cap at each discovery; a walk that runs out of memory stops
-    as a capped one does, with what it explored."""
+    time, interned into an `Explored`.  The time cap is checked before
+    each expansion, the state cap at each discovery; a walk that runs out
+    of memory stops as a capped one does, with what it explored."""
     deadline = None if time_cap is None else time.monotonic() + time_cap
-    adj: Adjacency = {}
-    order = [start]
-    parent: Tree = {start: None}
+    g = Explored([start], [], array("i"), array("i"), array("i", [-1]), array("i", [-1]))
+    nodes, pairs, ends, parent, via = g.nodes, g.pairs, g.ends, g.parent, g.via
+    ids, label_ids = {start: 0}, {}  # both in id order: `labels` is label_ids's keys
+    edges, stopped = 0, ""
     try:
-        for node in order:  # `order` grows behind the cursor: a FIFO queue
+        for i, node in enumerate(nodes):  # `nodes` grows behind the cursor: a FIFO queue
             if deadline is not None and time.monotonic() > deadline:
-                return adj, order, parent, f"time cap {time_cap}s exceeded"
-            adj[node] = steps = successors(node)
+                stopped = f"time cap {time_cap}s exceeded"
+                break
+            steps = successors(node)
+            edges += len(steps)
             for label, n2 in steps:
-                if n2 not in parent:
-                    parent[n2] = (node, label)
-                    order.append(n2)
-                    if state_cap is not None and len(order) > state_cap:
-                        return adj, order, parent, f"state cap {state_cap} exceeded"
+                lid = label_ids.setdefault(label, len(label_ids))
+                j = ids.setdefault(n2, len(nodes))
+                if j == len(nodes):
+                    if stopped:  # past the cap: only edges to nodes already found
+                        del ids[n2]
+                        continue
+                    nodes.append(n2)
+                    parent.append(i)
+                    via.append(lid)
+                    if state_cap is not None and j >= state_cap:
+                        stopped = f"state cap {state_cap} exceeded"
+                pairs.append(lid)
+                pairs.append(j)
+            ends.append(len(pairs))
+            if stopped:
+                break
     except MemoryError:
-        return adj, order, parent, "out of memory"
-    return adj, order, parent, ""
+        stopped = "out of memory"
+    g.labels[:], g.edges, g.stopped = label_ids, edges, stopped
+    return g
 
 
-def path_to(tree: Tree, node: Node) -> list[tuple[object, Node]]:
-    """The (label, node) steps from the root of ``tree`` down to ``node``."""
+def path_to(g: Explored, i: int) -> list[tuple[object, Node]]:
+    """The (label, node) steps from the start of ``g`` down to node ``i``."""
     path = []
-    while tree[node] is not None:
-        prev, label = tree[node]
-        path.append((label, node))
-        node = prev
+    while g.parent[i] >= 0:
+        path.append((g.labels[g.via[i]], g.nodes[i]))
+        i = g.parent[i]
     path.reverse()
     return path

@@ -9,8 +9,8 @@ instant).
 
 A region is an id of a `RegionContext`, which interns the regions it meets
 as (location, clock part) pairs, each with a dense int id in order of first
-sight and no object; final ids go into private and public sets by their
-location's side.  A clock part is (ints, zero, pos): per clock its capped
+sight and no object; final ids set their bits in private and public masks
+by location side.  A clock part is (ints, zero, pos): per clock its capped
 integer part, the clocks on an integer, and the groups of the others by
 increasing fractional part.  Its steps speak ids: `delay_steps(i)` and
 `discrete_steps(i)` take a region id and return (tag, id) and (action, id)
@@ -68,8 +68,8 @@ class RegionContext:
     automaton, computed once per region.
 
     Steps are answered in region ids; ``locations[i]`` is id i's location;
-    ``private_finals`` and ``public_finals`` hold the final ids by side of
-    the duplication.
+    ``private_mask`` and ``public_mask`` have bit i set for the final ids by
+    side of the duplication, growing as regions are interned.
     """
 
     def __init__(self, ta: TimedAutomaton):
@@ -91,10 +91,8 @@ class RegionContext:
         self.locations: list[str] = []  # id -> location
         self._part_of: list[int] = []  # id -> part id
         self._steps: list[tuple | None] = []  # id -> (delay steps, discrete steps) once expanded
-        self.private_finals: set[int] = set()
-        self.public_finals: set[int] = set()
-        sides = (self.public_finals, self.private_finals)  # indexed by "primed or private"
-        self._side = {f: sides[is_primed(f) or f == ta.private] for f in ta.finals}  # -> its ids
+        self.private_mask = self.public_mask = 0
+        self._private_side = {f: is_primed(f) or f == ta.private for f in ta.finals}
 
     def _max_constants(self) -> tuple[int, ...]:
         cmax = [0] * len(self.ta.clocks)
@@ -128,9 +126,11 @@ class RegionContext:
             self.locations.append(location)
             self._part_of.append(pid)
             self._steps.append(None)
-            side = self._side.get(location)
-            if side is not None:
-                side.add(rid)
+            private = self._private_side.get(location)
+            if private:
+                self.private_mask |= 1 << rid
+            elif private is not None:
+                self.public_mask |= 1 << rid
         return rid
 
     def id_of(self, location: str, valuation: Sequence[Fraction]) -> int:

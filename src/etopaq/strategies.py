@@ -85,15 +85,15 @@ class Bucket:
 class BucketedBeliefs:
     """The sets of a controlled walk per bucket, in time order."""
 
-    buckets: tuple[tuple[Bucket, Belief], ...]
+    buckets: tuple[tuple[Bucket, Belief | frozenset[int]], ...]  # the oracle's: frozensets
     cycle_start: int  # unit index where the periodic tail begins
     cycle_period: int
 
 
 def walk_buckets(
     phi: MetaStrategy,
-    start: frozenset,
-    step: Callable[[frozenset, str, frozenset[str]], frozenset],
+    start: Belief | frozenset[int],
+    step: Callable[[Belief | frozenset[int], str, frozenset[str]], Belief | frozenset[int]],
 ) -> BucketedBeliefs:
     """The controlled walk under ``phi`` over sets of region ids, from
     ``start``, the set at point 0.  Each unit k steps by ``step(set, tick,
@@ -105,7 +105,7 @@ def walk_buckets(
     unit is the period's first again (same plan, same set, and a
     deterministic ``step``), so its buckets are copied, not stepped."""
     buckets = [(Bucket("point", 0), start)]
-    seen: dict[tuple[int, frozenset], int] = {}
+    seen: dict[tuple[int, Belief | frozenset[int]], int] = {}
     cur, k = start, 0
     while (key := (phi.lasso_pos(k), cur)) not in seen:
         seen[key] = k

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import every_enabled_set, leaking_full, load_space, load_ta
 from etopaq import prepare
-from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace, ticks_from
+from etopaq.beliefs import BOTTOM, DEAD, Belief, BeliefSpace, ticks_from
 from etopaq.modes import Mode
 from etopaq.regions import RegionContext
 from etopaq.ta import SILENT_KIND
@@ -380,7 +380,7 @@ def test_initial_belief_singleton_without_zero_time_moves():
     from conftest import mortal_ta
 
     space = BeliefSpace(RegionContext(prepare(mortal_ta())))
-    assert space.initial(NONE) == frozenset({space.ctx.initial_id()})
+    assert frozenset(space.initial(NONE)) == {space.ctx.initial_id()}
 
 
 def test_initial_closure_keeps_silent_zero_edges():
@@ -461,7 +461,7 @@ def _assert_matches_reference(ta) -> int:
     subsets = every_enabled_set(space)
     for enabled in subsets:
         got = space.initial(enabled)
-        assert got == _reference_initial(space.ctx, enabled)
+        assert frozenset(got) == _reference_initial(space.ctx, enabled)
         assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
     ctx = space.ctx
     graph = space.explore(include_dead=True)
@@ -473,8 +473,8 @@ def _assert_matches_reference(ta) -> int:
             for enabled in subsets:
                 b2 = space.successor(b, tick, enabled)
                 expected = _reference_successor(ctx, b, tick, enabled)
-                assert b2 == expected, (ta.name, tick, sorted(enabled))
-                assert graph.transitions.get((b, tick, enabled), expected) == expected
+                assert frozenset(b2) == expected, (ta.name, tick, sorted(enabled))
+                assert frozenset(graph.transitions.get((b, tick, enabled), b2)) == expected
                 assert sys.getsizeof(b2) <= sys.getsizeof(frozenset(set(b2)))
                 for belief in (b2, b | b2):
                     priv = any(is_final(ctx, i) and is_secret(ctx, i) for i in belief)
@@ -600,3 +600,53 @@ def test_successors_match_every_enabled_set_on_minsky_gadgets():
     for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
         assert _assert_successors_dedup(space, state_cap=300)[0] > 300, name
+
+
+# --- beliefs as bit masks -----------------------------------------------------
+
+
+def test_leak_predicates_see_finals_interned_after_an_answer():
+    """The final masks grow as regions are interned and the predicates read
+    them live: a final region first met after the space has answered a leak
+    test still counts.  Masks built once, at construction, lose them."""
+    space = BeliefSpace(RegionContext(prepare(load_ta("ta_counterex"))))
+    ctx = space.ctx
+    b0 = space.initial(NONE)
+    assert not space.has_private_final(b0) and not space.has_public_final(b0)
+    assert ctx.private_mask == ctx.public_mask == 0  # no final region interned yet
+    graph = space.explore(include_dead=True)
+    seen = {"private": 0, "public": 0}
+    for b in graph.states:
+        if b is BOTTOM:
+            continue
+        priv = any(is_final(ctx, i) and is_secret(ctx, i) for i in b)
+        pub = any(is_final(ctx, i) and not is_secret(ctx, i) for i in b)
+        assert space.has_private_final(b) == priv and space.has_public_final(b) == pub
+        seen["private"] += priv
+        seen["public"] += pub
+    assert seen["private"] and seen["public"], seen
+
+
+def test_belief_view_iterates_ids_in_order_and_agrees_with_in_and_len():
+    """A `Belief` reads its mask as a set: iteration gives the ids of the set
+    bits in increasing order, once each, `in` and `len` agree with it, and
+    `|` is the union, itself a `Belief`."""
+    from conftest import random_ta
+
+    rng = random.Random(20240917)
+    checked = 0
+    for i in range(20):
+        space = BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"view{i}"))))
+        for b in space.explore(include_dead=True).states:
+            if b is BOTTOM:
+                continue
+            members = list(b)
+            assert members == sorted(set(members))
+            assert sum(1 << j for j in members) == b
+            assert len(b) == len(members)
+            assert all(j in b for j in members)
+            assert not any(j in b for j in range(len(space.ctx.locations)) if j not in members)
+            other = space.initial(frozenset())
+            assert type(b | other) is Belief and set(b | other) == set(b) | set(other)
+            checked += 1
+    assert checked > 20

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import load_space, load_ta, time_successor, valuations_equivalent
 from etopaq import prepare
+from etopaq.beliefs import Belief
 from etopaq.regions import RegionContext
 from regionref import ABOVE, Region, is_final, is_secret, member, region
 
@@ -259,9 +260,10 @@ def test_final_secret_public_predicates():
     fin_priv = ctx.id_of("lf^p", zeros)
     fin_pub = ctx.id_of("lf", zeros)
     priv = ctx.id_of("lpriv", zeros)
-    assert fin_priv in ctx.private_finals and fin_priv not in ctx.public_finals
-    assert fin_pub in ctx.public_finals and fin_pub not in ctx.private_finals
-    assert priv not in ctx.private_finals | ctx.public_finals
+    private_finals, public_finals = Belief(ctx.private_mask), Belief(ctx.public_mask)
+    assert fin_priv in private_finals and fin_priv not in public_finals
+    assert fin_pub in public_finals and fin_pub not in private_finals
+    assert priv not in private_finals | public_finals
 
 
 def test_tick_clock_never_escapes_its_cap(opaque_space):
@@ -325,9 +327,11 @@ def test_successors_are_interned_with_dense_ids():
             assert ctx.id_of(r.location, member(r, ctx.cmax)) == i, (name, r)
         assert len(ctx.locations) == n
         finals = {i for i in range(n) if is_final(ctx, i)}
-        assert ctx.private_finals | ctx.public_finals == finals, name
+        private_finals = frozenset(Belief(ctx.private_mask))
+        public_finals = frozenset(Belief(ctx.public_mask))
+        assert private_finals | public_finals == finals, name
         private = {i for i in finals if is_secret(ctx, i)}
-        assert ctx.private_finals == private and ctx.private_finals and ctx.public_finals, name
+        assert private_finals == private and private_finals and public_finals, name
 
 
 def _atom_holds_in(region, atom) -> bool:

@@ -186,7 +186,7 @@ def test_controlled_successor_dead_absorbs():
     state = ((), BOTTOM)
     for _ in range(12):
         state = controlled_successor(space, state, phi)
-    assert state[1] == frozenset()
+    assert frozenset(state[1]) == frozenset()
 
 
 # --- encountered beliefs -------------------------------------------------------
