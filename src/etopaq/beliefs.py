@@ -120,11 +120,13 @@ class BeliefSpace:
         moves = self._moves[rid] = (free, tuple(by_bit.items()), *delays.values(), sum(by_bit))
         return moves
 
-    def _closure(self, closed: int, enabled: int) -> int:
-        """Zero-time closure of the mask ``closed``: free steps, off-integer
-        delays among them, plus the discrete steps of the controllable names
-        in the bit mask ``enabled``."""
-        table, todo = self._moves, closed
+    def _closure(self, todo: int, enabled: int, closed: int = 0) -> int:
+        """Zero-time closure of the mask ``todo`` added to ``closed``, a mask
+        already closed: free steps, off-integer delays among them, plus the
+        discrete steps of the controllable names in the bit mask ``enabled``.
+        Only the regions of ``todo`` and those it reaches are walked."""
+        table = self._moves
+        closed |= todo
         while todo:
             nxt = 0
             while todo:
@@ -230,21 +232,7 @@ class BeliefSpace:
             for src, js in steps[cls & -cls]:  # n is the lowest name of cls
                 if src & parent:
                     todo |= js
-            todo &= ~parent
-            while todo:  # `_closure`'s walk, inlined: a call per class costs 3 %
-                parent |= todo
-                nxt = 0
-                while todo:
-                    i = todo.bit_length() - 1
-                    todo ^= 1 << i
-                    moves = table[i]
-                    nxt |= moves[0]
-                    if moves[4] & cls:
-                        for bit, js in moves[1]:
-                            if bit & cls:
-                                nxt |= js
-                todo = nxt & ~parent
-            closed[cls] = parent
+            closed[cls] = self._closure(todo & ~parent, cls, parent)
             cls = (cls - relevant) & relevant  # the next submask of ``relevant``
         return closed
 

@@ -19,7 +19,6 @@ again, over ids, restricted to it).  Only the witness maps ids back.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +38,7 @@ DEFAULT_STATE_CAP = 200_000
 
 
 class GameState(NamedTuple):
-    """A tuple, so that building, hashing and comparing one runs in C."""
+    """A tuple, so that hashing and comparing one runs in C."""
 
     current: object  # belief mask or BOTTOM
     accumulated: int
@@ -48,7 +47,6 @@ class GameState(NamedTuple):
 
 
 INITIAL = GameState(BOTTOM, DEAD, True)
-_state = tuple.__new__  # `_state(GameState, fields)` builds one in C; `GameState(...)` does not
 
 
 def game_successors(
@@ -67,13 +65,13 @@ def game_successors(
         return [(("0", e), GameState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
     acc, point = st.accumulated, st.at_integer
     out: list[tuple[Label, GameState]] = [] if point else [
-        (("0+", e), _state(GameState, (b, acc | b, False, st.memo)))
+        (("0+", e), GameState(b, acc | b, False, st.memo))
         for e, b in space.successors(st.current, "0+")
     ]
     memo = mode.rule(point, space.has_private_final(acc), space.has_public_final(acc), st.memo)
     if memo is not None:
         out += [
-            (("1", e), _state(GameState, (b, b, not point, memo)))
+            (("1", e), GameState(b, b, not point, memo))
             for e, b in space.successors(st.current, "1")
         ]
     return out
@@ -107,10 +105,10 @@ def explore(
     return bfs(INITIAL, lambda st: game_successors(space, st, mode), state_cap, time_cap)
 
 
-def _sccs(g: Explored) -> array:
+def _sccs(g: Explored) -> list[int]:
     """Iterative Tarjan over a fully expanded ``g``: the component index per id."""
     n = len(g.ends)
-    index, low, comp = array("i", [-1]) * n, array("i", [-1]) * n, array("i", [-1]) * n
+    index, low, comp = [-1] * n, [-1] * n, [-1] * n  # lists: read back without boxing
     on_stack, stack = bytearray(n), []
     counter = ncomp = 0
     for root in range(n):

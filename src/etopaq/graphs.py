@@ -32,8 +32,8 @@ class Explored:
 
     def steps(self, i: int) -> Iterator[tuple[int, int]]:
         """Node ``i``'s (label id, target id) pairs as emitted, less those past a cap."""
-        row = self.pairs[self.ends[i - 1] if i else 0 : self.ends[i]]
-        return zip(row[::2], row[1::2])
+        row = iter(self.pairs[self.ends[i - 1] if i else 0 : self.ends[i]])
+        return zip(row, row)  # one iterator twice: (label id, target id) pairs
 
 
 def bfs(
@@ -65,9 +65,9 @@ def bfs(
                     if stopped:  # past the cap: only edges to nodes already found
                         del ids[n2]
                         continue
-                    nodes.append(n2)
                     parent.append(i)
                     via.append(lid)
+                    nodes.append(n2)
                     if state_cap is not None and j >= state_cap:
                         stopped = f"state cap {state_cap} exceeded"
                 pairs.append(lid)
@@ -75,8 +75,9 @@ def bfs(
             ends.append(len(pairs))
             if stopped:
                 break
-    except MemoryError:
+    except MemoryError:  # keep the tree as long as `nodes`, whatever append failed
         stopped = "out of memory"
+        del parent[len(nodes) :], via[len(nodes) :]
     g.labels[:], g.edges, g.stopped = label_ids, edges, stopped
     return g
 
