@@ -161,6 +161,34 @@ def test_solve_state_cap_yields_indeterminate(opaque_space):
     assert res.stats.edges > 0
 
 
+def test_a_walk_out_of_memory_keeps_its_store_consistent(monkeypatch):
+    """Whichever append of `graphs.bfs` runs out of memory, the store it
+    returns has one parent and one parent-edge label per node, each parent
+    found before its child, and no edge row for a node it does not hold."""
+    import etopaq.graphs as graphs
+
+    class Exhausting(graphs.array):
+        left = 0  # appends before memory runs out, over every array of the walk
+
+        def append(self, x):
+            Exhausting.left -= 1
+            if Exhausting.left < 0:
+                raise MemoryError
+            super().append(x)
+
+    def steps(n):  # an infinite binary tree, with an edge back up from each node
+        return [("l", 2 * n + 1), ("r", 2 * n + 2), ("up", n // 2)]
+
+    monkeypatch.setattr(graphs, "array", Exhausting)
+    for k in range(80):
+        Exhausting.left = k
+        g = graphs.bfs(0, steps)
+        assert g.stopped == "out of memory", k
+        assert len(g.parent) == len(g.via) == len(g.nodes) >= len(g.ends), k
+        for i in range(1, len(g.nodes)):
+            assert g.parent[i] < i and 0 <= g.via[i] < len(g.labels), (k, i)
+
+
 # --- witness extraction --------------------------------------------------------
 
 
