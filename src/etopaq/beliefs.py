@@ -21,12 +21,11 @@ the leak predicates AND a belief with the context's final masks, read live
 since both grow as regions are interned.  `BeliefSpace.successors`, the
 game's step, gives each distinct successor of a belief once, with one
 closure per class of enabled sets that agree on the controllable names
-able to fire, and keeps the list per (belief, tick): the space's one
-belief cache.  Each class grows from the class one name smaller, by that
+able to fire; each class grows from the class one name smaller, by that
 name's steps out of it and a closure of the bits they add.  The game keeps
 beliefs as plain ints; `BeliefSpace.successor`, the strategy walks' step
-under one enabled set, keeps nothing and hands out a `Belief`, the set
-view that `explore` and the other readers use too.
+under one enabled set, hands out a `Belief`, the set view that `explore`
+and the other readers use too.  Neither step keeps what it returns.
 """
 from __future__ import annotations
 
@@ -78,7 +77,6 @@ class BeliefSpace:
         self.uncontrollable = ctx.ta.uncontrollable
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
         self._bit.update(dict.fromkeys((SILENT.name, *self.uncontrollable), 0))  # free names
-        self._succs: dict[tuple[object, str], list[tuple[frozenset[str], int]]] = {}
         self._computed = 0  # class closures, see `successors_computed`
         self._classes: dict[int, dict[int, frozenset[str]]] = {}  # T -> its classes
         self._moves: dict[int, tuple] = {}
@@ -179,7 +177,7 @@ class BeliefSpace:
     def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], int]]:
         """Each distinct successor of ``belief`` under ``tick`` once, as a
         plain int, labelled with the smallest enabled set that yields it, in
-        label order: fewest names first, then by sorted names; memoized.
+        label order: fewest names first, then by sorted names; not cached.
 
         The closure under every controllable name is computed first.  Only
         the names T with a step from one of its regions can fire under any
@@ -187,9 +185,6 @@ class BeliefSpace:
         closure under e ∩ T: one closure per submask c of T, and c is the
         smallest enabled set of its class.  `_grow_classes` closes them,
         each grown from the class one name smaller."""
-        out = self._succs.get((belief, tick))
-        if out is not None:
-            return out
         seed = self._seed(belief, tick)
         full = self._closure(seed, -1)  # -1 has every name bit set
         table, relevant, rest = self._moves, 0, full
@@ -202,9 +197,8 @@ class BeliefSpace:
         first: dict[int, frozenset[str]] = {}  # in label order
         for mask, e in classes.items():
             first.setdefault(closed[mask], e)
-        out = self._succs[belief, tick] = [(e, b) for b, e in first.items()]
         self._computed += len(classes)
-        return out
+        return [(e, b) for b, e in first.items()]
 
     def _grow_classes(self, seed: int, full: int, relevant: int) -> dict[int, int]:
         """The closure under every class of names c ⊆ ``relevant`` (bit
@@ -239,7 +233,7 @@ class BeliefSpace:
     def successors_computed(self) -> int:
         """Class closures computed so far: one per `successor` call
         (`initial` included), one per class of enabled sets on each
-        (belief, tick) that `successors` steps from."""
+        `successors` call."""
         return self._computed
 
     # -- leak predicates -----------------------------------------------------

@@ -80,7 +80,7 @@ def _load_strategy(path: str, ta):
 
 def _print_stats(space: BeliefSpace, result=None) -> None:
     """The solve counters (null when no game was solved), the regions
-    interned and those expanded, the distinct belief successors computed,
+    interned and those expanded, the belief-step class closures computed,
     and peak RSS."""
     if result is None:
         stats = {f.name: None for f in fields(SolveStats)}

@@ -195,6 +195,9 @@ def _check(ta: TimedAutomaton) -> list[Violation]:
     for a in ta.actions:
         if a.kind == SILENT_KIND:
             out.append(Violation("silent-in-alphabet", a.name))
+    kinds = {SILENT.name: SILENT_KIND, **{a.name: a.kind for a in ta.actions}}
+    if len(kinds) <= len(ta.actions):  # a name declared twice, or the silent action's
+        out.append(Violation("duplicate-action-name", ta.name))
     for loc, inv in ta.invariants.items():
         if loc not in locs:
             out.append(Violation("invariant-on-unknown-location", loc))
@@ -203,6 +206,8 @@ def _check(ta: TimedAutomaton) -> list[Violation]:
                 out.append(Violation("invariant-unknown-clock", loc))
     for e in ta.edges:
         where = f"{e.source}->{e.target}"
+        if kinds.get(e.action.name) != e.action.kind:
+            out.append(Violation("edge-unknown-action", where, e.action.name))
         if e.source not in locs or e.target not in locs:
             out.append(Violation("edge-unknown-location", where))
             continue

@@ -202,36 +202,40 @@ def _closures_counted(monkeypatch) -> list:
     return calls
 
 
-def test_a_second_successors_call_computes_no_closure(monkeypatch):
-    """`successors` is memoized per (belief, tick): the second call returns
-    the stored list and closes nothing, on every belief the walk reaches."""
+def test_a_second_successors_call_computes_its_classes_again(monkeypatch):
+    """`successors` keeps no list: a second call on the same (belief, tick)
+    returns an equal list, a new one, seeded by one more `_seed` call and
+    counted as one more closure per class, on every belief the walk
+    reaches."""
     calls = _closures_counted(monkeypatch)
     for name in PAPER_FIXTURES + ("minsky_halt",):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
         for b in space.explore(include_dead=True, state_cap=200).states:
             for tick in ticks_from(b):
+                before = space.successors_computed()
                 first = space.successors(b, tick)
-                computed, made = space.successors_computed(), len(calls)
-                assert space.successors(b, tick) is first, name
-                assert (space.successors_computed(), len(calls)) == (computed, made), name
+                classes = space.successors_computed() - before
+                calls.clear()
+                again = space.successors(b, tick)
+                assert again == first and again is not first, name
+                assert calls.count("_seed") == 1, (name, tick)
+                assert space.successors_computed() == before + 2 * classes, (name, tick)
 
 
-def test_a_successors_miss_computes_the_delay_image_once(monkeypatch):
-    """A memo miss seeds every class closure from one delay image: one
-    `_seed` call, and one closure per class at most, on beliefs whose steps
-    need two classes or more."""
+def test_a_successors_call_computes_the_delay_image_once(monkeypatch):
+    """Each `successors` call seeds every class closure from one delay
+    image: one `_seed` call, and one closure per class at most, on beliefs
+    whose steps need two classes or more."""
     calls = _closures_counted(monkeypatch)
     lattices = 0
     for name in PAPER_FIXTURES + ("minsky_halt",):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        beliefs = space.explore(include_dead=True, state_cap=200).states
-        fresh = BeliefSpace(space.ctx)
-        for b in beliefs:
+        for b in space.explore(include_dead=True, state_cap=200).states:
             for tick in ticks_from(b):
                 calls.clear()
-                before = fresh.successors_computed()
-                fresh.successors(b, tick)
-                classes = fresh.successors_computed() - before
+                before = space.successors_computed()
+                space.successors(b, tick)
+                classes = space.successors_computed() - before
                 assert calls.count("_seed") == 1, (name, tick)
                 assert 1 <= calls.count("_closure") <= classes, (name, tick)
                 lattices += classes > 1

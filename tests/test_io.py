@@ -573,9 +573,10 @@ def test_cli_stats_line_on_indeterminate(capsys):
 
 def test_cli_stats_pin_the_gadgets_game_size(capsys):
     """The three weak-mode gadgets at caps 2000 and 20000: every class
-    closure of the 256-way branching is counted once per (belief, tick),
-    however it is computed; at cap 2000 the regions interned and expanded
-    are pinned too."""
+    closure of the 256-way branching is counted once per `successors`
+    call, however it is computed, and no game state here repeats a
+    (belief, tick) of another, so the count equals the edges; at cap 2000
+    the regions interned and expanded are pinned too."""
     regions = {"minsky_halt": (84, 57), "minsky_inc_halt": (91, 61), "minsky_ifz_loop": (91, 61)}
     for cap, want in ((2000, (2001, 2048, 2048)), (20000, (20001, 20224, 20224))):
         for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):

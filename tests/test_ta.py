@@ -30,9 +30,14 @@ from etopaq import (
     validate,
 )
 from etopaq.ta import (
+    CONTROLLABLE,
+    SILENT,
+    TICK_CLOCK,
+    UNCONTROLLABLE,
+    Action,
     Atom,
     Edge,
-    TICK_CLOCK,
+    Violation,
     is_primed,
     prime,
 )
@@ -64,6 +69,31 @@ def test_validate_rejects_non_urgent_finals():
     bad = replace(ta, invariants={**dict(ta.invariants), **inv})
     rules = {v.rule for v in validate(bad)}
     assert "final-not-urgent" in rules
+
+
+def test_validate_rejects_an_action_name_declared_twice():
+    """`a` declared uncontrollable too would make the belief side treat it as
+    free, and `ta_opaque` full would read UNSAT; `~` is the silent action's."""
+    ta = load_ta("ta_opaque")
+    for name in ("a", "~"):
+        bad = replace(ta, actions=ta.actions + (Action(name, UNCONTROLLABLE),))
+        assert [v for v in validate(bad) if v.rule == "duplicate-action-name"] == [
+            Violation("duplicate-action-name", ta.name)
+        ]
+        with pytest.raises(ValueError, match="duplicate-action-name"):
+            prepare(bad)
+
+
+def test_validate_rejects_an_edge_with_an_undeclared_action():
+    """An edge's action must be declared, with its kind, or be the silent
+    one, which the tick self-loops and the random automata carry."""
+    ta = load_ta("ta_opaque")
+    for action in (Action("b", CONTROLLABLE), Action("a", UNCONTROLLABLE)):
+        edges = tuple(replace(e, action=action) if e.action.name == "a" else e for e in ta.edges)
+        rules = [v.rule for v in validate(replace(ta, edges=edges))]
+        assert rules == ["edge-unknown-action"], action
+    silent = tuple(replace(e, action=SILENT) if e.action.name == "a" else e for e in ta.edges)
+    assert validate(replace(ta, edges=silent)) == []
 
 
 def test_make_finals_urgent_restores_validity():
