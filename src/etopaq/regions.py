@@ -10,22 +10,21 @@ instant).
 A region is an id of a `RegionContext`, which interns the regions it meets
 as (location, clock part) pairs, each with a dense int id in order of first
 sight and no object; final ids set their bits in private and public masks
-by location side.  A clock part is (ints, zero, pos): per clock its capped
-integer part, the clocks on an integer, and the groups of the others by
-increasing fractional part.  Its steps speak ids: `delay_steps(i)` and
-`discrete_steps(i)` take a region id and return (tag, id) and (action, id)
-pairs.  Ids come in through `initial_id()`, where every walk starts, and
-`id_of(location, valuation)`, the region of a concrete clock valuation;
-`locations[i]` is a region's location, `key(i)` its orderable encoding and
-`format_region(i)` its label.  Its successor kernel works on clock parts,
-each interned once with its half-unit clock codes: 2n for a clock on the
-integer n, 2n+1 inside (n, n+1), 2·cmax+1 above the clock's max constant.
-A location's guards and invariants compile, on the first region expanded
-there, into (clock, lo, hi) range tests over these codes; an edge's test also
-covers the target invariant, decided outright on the clocks the edge resets.
-The time successor of a clock part is computed once whatever the location,
-and each region is expanded once into both its delay and its discrete steps,
-in no particular order, kept in a list indexed by id.
+by location side.  A clock part is (codes, pos): per clock a half-unit code,
+2n on the integer n, 2n+1 inside (n, n+1) and 2·cmax+1 above the clock's max
+constant, so the clocks on an integer are the even codes; and the groups of
+the clocks inside an interval by increasing fractional part.  Its steps speak
+ids: `delay_steps(i)` and `discrete_steps(i)` take a region id and return
+(tag, id) and (action, id) pairs.  Ids come in through `initial_id()`, where
+every walk starts, and `id_of(location, valuation)`, the region of a concrete
+clock valuation; `locations[i]` is a region's location, `key(i)` its
+orderable encoding and `format_region(i)` its label.  A location's guards
+and invariants compile, on the first region expanded there, into (clock, lo,
+hi) range tests over the codes; an edge's test also covers the target
+invariant, decided outright on the clocks the edge resets.  The time
+successor of a clock part is computed once whatever the location, and each
+region is expanded once into both its delay and its discrete steps, in no
+particular order, kept in a list indexed by id.
 """
 from __future__ import annotations
 
@@ -40,9 +39,6 @@ from .ta import (
     TimedAutomaton,
     is_primed,
 )
-
-ABOVE = None  # integer-part marker for values past the clock's max constant
-
 
 Ranges = tuple[tuple[int, int, int], ...]  # (clock, lo, hi) over half-unit codes
 
@@ -69,7 +65,8 @@ class RegionContext:
 
     Steps are answered in region ids; ``locations[i]`` is id i's location;
     ``private_mask`` and ``public_mask`` have bit i set for the final ids by
-    side of the duplication, growing as regions are interned.
+    side of the duplication, growing as regions are interned.  Clock parts
+    are interned as (half-unit codes, fractional order) and stepped as such.
     """
 
     def __init__(self, ta: TimedAutomaton):
@@ -82,10 +79,9 @@ class RegionContext:
         # location -> (invariant tests or None, ((action, tests, resets, target), ...))
         self._compiled: dict[str, tuple] = {}
         self._edges_from: dict[str, list] = {}  # source -> edges, from the first compile on
-        self._part_ids: dict[tuple, int] = {}  # (ints, zero, pos) -> part id
-        self._parts: list[tuple] = []  # part id -> (ints, zero, pos)
-        self._codes: list[tuple[int, ...]] = []  # part id -> half-unit codes
-        self._later: dict[int, tuple[str, int] | None] = {}  # part id -> (tag, part id)
+        self._part_ids: dict[tuple, int] = {}  # (codes, pos) -> part id
+        self._parts: list[tuple] = []  # part id -> (codes, pos)
+        self._later: dict[int, tuple] = {}  # part id -> (stay, (tag, part id) or None)
         self._reset: dict[tuple[int, frozenset[int]], int] = {}
         self._region_ids: dict[tuple[str, int], int] = {}  # (location, part id) -> id
         self.locations: list[str] = []  # id -> location
@@ -104,17 +100,12 @@ class RegionContext:
 
     # -- interning ------------------------------------------------------------
 
-    def _part(self, ints: tuple, zero: tuple, pos: tuple) -> int:
-        key = (ints, zero, pos)
+    def _part(self, codes: tuple, pos: tuple) -> int:
+        key = (codes, pos)
         pid = self._part_ids.get(key)
         if pid is None:
-            codes = [n * 2 + 1 if n is not ABOVE else top for n, top in zip(ints, self._top)]
-            for i in zero:
-                codes[i] -= 1
-            pid = len(self._parts)
+            pid = self._part_ids[key] = len(self._parts)
             self._parts.append(key)
-            self._codes.append(tuple(codes))
-            self._part_ids[key] = pid
         return pid
 
     def _region(self, location: str, pid: int) -> int:
@@ -136,21 +127,15 @@ class RegionContext:
     def id_of(self, location: str, valuation: Sequence[Fraction]) -> int:
         """The id of the region holding ``valuation`` (one value per clock)
         at ``location``, assigned on first sight."""
-        ints: list[int | None] = []
-        zero: list[int] = []
+        codes: list[int] = []
         by_fraction: dict[Fraction, list[int]] = {}
         for i, (v, top) in enumerate(zip(valuation, self.cmax, strict=True)):
-            if v > top:
-                ints.append(ABOVE)
-                continue
             whole = int(v)
-            ints.append(whole)
-            if v == whole:
-                zero.append(i)
-            else:
+            codes.append(2 * top + 1 if v > top else 2 * whole + (v != whole))
+            if whole < v <= top:
                 by_fraction.setdefault(v - whole, []).append(i)
         pos = tuple(tuple(by_fraction[f]) for f in sorted(by_fraction))
-        return self._region(location, self._part(tuple(ints), tuple(zero), pos))
+        return self._region(location, self._part(tuple(codes), pos))
 
     def initial_id(self) -> int:
         """The initial region's id: the initial location, every clock on 0."""
@@ -180,77 +165,60 @@ class RegionContext:
         self._compiled[location] = compiled
         return compiled
 
-    def _time_successor(self, pid: int) -> tuple[str, int] | None:
-        """The clock part reached by the least delay that leaves part
-        ``pid``, tagged '1' exactly when the tick clock's fractional part
-        starts or stops being zero; None when every clock is above its max
-        constant.  Kept per part in ``_later``, whatever the location."""
-        ints, zero, pos = self._parts[pid]
-        cmax = self.cmax
-        nxt = list(ints)
-        if zero:
-            # clocks on an integer slip into the next open interval
-            survivors = []
-            for i in zero:
-                if nxt[i] == cmax[i]:
-                    nxt[i] = ABOVE
-                else:
-                    survivors.append(i)
-            moved = zero
-            part = (tuple(nxt), (), ((tuple(survivors),) if survivors else ()) + pos)
-        elif pos:
-            # the group with the largest fraction reaches the next integer
-            moved = pos[-1]
-            on_integer = []
+    def _time_successor(self, pid: int) -> tuple:
+        """(stay, later) for clock part ``pid``, kept in ``_later`` whatever
+        the location: ``stay`` when no clock is on an integer, so a positive
+        delay can stay inside; ``later`` the clock part reached by the least
+        delay that leaves it, tagged '1' exactly when the tick clock's
+        fractional part starts or stops being zero, or None when every clock
+        is above its max constant."""
+        codes, pos = self._parts[pid]
+        # clocks on an integer step into the next open interval, from 2·cmax onto
+        # the "above" code; else the largest-fraction group reaches an integer
+        on_integer = [i for i, c in enumerate(codes) if not c & 1]
+        moved = on_integer or (pos[-1] if pos else ())
+        later = None
+        if moved:
+            nxt = list(codes)
             for i in moved:
                 nxt[i] += 1
-                if nxt[i] > cmax[i]:
-                    nxt[i] = ABOVE
-                else:
-                    on_integer.append(i)
-            part = (tuple(nxt), tuple(on_integer), pos[:-1])
-        else:
-            self._later[pid] = None
-            return None
-        later = ("1" if self.tick in moved else "0+", self._part(*part))
-        self._later[pid] = later
-        return later
+            if on_integer:
+                inside = tuple(i for i in moved if nxt[i] != self._top[i])
+                pos = ((inside,) if inside else ()) + pos
+            else:
+                pos = pos[:-1]
+            later = ("1" if self.tick in moved else "0+", self._part(tuple(nxt), pos))
+        out = self._later[pid] = (not on_integer, later)
+        return out
 
     def _reset_part(self, pid: int, resets: frozenset[int]) -> int:
         """Clock part ``pid`` with ``resets`` at 0; `_expand` reads it back from ``_reset``."""
-        ints, zero, pos = self._parts[pid]
-        nxt = list(ints)
+        codes, pos = self._parts[pid]
+        nxt = list(codes)
         for i in resets:
             nxt[i] = 0
-        groups = []
-        for grp in pos:
-            if not resets.isdisjoint(grp):
-                grp = tuple(i for i in grp if i not in resets)
-            if grp:
-                groups.append(grp)
-        on_integer = tuple(sorted(resets.union(zero)))
-        out = self._reset[pid, resets] = self._part(tuple(nxt), on_integer, tuple(groups))
+        kept = [tuple([i for i in grp if i not in resets]) for grp in pos]
+        out = self._reset[pid, resets] = self._part(tuple(nxt), tuple([g for g in kept if g]))
         return out
 
     def _expand(self, rid: int) -> tuple:
         """Both step tuples of region ``rid``, computed together and kept."""
         loc, pid = self.locations[rid], self._part_of[rid]
         invariant, edges = self._compiled.get(loc) or self._compile(loc)
-        codes, region_ids, reset = self._codes, self._region_ids, self._reset
-        delay: list[tuple[str, int]] = []
-        if not self._parts[pid][1]:
-            delay.append(("0+", rid))  # off every integer, a positive delay can stay inside
-        later = self._later[pid] if pid in self._later else self._time_successor(pid)
+        parts, region_ids, reset = self._parts, self._region_ids, self._reset
+        stay, later = self._later.get(pid) or self._time_successor(pid)
+        delay: list[tuple[str, int]] = [("0+", rid)] if stay else []
         if later is not None and invariant is not None:
             tag, nxt = later
+            codes = parts[nxt][0]
             for c, lo, hi in invariant:
-                if not lo <= codes[nxt][c] <= hi:
+                if not lo <= codes[c] <= hi:
                     break
             else:
                 j = region_ids.get((loc, nxt))
                 delay.append((tag, self._region(loc, nxt) if j is None else j))
         discrete: list[tuple[Action, int]] = []
-        own = codes[pid]
+        own = parts[pid][0]
         for action, tests, resets, target in edges:
             for c, lo, hi in tests:  # a loop, not all(): this is the hot test
                 if not lo <= own[c] <= hi:
@@ -284,17 +252,19 @@ class RegionContext:
         """Region ``rid`` as (location, integer parts with -1 for above, clocks
         on an integer, fractional order): orderable, and two ids share a key
         only if they are the same id."""
-        ints, zero, pos = self._parts[self._part_of[rid]]
-        return (self.locations[rid], tuple(-1 if n is ABOVE else n for n in ints), zero, pos)
+        codes, pos = self._parts[self._part_of[rid]]
+        ints = tuple(-1 if c == top else c >> 1 for c, top in zip(codes, self._top))
+        zero = tuple(i for i, c in enumerate(codes) if not c & 1)
+        return (self.locations[rid], ints, zero, pos)
 
     def format_region(self, rid: int) -> str:
-        ints, zero, pos = self._parts[self._part_of[rid]]
+        codes, pos = self._parts[self._part_of[rid]]
         parts = []
         for c in self.ta.clocks:
-            n = ints[c.index]
-            if n is ABOVE:
-                parts.append(f"{c.name}>{self.cmax[c.index]}")
-            elif c.index in zero:
+            code, n = codes[c.index], codes[c.index] >> 1
+            if code == self._top[c.index]:
+                parts.append(f"{c.name}>{n}")
+            elif not code & 1:
                 parts.append(f"{c.name}={n}")
             else:
                 parts.append(f"{n}<{c.name}<{n + 1}")

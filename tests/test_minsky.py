@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import fixture_path
-from etopaq import validate
+from etopaq import taformat, validate
 from etopaq.minsky import (
     ACTION_NAMES,
     Halt,
@@ -111,6 +111,15 @@ def test_encode_validates_after_urgency_repair():
         assert validate(encode(m)) == []
         raw = encode(m, raw=True)
         assert any(v.rule == "final-not-urgent" for v in validate(raw))
+
+
+def test_committed_gadget_fixtures_are_the_compiler_output():
+    """`fixtures/minsky_*.ta`, which the benchmark and the memory pins run, are
+    the compiled `fixtures/*.mm` byte for byte, the automaton named after the file."""
+    for m in ("halt", "inc_halt", "ifz_loop"):
+        compiled = replace(encode(load_machine(f"{m}.mm")), name=f"minsky_{m}")
+        committed = fixture_path(f"minsky_{m}.ta").read_text(encoding="utf-8")
+        assert taformat.dump(compiled) == committed, m
 
 
 def test_expected_counts_grow_per_command():

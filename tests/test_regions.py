@@ -136,14 +136,16 @@ def test_time_successor_promotes_maximal_group_only():
     assert step is not None
     tag, _ = step
     assert tag == "1"  # promoted group contains z
-    # now a region whose maximal group excludes z
+    # now a region whose maximal group (y,) excludes z: y lands on the integer
+    # 1, w stays above its max constant, and (x, z) stays the only fractional group
     vals2 = [F(1, 2), F(3, 4), F(1, 2), F(1, 2)]
-    step3 = time_successor(ctx, ctx.id_of("l0", tuple(vals2)))
+    r3 = ctx.id_of("l0", tuple(vals2))
+    assert region(ctx, r3).pos == ((0, z), (y,))
+    step3 = time_successor(ctx, r3)
     assert step3 is not None
     tag3, j = step3
-    r4 = region(ctx, j)
     assert tag3 == "0+"
-    assert r4.ints[y] == 1 and r4.fraction_is_zero(y)
+    assert region(ctx, j) == Region("l0", (0, 1, ABOVE, 0), (y,), ((0, z),))
 
 
 def test_delay_steps_tags_match_tick_flip():
