@@ -19,10 +19,12 @@ controllable name bit, and the '0+'/'1' delay images.  The one closure ORs
 the masks of a frontier's regions and goes on from the bits that are new;
 the leak predicates AND a belief with the context's final masks, read live
 since both grow as regions are interned.  `BeliefSpace.successors`, the
-game's step, gives each distinct successor of a belief once, with one
-closure per class of enabled sets that agree on the controllable names
-able to fire; each class grows from the class one name smaller, by that
-name's steps out of it and a closure of the bits they add.  The game keeps
+game's step, gives each distinct successor of a belief once, from the
+closure under each class of enabled sets that agree on the controllable
+names T able to fire.  Only ∅, T and the one-name classes take a closure
+walk; a class of two names or more is the union of two smaller classes'
+closures, closed further only from the steps that escape their names' own
+closures, and on the Minsky gadgets none do.  The game keeps
 beliefs as plain ints; `BeliefSpace.successor`, the strategy walks' step
 under one enabled set, hands out a `Belief`, the set view that `explore`
 and the other readers use too.  Neither step keeps what it returns.
@@ -183,8 +185,8 @@ class BeliefSpace:
         the names T with a step from one of its regions can fire under any
         enabled set e (closures grow with e), so the closure under e is the
         closure under e ∩ T: one closure per submask c of T, and c is the
-        smallest enabled set of its class.  `_grow_classes` closes them,
-        each grown from the class one name smaller."""
+        smallest enabled set of its class.  `_grow_classes` closes them:
+        walks for ∅ and each one-name class, unions for the others."""
         seed = self._seed(belief, tick)
         full = self._closure(seed, -1)  # -1 has every name bit set
         table, relevant, rest = self._moves, 0, full
@@ -202,38 +204,68 @@ class BeliefSpace:
 
     def _grow_classes(self, seed: int, full: int, relevant: int) -> dict[int, int]:
         """The closure under every class of names c ⊆ ``relevant`` (bit
-        masks).  The class ∅ is closed from the seed, the class
-        ``relevant`` is ``full``.  Any other c is grown from the closure
-        under c′, c without its lowest name n: ORed with the targets of the
-        n-steps of c′'s regions, closing only the bits c′ lacks.  ``full``
-        holds every class's regions, so one index of its controllable steps
-        by name bit, as (source bit, target mask) pairs, serves every
-        parent.  Classes come in increasing order, so c′ is closed before
-        c.  Closures are monotone and idempotent, so this is the closure of
-        the seed under c."""
-        closed = {0: self._closure(seed, 0), relevant: full}
-        cls = relevant & -relevant  # the lowest name alone: the class after ∅
-        if cls == relevant:  # one name: no class lies between ∅ and it
+        masks).  The class ``relevant`` is ``full``.  Only ∅, closed from
+        the seed, and each one-name class {n}, grown from ∅ by the n-steps
+        of ∅'s regions, take a closure walk here; with two names or fewer
+        that is every class.  A class c of two names or more (not all of
+        ``relevant``), with lowest name n, starts from the union
+        U = closed[c − n] | closed[{n}].  Both parts lie below c and are
+        closed under free steps, so U is too, and a step of m ∈ c that
+        lands in closed[{m}] stays in U.  So U needs closing only from the
+        escaping steps: the steps of each name m that land outside
+        closed[{m}], indexed once from ``full``'s regions.  A step out of a
+        region that both parts hold stays in one of them, so only the
+        regions held by one part and not the other are read: n-steps out
+        of closed[c − n] and steps of c − n out of closed[{n}].  Classes
+        come in increasing order, so both parts are closed before c.  On
+        the gadgets no step escapes, and every class of two names or more
+        is a plain union."""
+        none = self._closure(seed, 0)
+        closed = {0: none, relevant: full}
+        if relevant & (relevant - 1) == 0:  # one name: no class lies between ∅ and it
             return closed
-        steps: dict[int, list[tuple[int, int]]] = {}
-        table = self._moves
+        table, out = self._moves, {}
+        for i in Belief(none):
+            for bit, js in table[i][1]:
+                out[bit] = out.get(bit, 0) | js
+        rest = relevant
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            todo = out.get(bit, 0) & ~none
+            closed[bit] = self._closure(todo, bit, none) if todo else none
+        if relevant.bit_count() == 2:  # both classes below T have one name
+            return closed
+        escapes = []  # (name bit, source bit, targets outside the name's closure)
         for i in Belief(full):
             for bit, js in table[i][1]:
-                steps.setdefault(bit, []).append((1 << i, js))
+                js &= ~closed[bit]
+                if js:
+                    escapes.append((bit, 1 << i, js))
+        cls = relevant & -relevant
         while cls != relevant:
-            parent = closed[cls & (cls - 1)]
-            todo = 0
-            for src, js in steps[cls & -cls]:  # n is the lowest name of cls
-                if src & parent:
-                    todo |= js
-            closed[cls] = self._closure(todo & ~parent, cls, parent)
+            n = cls & -cls
+            if n != cls:  # two names or more
+                below, single = closed[cls ^ n], closed[n]
+                union, todo = below | single, 0
+                if escapes:
+                    only_below, only_single = below & ~single, single & ~below
+                    for bit, src, js in escapes:
+                        if bit == n:
+                            if src & only_below:
+                                todo |= js
+                        elif bit & cls and src & only_single:
+                            todo |= js
+                    todo &= ~union
+                closed[cls] = self._closure(todo, cls, union) if todo else union
             cls = (cls - relevant) & relevant  # the next submask of ``relevant``
         return closed
 
     def successors_computed(self) -> int:
         """Class closures computed so far: one per `successor` call
         (`initial` included), one per class of enabled sets on each
-        `successors` call."""
+        `successors` call, however `_grow_classes` came by it (a walk, or a
+        union of two smaller classes)."""
         return self._computed
 
     # -- leak predicates -----------------------------------------------------

@@ -426,6 +426,7 @@ def test_initial_closure_keeps_silent_zero_edges():
 # --- the belief closure against a reference closure over the region steps ------
 
 PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
+GADGETS = ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop")
 
 
 def _reference_closure(ctx, seed, enabled, allow_delay):
@@ -534,7 +535,7 @@ def _assert_no_stay_delay_on_tick_integers(ta) -> int:
 def test_no_stay_delay_with_the_tick_clock_on_an_integer():
     from conftest import random_ta
 
-    names = PAPER_FIXTURES + ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop")
+    names = PAPER_FIXTURES + GADGETS
     for name in names:
         assert _assert_no_stay_delay_on_tick_integers(load_ta(name)) > 0, name
     rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
@@ -601,9 +602,89 @@ def test_successors_match_every_enabled_set_on_chained_names():
 
 
 def test_successors_match_every_enabled_set_on_minsky_gadgets():
-    for name in ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop"):
+    for name in GADGETS:
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
         assert _assert_successors_dedup(space, state_cap=300)[0] > 300, name
+
+
+# --- each class of names against its closure from scratch ---------------------
+
+
+def _classes_checked(monkeypatch) -> dict:
+    """Patches `BeliefSpace._grow_classes` so that on every `successors` call
+    each class it returns must equal `_closure(seed, c)` computed from the
+    seed alone.  Counts the classes of two names or more below the full
+    class, and those among them that are not the union of their two
+    parents' closures: c without its lowest name, and that name alone."""
+    seen = {"multi": 0, "not_union": 0}
+    real = BeliefSpace._grow_classes
+
+    def checked(self, seed, full, relevant):
+        closed = real(self, seed, full, relevant)
+        assert closed.keys() == self._classes_below(relevant).keys()
+        for c, mask in closed.items():
+            assert mask == self._closure(seed, c), (self.ctx.ta.name, bin(c))
+            n = c & -c
+            if c not in (n, relevant):
+                seen["multi"] += 1
+                seen["not_union"] += mask != closed[c ^ n] | closed[n]
+        return closed
+
+    monkeypatch.setattr(BeliefSpace, "_grow_classes", checked)
+    return seen
+
+
+def test_every_class_is_its_closure_from_scratch_on_chained_names(monkeypatch):
+    """Where steps of one name lead to where another fires, a class of two
+    names or more is often more than the union of its parents' closures."""
+    from conftest import chained_ta
+
+    seen = _classes_checked(monkeypatch)
+    rng = random.Random(20261018)
+    for i in range(40):
+        space = BeliefSpace(RegionContext(prepare(chained_ta(rng, name=f"chain{i}"))))
+        space.explore(include_dead=True, state_cap=60)
+    assert seen["multi"] > 5000 and seen["not_union"] > 1500, seen
+
+
+def test_every_class_is_its_closure_from_scratch_on_random_automata(monkeypatch):
+    from conftest import random_ta
+
+    seen = _classes_checked(monkeypatch)
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(50):
+        BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"cls{i}")))).explore(include_dead=True)
+    assert seen["multi"] == 0, seen  # two controllable names at most: no class is a union
+
+
+def test_every_class_is_its_closure_from_scratch_on_fixtures_and_gadgets(monkeypatch):
+    seen = _classes_checked(monkeypatch)
+    for name in PAPER_FIXTURES:
+        BeliefSpace(RegionContext(prepare(load_ta(name)))).explore(include_dead=True)
+    assert seen["multi"] == 0, seen  # two controllable names at most
+    for name in GADGETS:
+        BeliefSpace(RegionContext(prepare(load_ta(name)))).explore(include_dead=True, state_cap=2000)
+    assert seen["multi"] > 5000 and seen["not_union"] == 0, seen
+
+
+def test_a_gadget_step_closes_only_the_empty_full_and_one_name_classes(monkeypatch):
+    """On the gadgets no step escapes its name's own closure, so a
+    `successors` call over the 2^|T| classes of T runs at most |T| + 2
+    closure walks: the full class, ∅, and one per name."""
+    calls = _closures_counted(monkeypatch)
+    widest = 0
+    for name in GADGETS:
+        space = BeliefSpace(RegionContext(prepare(load_ta(name))))
+        for b in space.explore(include_dead=True, state_cap=200).states:
+            for tick in ticks_from(b):
+                calls.clear()
+                before = space.successors_computed()
+                space.successors(b, tick)
+                classes = space.successors_computed() - before
+                names = classes.bit_length() - 1  # classes == 2 ** |T|
+                assert calls.count("_closure") <= names + 2, (name, classes)
+                widest = max(widest, classes)
+    assert widest == 256
 
 
 # --- beliefs as bit masks -----------------------------------------------------

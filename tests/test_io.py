@@ -504,8 +504,11 @@ def test_cli_usage_errors_exit_input(capsys):
 
 
 def test_cli_time_cap_stops_gadget_promptly(capsys):
+    """The gadget reaches the default state cap in about a second, so the
+    state cap is raised out of reach for the time cap to be what stops it."""
     t0 = time.monotonic()
-    code = main(["check", fx("minsky_halt.ta"), "--mode", "weak", "--time-cap", "1"])
+    code = main(["check", fx("minsky_halt.ta"), "--mode", "weak", "--time-cap", "1",
+                 "--state-cap", "5000000"])
     assert code == 2
     assert time.monotonic() - t0 < 10
     assert "time cap" in capsys.readouterr().err
