@@ -22,12 +22,16 @@ since both grow as regions are interned.  `BeliefSpace.successors`, the
 game's step, gives each distinct successor of a belief once, from the
 closure under each class of enabled sets that agree on the controllable
 names T able to fire.  Only ∅, T and the one-name classes take a closure
-walk; a class of two names or more is the union of two smaller classes'
-closures, closed further only from the steps that escape their names' own
-closures, and on the Minsky gadgets none do.  The game keeps
-beliefs as plain ints; `BeliefSpace.successor`, the strategy walks' step
-under one enabled set, hands out a `Belief`, the set view that `explore`
-and the other readers use too.  Neither step keeps what it returns.
+walk, and only ∅'s starts from the delay image: each one-name class grows
+from ∅, and T from the union of the one-name classes, by the named steps
+the earlier walks collected, so no walk re-reads the regions of the class
+it grows from, and T is read off the walks.  A class of two names or more
+is the union of two smaller classes' closures, closed further only from the
+steps that escape their names' own closures, and on the Minsky gadgets none
+do.  The game keeps beliefs as plain ints; `BeliefSpace.successor`, the
+strategy walks' step under one enabled set, hands out a `Belief`, the set
+view that `explore` and the other readers use too.  Neither step keeps what
+it returns.
 """
 from __future__ import annotations
 
@@ -102,29 +106,45 @@ class BeliefSpace:
     # -- construction --------------------------------------------------------
 
     def _moves_of(self, rid: int) -> tuple:
-        """Region ``rid``'s one-step target masks, built once: (free steps,
-        ((controllable name bit, targets), ...), '0+' delay targets, '1'
-        delay targets, bit mask of those controllable names).  Silent and
-        uncontrollable steps are free, and so are off-integer delays, even
-        at the initial instant: there the tick clock sits on 0, and no
+        """Region ``rid``'s one-step target masks, built once in one pass
+        over its steps: (free steps, ((controllable name bit, targets),
+        ...) with each name once, '0+' delay targets, '1' delay targets,
+        bit mask of those controllable names).  Silent and uncontrollable
+        steps are free, and so are off-integer delays to other regions,
+        even at the initial instant: there the tick clock sits on 0, and no
         region with it on an integer has one."""
-        ctx, bit_of = self.ctx, self._bit
-        by_bit: dict[int, int] = {}  # name bit -> targets, 0 for the free steps
-        for action, j in ctx.discrete_steps(rid):
+        bit_of = self._bit
+        free = names = zero = one = 0
+        named: list[tuple[int, int]] = []
+        for action, j in self.ctx.discrete_steps(rid):
             b = bit_of[action.name]
-            by_bit[b] = by_bit.get(b, 0) | 1 << j
-        delays = {"0+": 0, "1": 0}  # in the order of `moves`
-        for tag, j in ctx.delay_steps(rid):
-            delays[tag] |= 1 << j
-        free = by_bit.pop(0, 0) | delays["0+"] & ~(1 << rid)
-        moves = self._moves[rid] = (free, tuple(by_bit.items()), *delays.values(), sum(by_bit))
+            if not b:
+                free |= 1 << j
+            elif names & b:  # a second step of a name already met
+                named = [(c, js | 1 << j if c == b else js) for c, js in named]
+            else:
+                names |= b
+                named.append((b, 1 << j))
+        for tag, j in self.ctx.delay_steps(rid):
+            if tag == "1":
+                one |= 1 << j
+            else:
+                zero |= 1 << j
+                if j != rid:
+                    free |= 1 << j
+        moves = self._moves[rid] = (free, tuple(named), zero, one, names)
         return moves
 
-    def _closure(self, todo: int, enabled: int, closed: int = 0) -> int:
+    def _closure(
+        self, todo: int, enabled: int, closed: int = 0, steps: dict[int, int] | None = None
+    ) -> int:
         """Zero-time closure of the mask ``todo`` added to ``closed``, a mask
         already closed: free steps, off-integer delays among them, plus the
         discrete steps of the controllable names in the bit mask ``enabled``.
-        Only the regions of ``todo`` and those it reaches are walked."""
+        Only the regions of ``todo`` and those it reaches are walked.  Given
+        a dict ``steps``, the walk also ORs into it, per name bit, the
+        targets of every controllable step out of the regions it walks,
+        followed or not; its keys are the names able to fire there."""
         table = self._moves
         closed |= todo
         while todo:
@@ -134,7 +154,12 @@ class BeliefSpace:
                 todo ^= 1 << i
                 moves = table.get(i) or self._moves_of(i)
                 nxt |= moves[0]
-                if moves[4] & enabled:
+                if steps is not None and moves[4]:
+                    for bit, js in moves[1]:
+                        steps[bit] = steps.get(bit, 0) | js
+                        if bit & enabled:
+                            nxt |= js
+                elif moves[4] & enabled:
                     for bit, js in moves[1]:
                         if bit & enabled:
                             nxt |= js
@@ -181,69 +206,75 @@ class BeliefSpace:
         plain int, labelled with the smallest enabled set that yields it, in
         label order: fewest names first, then by sorted names; not cached.
 
-        The closure under every controllable name is computed first.  Only
-        the names T with a step from one of its regions can fire under any
-        enabled set e (closures grow with e), so the closure under e is the
-        closure under e ∩ T: one closure per submask c of T, and c is the
-        smallest enabled set of its class.  `_grow_classes` closes them:
-        walks for ∅ and each one-name class, unions for the others."""
+        Only the names T with a step from a region of the closure under
+        every name can fire under any enabled set e (closures grow with e),
+        so the closure under e is the closure under e ∩ T: one closure per
+        submask c of T, and c is the smallest enabled set of its class.  ∅
+        is the one class walked from the seed, and its walk collects, per
+        name bit, the targets of the named steps out of its regions.  Each
+        name n among them grows the one-name class {n} from ∅ by n's
+        targets, collecting in turn; a name of T with no step out of ∅'s
+        regions has ∅ as its one-name class.  The full class T grows from
+        the union U of the one-name classes by the collected targets
+        outside U, under every name, and collects too.  Every region of
+        the full class is walked by one of these walks, so the names
+        collected are T exactly.  `_grow_classes` closes the classes of two
+        names or more below T."""
         seed = self._seed(belief, tick)
-        full = self._closure(seed, -1)  # -1 has every name bit set
-        table, relevant, rest = self._moves, 0, full
-        while rest:
-            i = rest.bit_length() - 1
-            rest ^= 1 << i
-            relevant |= table[i][4]
-        classes = self._classes_below(relevant)
-        closed = self._grow_classes(seed, full, relevant) if relevant else {0: full}
+        steps: dict[int, int] = {}  # name bit -> targets out of the regions walked
+        none = self._closure(seed, 0, 0, steps)
+        closed, union = {0: none}, none
+        for bit, js in list(steps.items()):  # ∅'s steps only: the walks below add more
+            js &= ~none
+            if js:
+                closed[bit] = self._closure(js, bit, none, steps)
+                union |= closed[bit]
+        reached = 0
+        for js in steps.values():
+            reached |= js
+        reached &= ~union
+        full = self._closure(reached, -1, union, steps) if reached else union  # -1: every name
+        names = 0
+        for bit in steps:  # the names of T
+            names |= bit
+            closed.setdefault(bit, none)  # no step out of ∅'s regions: {bit} adds nothing
+        closed[names] = full
+        self._grow_classes(closed, names)
         first: dict[int, frozenset[str]] = {}  # in label order
+        classes = self._classes_below(names)
         for mask, e in classes.items():
             first.setdefault(closed[mask], e)
         self._computed += len(classes)
         return [(e, b) for b, e in first.items()]
 
-    def _grow_classes(self, seed: int, full: int, relevant: int) -> dict[int, int]:
-        """The closure under every class of names c ⊆ ``relevant`` (bit
-        masks).  The class ``relevant`` is ``full``.  Only ∅, closed from
-        the seed, and each one-name class {n}, grown from ∅ by the n-steps
-        of ∅'s regions, take a closure walk here; with two names or fewer
-        that is every class.  A class c of two names or more (not all of
-        ``relevant``), with lowest name n, starts from the union
+    def _grow_classes(self, closed: dict[int, int], names: int) -> None:
+        """Adds to ``closed``, which holds the closures under ∅, each
+        one-name class and the full class ``names`` (bit masks), the
+        closure under every class of two names or more below ``names``;
+        with two names or fewer there is none.  Such a class c, with lowest
+        name n, starts from the union
         U = closed[c − n] | closed[{n}].  Both parts lie below c and are
         closed under free steps, so U is too, and a step of m ∈ c that
         lands in closed[{m}] stays in U.  So U needs closing only from the
         escaping steps: the steps of each name m that land outside
-        closed[{m}], indexed once from ``full``'s regions.  A step out of a
-        region that both parts hold stays in one of them, so only the
-        regions held by one part and not the other are read: n-steps out
-        of closed[c − n] and steps of c − n out of closed[{n}].  Classes
+        closed[{m}], indexed once from the full class's regions.  A step
+        out of a region that both parts hold stays in one of them, so only
+        the regions held by one part and not the other are read: n-steps
+        out of closed[c − n] and steps of c − n out of closed[{n}].  Classes
         come in increasing order, so both parts are closed before c.  On
         the gadgets no step escapes, and every class of two names or more
         is a plain union."""
-        none = self._closure(seed, 0)
-        closed = {0: none, relevant: full}
-        if relevant & (relevant - 1) == 0:  # one name: no class lies between ∅ and it
-            return closed
-        table, out = self._moves, {}
-        for i in Belief(none):
-            for bit, js in table[i][1]:
-                out[bit] = out.get(bit, 0) | js
-        rest = relevant
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            todo = out.get(bit, 0) & ~none
-            closed[bit] = self._closure(todo, bit, none) if todo else none
-        if relevant.bit_count() == 2:  # both classes below T have one name
-            return closed
+        if names.bit_count() < 3:
+            return
+        table = self._moves
         escapes = []  # (name bit, source bit, targets outside the name's closure)
-        for i in Belief(full):
+        for i in Belief(closed[names]):
             for bit, js in table[i][1]:
                 js &= ~closed[bit]
                 if js:
                     escapes.append((bit, 1 << i, js))
-        cls = relevant & -relevant
-        while cls != relevant:
+        cls = names & -names
+        while cls != names:
             n = cls & -cls
             if n != cls:  # two names or more
                 below, single = closed[cls ^ n], closed[n]
@@ -258,14 +289,13 @@ class BeliefSpace:
                             todo |= js
                     todo &= ~union
                 closed[cls] = self._closure(todo, cls, union) if todo else union
-            cls = (cls - relevant) & relevant  # the next submask of ``relevant``
-        return closed
+            cls = (cls - names) & names  # the next submask of ``names``
 
     def successors_computed(self) -> int:
         """Class closures computed so far: one per `successor` call
         (`initial` included), one per class of enabled sets on each
-        `successors` call, however `_grow_classes` came by it (a walk, or a
-        union of two smaller classes)."""
+        `successors` call, however it came by it (a walk, or a union of two
+        smaller classes)."""
         return self._computed
 
     # -- leak predicates -----------------------------------------------------

@@ -544,6 +544,52 @@ def test_no_stay_delay_with_the_tick_clock_on_an_integer():
 
 
 
+def _reference_moves(space, rid) -> tuple:
+    """Region ``rid``'s move record built straight from `discrete_steps` and
+    `delay_steps`, its controllable steps as a name bit -> targets dict."""
+    ctx = space.ctx
+    free, named = 0, {}
+    for action, j in ctx.discrete_steps(rid):
+        if action.kind == SILENT_KIND or action.name in space.uncontrollable:
+            free |= 1 << j
+        else:
+            bit = 1 << space.controllable.index(action.name)
+            named[bit] = named.get(bit, 0) | 1 << j
+    delays = {"0+": 0, "1": 0}
+    for tag, j in ctx.delay_steps(rid):
+        delays[tag] |= 1 << j
+    free |= delays["0+"] & ~(1 << rid)
+    return free, named, delays["0+"], delays["1"], sum(named)
+
+
+def test_move_records_match_the_region_steps():
+    """Every region's `_moves_of` record against `_reference_moves`: the
+    free mask holds silent and uncontrollable targets, self-loops included,
+    and the '0+' delays to other regions, never the stay in place; each
+    controllable name comes once, with all its targets and none of them
+    free.  Counts the cases that tell these apart."""
+    from conftest import random_ta
+
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    automata = [load_ta(name) for name in PAPER_FIXTURES + GADGETS]
+    automata += [random_ta(rng, name=f"moves{i}") for i in range(30)]
+    seen = {"stays": 0, "free_loops": 0, "named": 0}
+    for ta in automata:
+        space = BeliefSpace(RegionContext(prepare(ta)))
+        space.explore(include_dead=True, state_cap=300)
+        for rid in range(len(space.ctx.locations)):
+            free, named, *rest = space._moves_of(rid)
+            ref_free, ref_named, *ref_rest = _reference_moves(space, rid)
+            assert len(dict(named)) == len(named), (ta.name, rid)  # each name once
+            assert (free, dict(named), rest) == (ref_free, ref_named, ref_rest), (ta.name, rid)
+            seen["stays"] += ("0+", rid) in space.ctx.delay_steps(rid)
+            seen["free_loops"] += any(
+                j == rid and a.name not in space.controllable for a, j in space.ctx.discrete_steps(rid)
+            )
+            seen["named"] += len(named)
+    assert all(n > 20 for n in seen.values()), seen
+
+
 # --- one successor per distinct belief against every enabled set --------------
 
 
@@ -612,24 +658,31 @@ def test_successors_match_every_enabled_set_on_minsky_gadgets():
 
 def _classes_checked(monkeypatch) -> dict:
     """Patches `BeliefSpace._grow_classes` so that on every `successors` call
-    each class it returns must equal `_closure(seed, c)` computed from the
-    seed alone.  Counts the classes of two names or more below the full
-    class, and those among them that are not the union of their two
-    parents' closures: c without its lowest name, and that name alone."""
+    each class of the dict it completes, ∅, the one-name classes and the
+    full class that `successors` hands it included, must equal `_closure(seed, c)` computed
+    from the seed alone; `_seed` is patched to remember that seed.  Counts
+    the classes of two names or more below the full class, and those among
+    them that are not the union of their two parents' closures: c without
+    its lowest name, and that name alone."""
     seen = {"multi": 0, "not_union": 0}
-    real = BeliefSpace._grow_classes
+    seed = [0]
+    real_seed, real_grow = BeliefSpace._seed, BeliefSpace._grow_classes
 
-    def checked(self, seed, full, relevant):
-        closed = real(self, seed, full, relevant)
-        assert closed.keys() == self._classes_below(relevant).keys()
+    def seeded(self, *args):
+        seed[0] = real_seed(self, *args)
+        return seed[0]
+
+    def checked(self, closed, names):
+        real_grow(self, closed, names)
+        assert closed.keys() == self._classes_below(names).keys()
         for c, mask in closed.items():
-            assert mask == self._closure(seed, c), (self.ctx.ta.name, bin(c))
+            assert mask == self._closure(seed[0], c), (self.ctx.ta.name, bin(c))
             n = c & -c
-            if c not in (n, relevant):
+            if c not in (n, names):
                 seen["multi"] += 1
                 seen["not_union"] += mask != closed[c ^ n] | closed[n]
-        return closed
 
+    monkeypatch.setattr(BeliefSpace, "_seed", seeded)
     monkeypatch.setattr(BeliefSpace, "_grow_classes", checked)
     return seen
 
@@ -685,6 +738,37 @@ def test_a_gadget_step_closes_only_the_empty_full_and_one_name_classes(monkeypat
                 assert calls.count("_closure") <= names + 2, (name, classes)
                 widest = max(widest, classes)
     assert widest == 256
+
+
+def test_a_successors_call_walks_from_nothing_once(monkeypatch):
+    """∅ is the one class closed from the seed: the one-name classes grow
+    from ∅ and the full class from their union, so each `successors` call
+    makes exactly one `_closure` call with nothing closed yet, also where
+    names can fire and there are classes to grow."""
+    from conftest import chained_ta
+
+    fresh = []
+    real = BeliefSpace._closure
+
+    def logged(self, *args):
+        fresh.append(len(args) < 3 or args[2] == 0)
+        return real(self, *args)
+
+    monkeypatch.setattr(BeliefSpace, "_closure", logged)
+    rng = random.Random(20261018)
+    automata = [load_ta(name) for name in PAPER_FIXTURES + GADGETS]
+    automata += [chained_ta(rng, name=f"chain{i}") for i in range(10)]
+    firing = 0
+    for ta in automata:
+        space = BeliefSpace(RegionContext(prepare(ta)))
+        for b in space.explore(include_dead=True, state_cap=200).states:
+            for tick in ticks_from(b):
+                fresh.clear()
+                before = space.successors_computed()
+                space.successors(b, tick)
+                assert fresh.count(True) == 1, (ta.name, tick)
+                firing += space.successors_computed() - before > 1
+    assert firing > 1000
 
 
 # --- beliefs as bit masks -----------------------------------------------------
