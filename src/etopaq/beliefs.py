@@ -30,12 +30,13 @@ is the union of two smaller classes' closures, closed further only from the
 steps that escape their names' own closures, and on the Minsky gadgets none
 do.  The game keeps beliefs as plain ints; `BeliefSpace.successor`, the
 strategy walks' step under one enabled set, hands out a `Belief`, the set
-view that `explore` and the other readers use too.  Neither step keeps what
-it returns.
+view that the other readers use too.  Neither step keeps what it returns.
+`BeliefSpace.explore` walks the belief graph into a `graphs.Explored` store,
+as the game is walked, with `Belief` nodes.
 """
 from __future__ import annotations
 
-from .graphs import bfs
+from .graphs import Explored, bfs
 from .regions import RegionContext
 from .ta import SILENT
 
@@ -313,31 +314,17 @@ class BeliefSpace:
         include_dead: bool = False,
         state_cap: int | None = None,
         time_cap: float | None = None,
-    ) -> "BeliefGraph":
-        """The reachable belief graph, explored by `graphs.bfs` under its
-        caps: one edge per distinct successor of a belief under a tick,
-        labelled with the smallest enabled set that yields it, as in the
-        game, its beliefs read as `Belief`.  Without ``include_dead`` moves
-        into the dead belief are left out."""
+    ) -> Explored:
+        """The reachable belief graph as `graphs.bfs` stores it under its
+        caps, node 0 `BOTTOM` and the others `Belief`s: one edge per distinct
+        successor of a belief under a tick, labelled (tick, enabled) with the
+        smallest enabled set that yields it, as in the game.  Without
+        ``include_dead`` moves into the dead belief are left out."""
 
         def moves(b):
             steps = [((t, e), b2) for t in ticks_from(b) for e, b2 in self.successors(b, t)]
             return steps if include_dead else [s for s in steps if s[1] != DEAD]
 
         g = bfs(BOTTOM, moves, state_cap, time_cap)
-        view = [b if b is BOTTOM else Belief(b) for b in g.nodes]
-        transitions = {
-            (view[i], *g.labels[label]): view[j]
-            for i in range(len(g.ends))
-            for label, j in g.steps(i)
-        }
-        return BeliefGraph(self, tuple(view), transitions, g.stopped)
-
-
-class BeliefGraph:
-    def __init__(self, space: BeliefSpace, states, transitions, stopped: str = ""):
-        self.space = space
-        self.states = states
-        self.transitions = transitions
-        self.stopped = stopped  # why a capped walk stopped short, else ""
-
+        g.nodes[1:] = map(Belief, g.nodes[1:])
+        return g

@@ -1,12 +1,16 @@
-"""Graphviz exports of the explored region, belief and game graphs.  Each
-export returns its text and why its capped walk stopped short ("" when it
-did not); a capped export holds what was explored, without the edges to
-nodes past the state cap."""
+"""Graphviz exports of the region, belief and game graphs, each written by
+one writer from its walk's `graphs.Explored` store, with why it stopped short
+("" when it did not): a capped walk leaves out the edges to nodes past the
+state cap, and a render past the time cap keeps the nodes it wrote, a prefix
+in id order, and the edges among them."""
 from __future__ import annotations
 
-from .beliefs import BOTTOM, BeliefGraph, BeliefSpace
+import time
+from hashlib import blake2b
+
+from .beliefs import BOTTOM, BeliefSpace
 from .game import explore
-from .graphs import bfs
+from .graphs import Explored, bfs
 from .modes import Mode
 from .regions import RegionContext
 
@@ -15,6 +19,33 @@ EXPORT_STATE_CAP = 10_000  # the command line's default; every paper fixture's g
 
 def _q(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot(graph: str, g: Explored, node, named, time_cap: float | None) -> tuple[str, str]:
+    """The DOT digraph ``graph`` of ``g`` and why it stopped short, the walk's
+    cap first.  Nodes go in id order, with ``node``'s attributes, until
+    ``time_cap`` seconds have passed; ``named(n)`` then gives the names of
+    the n nodes written and the (source id, label, target id) edges in the
+    order to write, of which those among the n nodes are written."""
+    deadline = None if time_cap is None else time.monotonic() + time_cap
+    attrs, stopped = [], g.stopped
+    for x in g.nodes:
+        if deadline is not None and time.monotonic() > deadline:
+            stopped = stopped or f"time cap {time_cap}s exceeded"
+            break
+        attrs.append(node(x))
+    n = len(attrs)
+    names, arcs = named(n)
+    for k, name in zip(range(n), names):  # in place: each node's attributes once in memory
+        attrs[k] = f"  {name} [{attrs[k]}];"
+    lines = [f"digraph {graph} {{", "  rankdir=LR;", *attrs]
+    for i, label, j in arcs:
+        if max(i, j) < n:
+            if not isinstance(label, str):  # a belief or game edge's (tick, enabled)
+                label = f"{label[0]}, {{{','.join(sorted(label[1]))}}}"
+            lines.append(f"  {names[i]} -> {names[j]} [label={_q(label)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n", stopped
 
 
 def regions_dot(
@@ -30,42 +61,40 @@ def regions_dot(
         return out + [(f"0/{a.name}", j) for a, j in discrete]
 
     g = bfs(ctx.initial_id(), steps, state_cap, time_cap)
-    names = [_q(ctx.format_region(i)) for i in g.nodes]  # by node id
     finals = ctx.private_mask | ctx.public_mask
-    lines = ["digraph regions {", "  rankdir=LR;"]
-    for i, rid in enumerate(g.nodes):
-        shape = "doublecircle" if finals >> rid & 1 else "ellipse"
-        lines.append(f"  {names[i]} [shape={shape}];")
-    for i in range(len(g.ends)):
-        for label, j in g.steps(i):
-            lines.append(f"  {names[i]} -> {names[j]} [label={_q(g.labels[label])}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n", g.stopped
+    shape = ("shape=ellipse", "shape=doublecircle")
+
+    def named(n):
+        return [_q(ctx.format_region(rid)) for rid in g.nodes[:n]], g.arcs()
+
+    return _dot("regions", g, lambda rid: shape[finals >> rid & 1], named, time_cap)
 
 
-def pretty_belief_names(graph: BeliefGraph) -> dict[object, str]:
-    """Bucket-style names: beliefs first reached at integer point k become
-    b{k}, b{k}', b{k}'2, b{k}'3 ... (largest first); interval beliefs
-    b(k,k+1) alike.  The depths come from a walk over the transitions in
-    sorted order."""
-    steps: dict[object, list] = {}
-    for (src, tick, _), tgt in sorted(
-        graph.transitions.items(), key=lambda kv: (kv[0][1], sorted(kv[0][2]))
-    ):
-        steps.setdefault(src, []).append((tick, tgt))
-    g = bfs(BOTTOM, lambda b: steps.get(b, ()))
-    depth = [0] * len(g.nodes)
+def pretty_belief_names(space: BeliefSpace, g: Explored, n: int | None = None) -> list[str]:
+    """Bucket-style names of the belief store's first ``n`` nodes (all by
+    default), by id: beliefs first reached at integer point k become b{k},
+    b{k}', b{k}'2, b{k}'3 ... (largest first); interval beliefs b(k,k+1)
+    alike.  The depths come from a walk over the edges among them in (tick,
+    sorted names) order: a belief can be as many hops away at two unit
+    depths, so the store's own walk could name it otherwise."""
+    n = len(g.nodes) if n is None else n
+    steps: dict[int, list] = {}
+    arcs = [(i, label, j) for i, label, j in g.arcs() if max(i, j) < n]
+    for i, label, j in sorted(arcs, key=lambda a: (a[1][0], sorted(a[1][1]))):
+        steps.setdefault(i, []).append((label[0], j))
+    walk = bfs(0, lambda i: steps.get(i, ()))
+    depth = [0] * len(walk.nodes)
     by_depth: dict[int, list] = {}
-    for i in range(1, len(g.nodes)):
+    for k in range(1, len(walk.nodes)):
         # "0" and "1" move on to the next point or interval, "0+" stays
-        depth[i] = d = depth[g.parent[i]] + (g.labels[g.via[i]] != "0+")
-        by_depth.setdefault(d, []).append(g.nodes[i])
-    names = {BOTTOM: "bot"}
+        depth[k] = d = depth[walk.parent[k]] + (walk.labels[walk.via[k]] != "0+")
+        by_depth.setdefault(d, []).append(walk.nodes[k])
+    names, key = ["bot"] * n, space.ctx.key
     for d, group in by_depth.items():
-        group.sort(key=lambda b: (-len(b), tuple(sorted(map(graph.space.ctx.key, b)))))
+        group.sort(key=lambda i: (-len(g.nodes[i]), tuple(sorted(map(key, g.nodes[i])))))
         base = f"b{(d - 1) // 2}" if d % 2 else f"b({d // 2 - 1},{d // 2})"
-        for i, b in enumerate(group):
-            names[b] = base + ("'" * i if i < 2 else f"'{i}")
+        for r, i in enumerate(group):
+            names[i] = base + ("'" * r if r < 2 else f"'{r}")
     return names
 
 
@@ -77,37 +106,29 @@ def beliefs_dot(
 ) -> tuple[str, str]:
     """The belief graph without the dead belief: one edge per distinct
     successor of a belief under a tick, labelled with the smallest enabled
-    set that yields it."""
-    graph = space.explore(include_dead=False, state_cap=state_cap, time_cap=time_cap)
-    if pretty:
-        names = pretty_belief_names(graph)
-    else:
-        from hashlib import blake2b
+    set that yields it, edges in (source name, tick, sorted names) order."""
+    g = space.explore(include_dead=False, state_cap=state_cap, time_cap=time_cap)
+    ctx = space.ctx
 
-        names = {BOTTOM: "bot"}
-        for b in graph.states:
-            if b is not BOTTOM:
-                key = tuple(sorted(map(space.ctx.key, b)))
-                digest = blake2b(repr(key).encode(), digest_size=5).hexdigest()
-                names[b] = f"B{digest}"
-    lines = ["digraph beliefs {", "  rankdir=LR;"]
-    for b in graph.states:
+    def node(b):
         if b is BOTTOM:
-            lines.append(f"  {_q(names[b])} [shape=point];")
-            continue
+            return "shape=point"
         leak = Mode.FULL.leaks(space.has_private_final(b), space.has_public_final(b))
         style = ' style=filled fillcolor="#ffcccc"' if leak else ""
-        tip = "; ".join(sorted(map(space.ctx.format_region, b)))
-        lines.append(
-            f"  {_q(names[b])} [shape=box tooltip={_q(tip)}{style}];"
-        )
-    for (b, tick, enabled), b2 in sorted(
-        graph.transitions.items(), key=lambda kv: (str(names[kv[0][0]]), kv[0][1], sorted(kv[0][2]))
-    ):
-        label = f"{tick}, {{{','.join(sorted(enabled))}}}"
-        lines.append(f"  {_q(names[b])} -> {_q(names[b2])} [label={_q(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n", graph.stopped
+        tip = "; ".join(sorted(map(ctx.format_region, b)))
+        return f"shape=box tooltip={_q(tip)}{style}"
+
+    def named(n):
+        if pretty:
+            names = pretty_belief_names(space, g, n)
+        else:
+            keys = (repr(tuple(sorted(map(ctx.key, b)))).encode() for b in g.nodes[1:n])
+            names = ["bot"] + [f"B{blake2b(k, digest_size=5).hexdigest()}" for k in keys]
+        arcs = [a for a in g.arcs() if a[0] < n]
+        arcs.sort(key=lambda a: (names[a[0]], a[1][0], sorted(a[1][1])))
+        return [_q(s) for s in names], arcs
+
+    return _dot("beliefs", g, node, named, time_cap)
 
 
 def game_dot(
@@ -117,16 +138,9 @@ def game_dot(
     successor state, labelled with the smallest enabled set that leads
     there; state g{i} is the state of id i."""
     g = explore(space, mode, state_cap, time_cap)
-    lines = ["digraph game {", "  rankdir=LR;"]
-    for i, st in enumerate(g.nodes):
-        kind = "point" if st.at_integer else "interval"
-        if st.current is BOTTOM:
-            kind = "start"
-        lines.append(f"  g{i} [shape=box label={_q(kind)}];")
-    for i in range(len(g.ends)):
-        for lid, j in g.steps(i):
-            tick, enabled = g.labels[lid]
-            label = f"{tick}, {{{','.join(sorted(enabled))}}}"
-            lines.append(f"  g{i} -> g{j} [label={_q(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n", g.stopped
+
+    def node(st):
+        kind = "start" if st.current is BOTTOM else "point" if st.at_integer else "interval"
+        return f"shape=box label={_q(kind)}"
+
+    return _dot("game", g, node, lambda n: ([f"g{i}" for i in range(n)], g.arcs()), time_cap)

@@ -35,6 +35,11 @@ class Explored:
         row = iter(self.pairs[self.ends[i - 1] if i else 0 : self.ends[i]])
         return zip(row, row)  # one iterator twice: (label id, target id) pairs
 
+    def arcs(self) -> Iterator[tuple[int, object, int]]:
+        """Every expanded node's (source id, label, target id) edges, in id order."""
+        labels = self.labels
+        return ((i, labels[lid], j) for i in range(len(self.ends)) for lid, j in self.steps(i))
+
 
 def bfs(
     start: Node,

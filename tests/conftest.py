@@ -10,6 +10,7 @@ import pytest
 
 from etopaq import prepare, taformat, validate
 from etopaq.beliefs import BeliefSpace
+from etopaq.graphs import Explored
 from etopaq.regions import RegionContext
 from etopaq.strategies import MetaStrategy, UnitPlan
 from etopaq.ta import (
@@ -54,6 +55,13 @@ def every_enabled_set(space: BeliefSpace) -> tuple[frozenset[str], ...]:
     its moves, listed apart from `BeliefSpace`."""
     names = sorted(space.ctx.ta.controllable)
     return tuple(frozenset(c) for k in range(len(names) + 1) for c in combinations(names, k))
+
+
+def belief_edges(g: Explored):
+    """The edges of a belief store from `BeliefSpace.explore`, as (source,
+    tick, enabled, target) with both ends read back as nodes."""
+    for i, (tick, enabled), j in g.arcs():
+        yield g.nodes[i], tick, enabled, g.nodes[j]
 
 
 def leaking_full(space: BeliefSpace, belief) -> bool:

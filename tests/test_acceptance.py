@@ -13,6 +13,7 @@ from fractions import Fraction
 from concrete import build_run, classify_run, is_feasible, run_admits
 from conftest import (
     SOLVE_FIXTURES,
+    belief_edges,
     edges_by_key,
     every_enabled_set,
     fixture_path,
@@ -131,10 +132,10 @@ def test_criterion_2_belief_reconstruction():
     names = {BOTTOM: "bot", b0: "b0", b0p: "b0'", b01: "b01", b01p: "b01'", b1: "b1", b1p: "b1'"}
     assert len(names) == 7
     graph = space.explore()
-    assert len(graph.states) == 7
+    assert len(graph.nodes) == 7
     got = {
         (names[s], t, "".join(sorted(e)), names[d])
-        for (s, t, e), d in graph.transitions.items()
+        for s, t, e, d in belief_edges(graph)
     }
     expected = {("bot", "0", "a", "b0"), ("bot", "0", "", "b0'")}
     for src in ("b0", "b0'", "b1", "b1'"):
@@ -159,10 +160,10 @@ def test_criterion_2_belief_reconstruction():
     names2 = {belief: name for name, belief in seq.items()}
     names2[BOTTOM] = "bot"
     graph2 = space2.explore()
-    assert len(graph2.states) == 15
+    assert len(graph2.nodes) == 15
     got2 = {
         (names2[s], t, "".join(sorted(e)), names2[d])
-        for (s, t, e), d in graph2.transitions.items()
+        for s, t, e, d in belief_edges(graph2)
     }
     expected2 = {("bot", "0", "a", "b0"), ("bot", "0", "", "b0'")}
     for i, rung in enumerate(ladder):
@@ -266,7 +267,7 @@ def test_criterion_6_monotonicity_suite():
     for name in SOLVE_FIXTURES:
         space = load_space(name)
         graph = space.explore(include_dead=True)
-        beliefs = [b for b in graph.states if b is not BOTTOM]
+        beliefs = [b for b in graph.nodes if b is not BOTTOM]
         subsets = every_enabled_set(space)
         for small, big in itertools.combinations(subsets, 2):
             if not small <= big:

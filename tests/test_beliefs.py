@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import every_enabled_set, leaking_full, load_space, load_ta
+from conftest import belief_edges, every_enabled_set, leaking_full, load_space, load_ta
 from etopaq import prepare
 from etopaq.beliefs import BOTTOM, DEAD, Belief, BeliefSpace, ticks_from
 from etopaq.modes import Mode
@@ -103,7 +103,7 @@ def test_successor_monotone_in_enabled():
         space = load_space(name)
         subsets = every_enabled_set(space)
         graph = space.explore(include_dead=True)
-        beliefs = [b for b in graph.states if b is not BOTTOM]
+        beliefs = [b for b in graph.nodes if b is not BOTTOM]
         for small, big in combinations(subsets, 2):
             if not small <= big:
                 continue
@@ -210,7 +210,7 @@ def test_a_second_successors_call_computes_its_classes_again(monkeypatch):
     calls = _closures_counted(monkeypatch)
     for name in PAPER_FIXTURES + ("minsky_halt",):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        for b in space.explore(include_dead=True, state_cap=200).states:
+        for b in space.explore(include_dead=True, state_cap=200).nodes:
             for tick in ticks_from(b):
                 before = space.successors_computed()
                 first = space.successors(b, tick)
@@ -230,7 +230,7 @@ def test_a_successors_call_computes_the_delay_image_once(monkeypatch):
     lattices = 0
     for name in PAPER_FIXTURES + ("minsky_halt",):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        for b in space.explore(include_dead=True, state_cap=200).states:
+        for b in space.explore(include_dead=True, state_cap=200).nodes:
             for tick in ticks_from(b):
                 calls.clear()
                 before = space.successors_computed()
@@ -292,10 +292,10 @@ def test_reconstruct_belief_automaton_ta_opaque(opaque_space):
         b1p: "b1'",
     }
     graph = space.explore()
-    assert len(graph.states) == 7
+    assert len(graph.nodes) == 7
     got = {
         (names[s], tick, "".join(sorted(e)), names[t])
-        for (s, tick, e), t in graph.transitions.items()
+        for s, tick, e, t in belief_edges(graph)
     }
     assert got == _paper_edges_ta_opaque()
 
@@ -321,10 +321,10 @@ def test_reconstruct_belief_automaton_two_clock_variant():
     names = {belief: name for name, belief in seq.items()}
     names[BOTTOM] = "bot"
     graph = space.explore()
-    assert len(graph.states) == 15
+    assert len(graph.nodes) == 15
     got = {
         (names[s], tick, "".join(sorted(e)), names[t])
-        for (s, tick, e), t in graph.transitions.items()
+        for s, tick, e, t in belief_edges(graph)
     }
     expected = {("bot", "0", "a", "b0"), ("bot", "0", "", "b0'")}
     ladder = ["b0", "b(0,1)", "b1", "b(1,2)", "b2", "b(2,3)", "b3"]
@@ -470,8 +470,9 @@ def _assert_matches_reference(ta) -> int:
         assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
     ctx = space.ctx
     graph = space.explore(include_dead=True)
+    moves = {(s, tick, e): t for s, tick, e, t in belief_edges(graph)}
     compared = 0
-    for b in graph.states:
+    for b in graph.nodes:
         if b is BOTTOM:
             continue
         for tick in ("0+", "1"):
@@ -479,7 +480,7 @@ def _assert_matches_reference(ta) -> int:
                 b2 = space.successor(b, tick, enabled)
                 expected = _reference_successor(ctx, b, tick, enabled)
                 assert frozenset(b2) == expected, (ta.name, tick, sorted(enabled))
-                assert frozenset(graph.transitions.get((b, tick, enabled), b2)) == expected
+                assert frozenset(moves.get((b, tick, enabled), b2)) == expected
                 assert sys.getsizeof(b2) <= sys.getsizeof(frozenset(set(b2)))
                 for belief in (b2, b | b2):
                     priv = any(is_final(ctx, i) and is_secret(ctx, i) for i in belief)
@@ -600,7 +601,7 @@ def _assert_successors_dedup(space, state_cap=None) -> tuple[int, int]:
     closes; returns the number of beliefs checked and the most distinct
     successors of one belief under one tick.  ``space`` explores: a lost
     successor of an explored belief fails the comparison there."""
-    beliefs = space.explore(include_dead=True, state_cap=state_cap).states
+    beliefs = space.explore(include_dead=True, state_cap=state_cap).nodes
     ref = BeliefSpace(space.ctx)
     widest = 0
     for b in beliefs:
@@ -728,7 +729,7 @@ def test_a_gadget_step_closes_only_the_empty_full_and_one_name_classes(monkeypat
     widest = 0
     for name in GADGETS:
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        for b in space.explore(include_dead=True, state_cap=200).states:
+        for b in space.explore(include_dead=True, state_cap=200).nodes:
             for tick in ticks_from(b):
                 calls.clear()
                 before = space.successors_computed()
@@ -761,7 +762,7 @@ def test_a_successors_call_walks_from_nothing_once(monkeypatch):
     firing = 0
     for ta in automata:
         space = BeliefSpace(RegionContext(prepare(ta)))
-        for b in space.explore(include_dead=True, state_cap=200).states:
+        for b in space.explore(include_dead=True, state_cap=200).nodes:
             for tick in ticks_from(b):
                 fresh.clear()
                 before = space.successors_computed()
@@ -785,7 +786,7 @@ def test_leak_predicates_see_finals_interned_after_an_answer():
     assert ctx.private_mask == ctx.public_mask == 0  # no final region interned yet
     graph = space.explore(include_dead=True)
     seen = {"private": 0, "public": 0}
-    for b in graph.states:
+    for b in graph.nodes:
         if b is BOTTOM:
             continue
         priv = any(is_final(ctx, i) and is_secret(ctx, i) for i in b)
@@ -806,7 +807,7 @@ def test_belief_view_iterates_ids_in_order_and_agrees_with_in_and_len():
     checked = 0
     for i in range(20):
         space = BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"view{i}"))))
-        for b in space.explore(include_dead=True).states:
+        for b in space.explore(include_dead=True).nodes:
             if b is BOTTOM:
                 continue
             members = list(b)

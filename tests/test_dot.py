@@ -6,12 +6,15 @@ would let a changed ordering or label through."""
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 
-from conftest import load_space, load_ta
+from conftest import fixture_path, load_space, load_ta
 from etopaq import dot, prepare, taformat
 from etopaq.beliefs import BeliefSpace
+from etopaq.cli import main
 from etopaq.game import check_exists, solve
+from etopaq.graphs import bfs
 from etopaq.modes import Mode
 from etopaq.regions import RegionContext
 from etopaq.ta import make_finals_urgent
@@ -176,3 +179,109 @@ def test_unused_controllable_names_change_no_export_and_no_verdict():
         assert (got.stats.states, got.stats.edges) == (want.stats.states, want.stats.edges), mode
         assert wide.successors_computed() == narrow.successors_computed(), mode
     assert check_exists(load_space("ta_wide")) == check_exists(load_space("ta_counterex"))
+
+
+# --- every export against the store it renders ------------------------------------
+
+_NAME = r'("(?:[^"\\]|\\.)*"|g\d+)'
+_NODE_LINE = re.compile(rf"^  {_NAME} \[")
+_EDGE_LINE = re.compile(rf"^  {_NAME} -> {_NAME} \[label=")
+
+
+def _lines(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The node names and the (source, target) names of the edges of a DOT
+    export, after checking that every other line is its frame."""
+    nodes, edges = [], []
+    body = text.splitlines()
+    assert body[:2] == [body[0], "  rankdir=LR;"] and body[0].startswith("digraph ")
+    assert body[-1] == "}"
+    for line in body[2:-1]:
+        edge = _EDGE_LINE.match(line)
+        if edge:
+            edges.append(edge.groups())
+        else:
+            nodes.append(_NODE_LINE.match(line).group(1))
+    return nodes, edges
+
+
+def test_exports_on_random_automata_write_each_node_and_edge_of_their_store_once(monkeypatch):
+    """On seeded random automata, every export writes one line per node and
+    one per edge of the store its walk fills, under distinct names, and its
+    edges join written nodes only.  The digests pin the fixtures alone."""
+    from conftest import random_ta
+
+    from etopaq import game
+
+    stores = []
+
+    def kept(*args, **kwargs):
+        stores.append(bfs(*args, **kwargs))
+        return stores[-1]
+
+    monkeypatch.setattr(dot, "bfs", kept)  # the region walk is the first one
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    checked = 0
+    for i in range(30):
+        ta = prepare(random_ta(rng, name=f"export{i}"))
+        stores.clear()
+        regions, _ = dot.regions_dot(RegionContext(ta))
+        space = BeliefSpace(RegionContext(ta))
+        exports = [
+            (regions, stores[0]),
+            (dot.beliefs_dot(space)[0], space.explore()),
+            (dot.beliefs_dot(space, pretty=True)[0], space.explore()),
+            (dot.game_dot(space, Mode.FULL)[0], game.explore(space, Mode.FULL, None, None)),
+        ]
+        for text, g in exports:
+            assert g.stopped == ""
+            nodes, edges = _lines(text)
+            assert len(nodes) == len(set(nodes)) == len(g.nodes), ta.name
+            assert len(edges) == len(g.pairs) // 2 == g.edges, ta.name
+            assert {name for edge in edges for name in edge} <= set(nodes), ta.name
+            checked += len(edges)
+    assert checked > 1000
+
+
+class _Clock:
+    """A clock one second later at each reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1
+        return self.now
+
+
+def test_a_render_past_the_time_cap_keeps_its_first_nodes_and_is_indeterminate(
+    monkeypatch, tmp_path, capsys
+):
+    """The render honours the time cap on its own: where the walk finishes,
+    a render that runs out of time writes the nodes it rendered, a prefix in
+    id order, and the edges among them, closes the graph, and reports the
+    cap; the command line exits 2 on it.  Only the render reads the slow
+    clock here, one second per node, so it writes 3 nodes under a 3.5 s cap."""
+    ta = prepare(load_ta("ta_opaque"))
+    monkeypatch.setattr(dot, "time", _Clock())
+    cut = [
+        dot.regions_dot(RegionContext(ta), None, 3.5),
+        dot.beliefs_dot(BeliefSpace(RegionContext(ta)), False, None, 3.5),
+        dot.beliefs_dot(BeliefSpace(RegionContext(ta)), True, None, 3.5),
+    ]
+    cut += [dot.game_dot(BeliefSpace(RegionContext(ta)), mode, None, 3.5) for mode in Mode]
+    for k, ((text, stopped), (whole, _)) in enumerate(zip(cut, _exports("ta_opaque"))):
+        assert stopped == "time cap 3.5s exceeded", k
+        nodes, edges = _lines(text)
+        all_nodes, all_edges = _lines(whole)
+        assert len(nodes) == 3 < len(all_nodes), k
+        assert {name for edge in edges for name in edge} <= set(nodes), k
+        if k != 2:  # a pretty name ranks its belief among the beliefs written only
+            assert nodes == all_nodes[:3], k
+            assert edges == [e for e in all_edges if set(e) <= set(nodes)], k
+    target = tmp_path / "cut.dot"
+    for extra in ([], ["--pretty"]):
+        monkeypatch.setattr(dot, "time", _Clock())
+        path = str(fixture_path("ta_opaque.ta"))
+        assert main(["beliefs", path, "--dot", str(target), "--time-cap", "3.5", *extra]) == 2
+        assert "INDETERMINATE time cap 3.5s exceeded" in capsys.readouterr().err
+        assert target.read_text().count("shape=") == 3

@@ -285,7 +285,7 @@ def test_leaking_weak_implies_leaking_full_everywhere():
     for name in SOLVE_FIXTURES:
         space = load_space(name)
         graph = space.explore(include_dead=True)
-        for b in graph.states:
+        for b in graph.nodes:
             if b is BOTTOM:
                 continue
             if Mode.WEAK.leaks(space.has_private_final(b), space.has_public_final(b)):

@@ -409,14 +409,17 @@ def test_cli_beliefs_pretty_names_every_belief(tmp_path):
     target = tmp_path / "b.dot"
     assert main(["beliefs", fx("ta_counterex.ta"), "--dot", str(target), "--pretty"]) == 0
     names = re.findall(r'^  "([^"]+)" \[shape=box', target.read_text(), re.M)
-    assert len(names) == len(load_space("ta_counterex").explore().states) - 1
+    assert len(names) == len(load_space("ta_counterex").explore().nodes) - 1
     assert len(set(names)) == len(names)
     assert all(re.fullmatch(r"b(\d+|\(\d+,\d+\))('(\d+)?)?", n) for n in names), names
 
 
 def test_cli_capped_exports_exit_indeterminate(tmp_path, capsys):
     """Every DOT export honours both caps: a capped one writes what it
-    explored, reports INDETERMINATE and exits 2."""
+    explored, reports INDETERMINATE and exits 2.  The time cap bounds the
+    render too: a walk that stops on it leaves far more beliefs than can be
+    written in time, so the render stops as well and still closes the
+    graph."""
     target = tmp_path / "capped.dot"
     t0 = time.monotonic()
     code = main(["beliefs", fx("minsky_halt.ta"), "--dot", str(target), "--state-cap", "1000"])
@@ -430,12 +433,16 @@ def test_cli_capped_exports_exit_indeterminate(tmp_path, capsys):
         assert "INDETERMINATE state cap 3 exceeded" in capsys.readouterr().err, cmd
         body = target.read_text()
         assert body.startswith("digraph") and body.count("shape=") == 4, cmd
-    code = main(
-        ["beliefs", fx("minsky_halt.ta"), "--dot", str(target), "--state-cap", "10000000",
-         "--time-cap", "0.5"]
-    )
-    assert code == 2
-    assert "INDETERMINATE time cap 0.5s exceeded" in capsys.readouterr().err
+    for extra in ([], ["--pretty"]):
+        t0 = time.monotonic()
+        code = main(
+            ["beliefs", fx("minsky_halt.ta"), "--dot", str(target), "--state-cap", "10000000",
+             "--time-cap", "0.5", *extra]
+        )
+        assert code == 2, extra
+        assert time.monotonic() - t0 < 10, extra
+        assert "INDETERMINATE time cap 0.5s exceeded" in capsys.readouterr().err, extra
+        assert target.read_text().rstrip().endswith("}"), extra
 
 
 def test_cli_exports_default_to_the_export_state_cap(tmp_path, capsys, monkeypatch):
@@ -547,10 +554,10 @@ def test_pretty_belief_names_stay_short_in_a_large_depth_group():
     the digits of the rank, not with the rank itself."""
     space = BeliefSpace(RegionContext(prepare(load_ta("minsky_halt"))))
     graph = space.explore(include_dead=False, state_cap=2000)
-    names = dot.pretty_belief_names(graph)
-    assert len(names) == len(graph.states) > 1000
-    assert len(set(names.values())) == len(names)
-    assert max(map(len, names.values())) <= 16
+    names = dot.pretty_belief_names(space, graph)
+    assert len(names) == len(graph.nodes) > 1000
+    assert len(set(names)) == len(names)
+    assert max(map(len, names)) <= 16
 
 
 def test_cli_beliefs_pretty_names_two_clock(tmp_path):
