@@ -32,9 +32,13 @@ do.  The game keeps beliefs as plain ints; `BeliefSpace.successor`, the
 strategy walks' step under one enabled set, hands out a `Belief`, the set
 view that the other readers use too.  Neither step keeps what it returns.
 `BeliefSpace.explore` walks the belief graph into a `graphs.Explored` store,
-as the game is walked, with `Belief` nodes.
+as the game is walked, with `Belief` nodes and the game's int labels: the
+smallest enabled set's mask over `controllable` << 2 | tick code, which
+`BeliefSpace.label` decodes.
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 from .graphs import Explored, bfs
 from .regions import RegionContext
@@ -68,6 +72,7 @@ BOTTOM = "__bottom__"
 DEAD = 0
 
 TICKS = ("0+", "1")
+TICK_NAMES = ("0", "0+", "1")  # by tick code, the low two bits of an edge label
 
 
 def ticks_from(belief: object) -> tuple[str, ...]:
@@ -85,24 +90,31 @@ class BeliefSpace:
         self._bit = {name: 1 << i for i, name in enumerate(self.controllable)}
         self._bit.update(dict.fromkeys((SILENT.name, *self.uncontrollable), 0))  # free names
         self._computed = 0  # class closures, see `successors_computed`
-        self._classes: dict[int, dict[int, frozenset[str]]] = {}  # T -> its classes
+        self._classes: dict[int, tuple[int, ...]] = {}  # T -> its classes
         self._moves: dict[int, tuple] = {}
 
     # -- label helpers -------------------------------------------------------
 
-    def _classes_below(self, names: int) -> dict[int, frozenset[str]]:
-        """Every submask of the name mask ``names`` with its enabled set, in
-        label order (fewest names first, then by sorted names); built once
-        per mask."""
+    def _classes_below(self, names: int) -> tuple[int, ...]:
+        """Every submask of the name mask ``names`` in label order (fewest
+        names first, then by sorted names, which is by bit index since the
+        names are sorted, as `combinations` gives them); built once per mask."""
         classes = self._classes.get(names)
         if classes is None:
-            subs = [(0, frozenset())]
-            for i, name in enumerate(self.controllable):
-                if names >> i & 1:
-                    subs += [(m | 1 << i, e | {name}) for m, e in subs]
-            subs.sort(key=lambda c: (len(c[1]), sorted(c[1])))
-            classes = self._classes[names] = dict(subs)
+            bits = [1 << i for i in range(names.bit_length()) if names >> i & 1]
+            classes = self._classes[names] = tuple(
+                sum(c) for k in range(len(bits) + 1) for c in combinations(bits, k)
+            )
         return classes
+
+    def label(self, code: int) -> tuple[str, frozenset[str]]:
+        """The (tick, enabled) that the edge label ``code`` stands for: its
+        low two bits are the tick (0 for '0', 1 for '0+', 2 for '1'), the
+        rest the enabled set as a mask over `controllable`."""
+        mask = code >> 2
+        return TICK_NAMES[code & 3], frozenset(
+            n for i, n in enumerate(self.controllable) if mask >> i & 1
+        )
 
     # -- construction --------------------------------------------------------
 
@@ -202,10 +214,11 @@ class BeliefSpace:
         self._computed += 1
         return Belief(self._closure(seed, mask))
 
-    def successors(self, belief: object, tick: str) -> list[tuple[frozenset[str], int]]:
+    def successors(self, belief: object, tick: str) -> list[tuple[int, int]]:
         """Each distinct successor of ``belief`` under ``tick`` once, as a
-        plain int, labelled with the smallest enabled set that yields it, in
-        label order: fewest names first, then by sorted names; not cached.
+        plain int, with the smallest enabled set that yields it as a mask
+        over `controllable`, in label order: fewest names first, then by
+        sorted names; not cached.
 
         Only the names T with a step from a region of the closure under
         every name can fire under any enabled set e (closures grow with e),
@@ -241,12 +254,12 @@ class BeliefSpace:
             closed.setdefault(bit, none)  # no step out of ∅'s regions: {bit} adds nothing
         closed[names] = full
         self._grow_classes(closed, names)
-        first: dict[int, frozenset[str]] = {}  # in label order
+        first: dict[int, int] = {}  # successor -> its smallest class, in label order
         classes = self._classes_below(names)
-        for mask, e in classes.items():
-            first.setdefault(closed[mask], e)
+        for mask in classes:
+            first.setdefault(closed[mask], mask)
         self._computed += len(classes)
-        return [(e, b) for b, e in first.items()]
+        return [(c, b) for b, c in first.items()]
 
     def _grow_classes(self, closed: dict[int, int], names: int) -> None:
         """Adds to ``closed``, which holds the closures under ∅, each
@@ -317,12 +330,16 @@ class BeliefSpace:
     ) -> Explored:
         """The reachable belief graph as `graphs.bfs` stores it under its
         caps, node 0 `BOTTOM` and the others `Belief`s: one edge per distinct
-        successor of a belief under a tick, labelled (tick, enabled) with the
-        smallest enabled set that yields it, as in the game.  Without
-        ``include_dead`` moves into the dead belief are left out."""
+        successor of a belief under a tick, labelled as in the game with the
+        smallest enabled set that yields it, an int that `label` decodes.
+        Without ``include_dead`` moves into the dead belief are left out."""
 
         def moves(b):
-            steps = [((t, e), b2) for t in ticks_from(b) for e, b2 in self.successors(b, t)]
+            steps = [
+                (c << 2 | TICK_NAMES.index(t), b2)
+                for t in ticks_from(b)
+                for c, b2 in self.successors(b, t)
+            ]
             return steps if include_dead else [s for s in steps if s[1] != DEAD]
 
         g = bfs(BOTTOM, moves, state_cap, time_cap)

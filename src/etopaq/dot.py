@@ -23,29 +23,43 @@ def _q(s: str) -> str:
 
 def _dot(graph: str, g: Explored, node, named, time_cap: float | None) -> tuple[str, str]:
     """The DOT digraph ``graph`` of ``g`` and why it stopped short, the walk's
-    cap first.  Nodes go in id order, with ``node``'s attributes, until
-    ``time_cap`` seconds have passed; ``named(n)`` then gives the names of
-    the n nodes written and the (source id, label, target id) edges in the
-    order to write, of which those among the n nodes are written."""
+    cap first.  Nodes go in id order, each with the name and attributes that
+    ``node(i, x)`` gives, until ``time_cap`` seconds have passed;
+    ``named(names)`` then gives, from the names of the n nodes written, the
+    names to write and the (source id, label, target id) edges in the order
+    to write, of which those among the n nodes are written.  A label is a
+    string, or a belief or game edge's (tick, sorted names)."""
     deadline = None if time_cap is None else time.monotonic() + time_cap
-    attrs, stopped = [], g.stopped
-    for x in g.nodes:
+    names, attrs, stopped = [], [], g.stopped
+    for i, x in enumerate(g.nodes):
         if deadline is not None and time.monotonic() > deadline:
             stopped = stopped or f"time cap {time_cap}s exceeded"
             break
-        attrs.append(node(x))
+        name, attr = node(i, x)
+        names.append(name)
+        attrs.append(attr)
     n = len(attrs)
-    names, arcs = named(n)
-    for k, name in zip(range(n), names):  # in place: each node's attributes once in memory
+    names, arcs = named(names)
+    for k, name in enumerate(names):  # in place: each node's attributes once in memory
         attrs[k] = f"  {name} [{attrs[k]}];"
     lines = [f"digraph {graph} {{", "  rankdir=LR;", *attrs]
     for i, label, j in arcs:
         if max(i, j) < n:
-            if not isinstance(label, str):  # a belief or game edge's (tick, enabled)
-                label = f"{label[0]}, {{{','.join(sorted(label[1]))}}}"
+            if not isinstance(label, str):
+                label = f"{label[0]}, {{{','.join(label[1])}}}"
             lines.append(f"  {names[i]} -> {names[j]} [label={_q(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n", stopped
+
+
+def _decoded(space: BeliefSpace, g: Explored) -> dict[int, tuple[str, list[str]]]:
+    """Each edge label of the belief or game store ``g`` as (tick, sorted
+    names), the order the belief exports sort edges in."""
+    out = {}
+    for code in g.labels:
+        tick, enabled = space.label(code)
+        out[code] = (tick, sorted(enabled))
+    return out
 
 
 def regions_dot(
@@ -64,10 +78,10 @@ def regions_dot(
     finals = ctx.private_mask | ctx.public_mask
     shape = ("shape=ellipse", "shape=doublecircle")
 
-    def named(n):
-        return [_q(ctx.format_region(rid)) for rid in g.nodes[:n]], g.arcs()
+    def node(_, rid):
+        return _q(ctx.format_region(rid)), shape[finals >> rid & 1]
 
-    return _dot("regions", g, lambda rid: shape[finals >> rid & 1], named, time_cap)
+    return _dot("regions", g, node, lambda names: (names, g.arcs()), time_cap)
 
 
 def pretty_belief_names(space: BeliefSpace, g: Explored, n: int | None = None) -> list[str]:
@@ -79,8 +93,9 @@ def pretty_belief_names(space: BeliefSpace, g: Explored, n: int | None = None) -
     depths, so the store's own walk could name it otherwise."""
     n = len(g.nodes) if n is None else n
     steps: dict[int, list] = {}
-    arcs = [(i, label, j) for i, label, j in g.arcs() if max(i, j) < n]
-    for i, label, j in sorted(arcs, key=lambda a: (a[1][0], sorted(a[1][1]))):
+    labels = _decoded(space, g)
+    arcs = [(i, labels[code], j) for i, code, j in g.arcs() if max(i, j) < n]
+    for i, label, j in sorted(arcs, key=lambda a: a[1]):
         steps.setdefault(i, []).append((label[0], j))
     walk = bfs(0, lambda i: steps.get(i, ()))
     depth = [0] * len(walk.nodes)
@@ -106,26 +121,33 @@ def beliefs_dot(
 ) -> tuple[str, str]:
     """The belief graph without the dead belief: one edge per distinct
     successor of a belief under a tick, labelled with the smallest enabled
-    set that yields it, edges in (source name, tick, sorted names) order."""
+    set that yields it, edges in (source name, tick, sorted names) order.
+    A plain export names each belief by a digest of its regions as it
+    writes the belief; ``pretty`` ranks every written belief after the
+    last is written, as `pretty_belief_names` does."""
     g = space.explore(include_dead=False, state_cap=state_cap, time_cap=time_cap)
     ctx = space.ctx
 
-    def node(b):
+    def node(_, b):
         if b is BOTTOM:
-            return "shape=point"
+            return "bot", "shape=point"
         leak = Mode.FULL.leaks(space.has_private_final(b), space.has_public_final(b))
         style = ' style=filled fillcolor="#ffcccc"' if leak else ""
         tip = "; ".join(sorted(map(ctx.format_region, b)))
-        return f"shape=box tooltip={_q(tip)}{style}"
+        if pretty:
+            name = ""
+        else:
+            key = repr(tuple(sorted(map(ctx.key, b)))).encode()
+            name = f"B{blake2b(key, digest_size=5).hexdigest()}"
+        return name, f"shape=box tooltip={_q(tip)}{style}"
 
-    def named(n):
+    def named(names):
+        n = len(names)
         if pretty:
             names = pretty_belief_names(space, g, n)
-        else:
-            keys = (repr(tuple(sorted(map(ctx.key, b)))).encode() for b in g.nodes[1:n])
-            names = ["bot"] + [f"B{blake2b(k, digest_size=5).hexdigest()}" for k in keys]
-        arcs = [a for a in g.arcs() if a[0] < n]
-        arcs.sort(key=lambda a: (names[a[0]], a[1][0], sorted(a[1][1])))
+        labels = _decoded(space, g)
+        arcs = [(i, labels[code], j) for i, code, j in g.arcs() if i < n]
+        arcs.sort(key=lambda a: (names[a[0]], a[1]))
         return [_q(s) for s in names], arcs
 
     return _dot("beliefs", g, node, named, time_cap)
@@ -138,9 +160,14 @@ def game_dot(
     successor state, labelled with the smallest enabled set that leads
     there; state g{i} is the state of id i."""
     g = explore(space, mode, state_cap, time_cap)
+    labels = _decoded(space, g)
 
-    def node(st):
-        kind = "start" if st.current is BOTTOM else "point" if st.at_integer else "interval"
-        return f"shape=box label={_q(kind)}"
+    def node(i, st):
+        current, _, at_integer, _ = st
+        kind = "start" if current is BOTTOM else "point" if at_integer else "interval"
+        return f"g{i}", f"shape=box label={_q(kind)}"
 
-    return _dot("game", g, node, lambda n: ([f"g{i}" for i in range(n)], g.arcs()), time_cap)
+    def named(names):
+        return names, ((i, labels[code], j) for i, code, j in g.arcs())
+
+    return _dot("game", g, node, named, time_cap)

@@ -1,26 +1,31 @@
 """One-player Büchi game deciding meta-strategy existence, per opacity mode.
 
-Game states pair the current belief with the belief accumulated since the
-last tick-1 action; closing a bucket (taking a tick-1) is guarded by the
-mode's leak schedule (`modes.Mode.rule`) on the accumulated belief.  States
-carry the one memo the rule hands from each bucket to the next, which only
-closed mode sets.  A winning play is a reachable lasso whose loop takes
-tick-1 actions; its labels directly spell an eventually periodic
-meta-strategy.  Enabled sets that lead to the same successor state are one
-move, labelled with the smallest of them: fewest names first, then by sorted
-names.  Both beliefs of a state are plain int masks (`beliefs`).
+A game state is a plain tuple (current, accumulated, at_integer, memo): the
+current belief, the belief accumulated since the last tick-1 action, whether
+the state sits on an integer point, and the one memo the leak schedule
+(`modes.Mode.rule`) hands from each bucket to the next, which only closed
+mode sets.  Closing a bucket (taking a tick-1) is guarded by the schedule on
+the accumulated belief.  Both beliefs are plain int masks (`beliefs`), and
+`INITIAL` is the state before time 0.  A winning play is a reachable lasso
+whose loop takes tick-1 actions; its labels directly spell an eventually
+periodic meta-strategy.  Enabled sets that lead to the same successor state
+are one move, labelled with the smallest of them: fewest names first, then
+by sorted names.  A label is the int class mask << 2 | tick code, the mask
+over `BeliefSpace.controllable` and the code 0 for '0', 1 for '0+' and 2 for
+'1', so that building, hashing and interning a state or a label per edge
+all run in C; `BeliefSpace.label` decodes one back to (tick, enabled).
 
 `solve` explores the pruned game with `graphs.bfs` under its caps, into
 its interned state store, then searches it once, on ids: Tarjan's SCCs,
 the first tick-1 edge inside an SCC in discovery order, the BFS parent
 chain as the stem, and as the loop a shortest path inside the SCC (`bfs`
-again, over ids, restricted to it).  Only the witness maps ids back.
+again, over ids, restricted to it).  Only the witness maps ids back, and
+decodes its labels.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .beliefs import BOTTOM, DEAD, BeliefSpace
 from .graphs import Explored, bfs, path_to
@@ -36,22 +41,10 @@ from .strategies import (
 
 DEFAULT_STATE_CAP = 200_000
 
-
-class GameState(NamedTuple):
-    """A tuple, so that hashing and comparing one runs in C."""
-
-    current: object  # belief mask or BOTTOM
-    accumulated: int
-    at_integer: bool
-    memo: bool = False  # what `Mode.rule` handed on from the bucket before
+INITIAL = (BOTTOM, DEAD, True, False)
 
 
-INITIAL = GameState(BOTTOM, DEAD, True)
-
-
-def game_successors(
-    space: BeliefSpace, st: GameState, mode: Mode
-) -> list[tuple[Label, GameState]]:
+def game_successors(space: BeliefSpace, st: tuple, mode: Mode) -> list[tuple[int, tuple]]:
     """Legal moves.  Integer-phase states only offer tick-1 actions (the
     choice schedule of a meta-strategy never switches mid-point), interval
     states offer '0+' and '1'; a tick-1 closes the state's bucket, and
@@ -60,20 +53,18 @@ def game_successors(
     belief gives one move, labelled with the smallest enabled set that
     yields it (`BeliefSpace.successors`): the edges left out duplicate an
     earlier edge of the same state, so every walk discovers the same states
-    through the same edges."""
-    if st.current is BOTTOM:
-        return [(("0", e), GameState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
-    acc, point = st.accumulated, st.at_integer
-    out: list[tuple[Label, GameState]] = [] if point else [
-        (("0+", e), GameState(b, acc | b, False, st.memo))
-        for e, b in space.successors(st.current, "0+")
+    through the same edges.  A label is the int class mask << 2 | tick
+    code, 0 for '0', 1 for '0+' and 2 for '1' (`BeliefSpace.label`)."""
+    current, acc, point, memo = st
+    if current is BOTTOM:
+        return [(c << 2, (b, b, True, False)) for c, b in space.successors(BOTTOM, "0")]
+    out = [] if point else [
+        (c << 2 | 1, (b, acc | b, False, memo)) for c, b in space.successors(current, "0+")
     ]
-    memo = mode.rule(point, space.has_private_final(acc), space.has_public_final(acc), st.memo)
-    if memo is not None:
-        out += [
-            (("1", e), GameState(b, b, not point, memo))
-            for e, b in space.successors(st.current, "1")
-        ]
+    handed = mode.rule(point, space.has_private_final(acc), space.has_public_final(acc), memo)
+    if handed is not None:
+        point = not point  # a tick-1 moves from a point into an interval or back
+        out += [(c << 2 | 2, (b, b, point, handed)) for c, b in space.successors(current, "1")]
     return out
 
 
@@ -173,7 +164,7 @@ def solve(
             (u, label, w)
             for u in range(len(g.nodes))
             for label, w in g.steps(u)
-            if g.labels[label][0] == "1" and comp[u] == comp[w]
+            if g.labels[label] & 3 == 2 and comp[u] == comp[w]
         ),
         None,
     )
@@ -187,9 +178,10 @@ def solve(
     stem = [lbl for lbl, _ in path_to(g, u)]
     # rotation: start the loop right after a tick-1 landing on an integer point
     states = [u] + [s for _, s in cycle]
-    rot = next(i for i, s in enumerate(states[:-1]) if g.nodes[s].at_integer)
-    loop_labels = tuple(g.labels[lbl] for lbl, _ in cycle[rot:] + cycle[:rot])
-    stem_labels = tuple(stem + [g.labels[lbl] for lbl, _ in cycle[:rot]])
+    rot = next(i for i, s in enumerate(states[:-1]) if g.nodes[s][2])  # at_integer
+    decode = space.label
+    loop_labels = tuple(decode(g.labels[lbl]) for lbl, _ in cycle[rot:] + cycle[:rot])
+    stem_labels = tuple(map(decode, stem + [g.labels[lbl] for lbl, _ in cycle[:rot]]))
     return SolveResult("SAT", WinningWitness(stem_labels, loop_labels), stats)
 
 

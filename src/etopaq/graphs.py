@@ -54,8 +54,9 @@ def bfs(
     deadline = None if time_cap is None else time.monotonic() + time_cap
     g = Explored([start], [], array("i"), array("i"), array("i", [-1]), array("i", [-1]))
     nodes, pairs, ends, parent, via = g.nodes, g.pairs, g.ends, g.parent, g.via
+    add_node, add_pair, add_parent, add_via = nodes.append, pairs.append, parent.append, via.append
     ids, label_ids = {start: 0}, {}  # both in id order: `labels` is label_ids's keys
-    edges, stopped = 0, ""
+    found, edges, stopped = 1, 0, ""  # found: len(nodes), kept by hand in the edge loop
     try:
         for i, node in enumerate(nodes):  # `nodes` grows behind the cursor: a FIFO queue
             if deadline is not None and time.monotonic() > deadline:
@@ -64,19 +65,22 @@ def bfs(
             steps = successors(node)
             edges += len(steps)
             for label, n2 in steps:
-                lid = label_ids.setdefault(label, len(label_ids))
-                j = ids.setdefault(n2, len(nodes))
-                if j == len(nodes):
+                lid = label_ids.get(label)
+                if lid is None:
+                    lid = label_ids[label] = len(label_ids)
+                j = ids.setdefault(n2, found)
+                if j == found:
                     if stopped:  # past the cap: only edges to nodes already found
                         del ids[n2]
                         continue
-                    parent.append(i)
-                    via.append(lid)
-                    nodes.append(n2)
+                    add_parent(i)
+                    add_via(lid)
+                    add_node(n2)
+                    found += 1
                     if state_cap is not None and j >= state_cap:
                         stopped = f"state cap {state_cap} exceeded"
-                pairs.append(lid)
-                pairs.append(j)
+                add_pair(lid)
+                add_pair(j)
             ends.append(len(pairs))
             if stopped:
                 break

@@ -20,11 +20,12 @@ every walk starts, and `id_of(location, valuation)`, the region of a concrete
 clock valuation; `locations[i]` is a region's location, `key(i)` its
 orderable encoding and `format_region(i)` its label.  A location's guards
 and invariants compile, on the first region expanded there, into (clock, lo,
-hi) range tests over the codes; an edge's test also covers the target
-invariant, decided outright on the clocks the edge resets.  The time
-successor of a clock part is computed once whatever the location, and each
-region is expanded once into both its delay and its discrete steps, in no
-particular order, kept in a list indexed by id.
+hi) range tests over the codes, each distinct conjunction of atoms once per
+context; an edge's test also covers the target invariant, decided outright
+on the clocks the edge resets.  The time successor of a clock part is
+computed once whatever the location, and each region is expanded once into
+both its delay and its discrete steps, in no particular order, kept in a
+list indexed by id.
 """
 from __future__ import annotations
 
@@ -78,6 +79,7 @@ class RegionContext:
         self._top = tuple(2 * c + 1 for c in self.cmax)  # the code of "above"
         # location -> (invariant tests or None, ((action, tests, resets, target), ...))
         self._compiled: dict[str, tuple] = {}
+        self._conjunctions: dict[tuple, Ranges | None] = {}  # atoms -> `_compile_atoms` of them
         self._edges_from: dict[str, list] = {}  # source -> edges, from the first compile on
         self._part_ids: dict[tuple, int] = {}  # (codes, pos) -> part id
         self._parts: list[tuple] = []  # part id -> (codes, pos)
@@ -158,12 +160,21 @@ class RegionContext:
             if not all(a.holds(0) for a in target_inv if a.clock in e.resets):
                 continue
             kept = tuple(a for a in target_inv if a.clock not in e.resets)
-            tests = _compile_atoms(e.guard + kept, self.cmax)
+            tests = self._conjunction(e.guard + kept)
             if tests is not None:
                 edges.append((e.action, tests, e.resets, e.target))
-        compiled = (_compile_atoms(self.ta.invariant(location), self.cmax), tuple(edges))
+        compiled = (self._conjunction(self.ta.invariant(location)), tuple(edges))
         self._compiled[location] = compiled
         return compiled
+
+    def _conjunction(self, atoms: tuple[Atom, ...]) -> Ranges | None:
+        """`_compile_atoms` of ``atoms``, computed once per context: the
+        prepared automaton repeats guards and invariants across locations."""
+        try:
+            return self._conjunctions[atoms]
+        except KeyError:
+            tests = self._conjunctions[atoms] = _compile_atoms(atoms, self.cmax)
+            return tests
 
     def _time_successor(self, pid: int) -> tuple:
         """(stay, later) for clock part ``pid``, kept in ``_later`` whatever

@@ -57,11 +57,12 @@ def every_enabled_set(space: BeliefSpace) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(c) for k in range(len(names) + 1) for c in combinations(names, k))
 
 
-def belief_edges(g: Explored):
-    """The edges of a belief store from `BeliefSpace.explore`, as (source,
-    tick, enabled, target) with both ends read back as nodes."""
-    for i, (tick, enabled), j in g.arcs():
-        yield g.nodes[i], tick, enabled, g.nodes[j]
+def belief_edges(space: BeliefSpace, g: Explored):
+    """The edges of a belief store from ``space.explore``, as (source,
+    tick, enabled, target) with both ends read back as nodes and the label
+    decoded by the space."""
+    for i, code, j in g.arcs():
+        yield (g.nodes[i], *space.label(code), g.nodes[j])
 
 
 def leaking_full(space: BeliefSpace, belief) -> bool:

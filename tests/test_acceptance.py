@@ -135,7 +135,7 @@ def test_criterion_2_belief_reconstruction():
     assert len(graph.nodes) == 7
     got = {
         (names[s], t, "".join(sorted(e)), names[d])
-        for s, t, e, d in belief_edges(graph)
+        for s, t, e, d in belief_edges(space, graph)
     }
     expected = {("bot", "0", "a", "b0"), ("bot", "0", "", "b0'")}
     for src in ("b0", "b0'", "b1", "b1'"):
@@ -163,7 +163,7 @@ def test_criterion_2_belief_reconstruction():
     assert len(graph2.nodes) == 15
     got2 = {
         (names2[s], t, "".join(sorted(e)), names2[d])
-        for s, t, e, d in belief_edges(graph2)
+        for s, t, e, d in belief_edges(space2, graph2)
     }
     expected2 = {("bot", "0", "a", "b0"), ("bot", "0", "", "b0'")}
     for i, rung in enumerate(ladder):

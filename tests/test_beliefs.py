@@ -295,7 +295,7 @@ def test_reconstruct_belief_automaton_ta_opaque(opaque_space):
     assert len(graph.nodes) == 7
     got = {
         (names[s], tick, "".join(sorted(e)), names[t])
-        for s, tick, e, t in belief_edges(graph)
+        for s, tick, e, t in belief_edges(space, graph)
     }
     assert got == _paper_edges_ta_opaque()
 
@@ -324,7 +324,7 @@ def test_reconstruct_belief_automaton_two_clock_variant():
     assert len(graph.nodes) == 15
     got = {
         (names[s], tick, "".join(sorted(e)), names[t])
-        for s, tick, e, t in belief_edges(graph)
+        for s, tick, e, t in belief_edges(space, graph)
     }
     expected = {("bot", "0", "a", "b0"), ("bot", "0", "", "b0'")}
     ladder = ["b0", "b(0,1)", "b1", "b(1,2)", "b2", "b(2,3)", "b3"]
@@ -470,7 +470,7 @@ def _assert_matches_reference(ta) -> int:
         assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
     ctx = space.ctx
     graph = space.explore(include_dead=True)
-    moves = {(s, tick, e): t for s, tick, e, t in belief_edges(graph)}
+    moves = {(s, tick, e): t for s, tick, e, t in belief_edges(space, graph)}
     compared = 0
     for b in graph.nodes:
         if b is BOTTOM:
@@ -612,7 +612,9 @@ def _assert_successors_dedup(space, state_cap=None) -> tuple[int, int]:
                 expected.setdefault(b2, e)
             got = space.successors(b, tick)
             assert len({b2 for _, b2 in got}) == len(got), "duplicate belief"
-            assert got == [(e, b2) for b2, e in expected.items()], tick
+            assert [(space.label(c << 2)[1], b2) for c, b2 in got] == [
+                (e, b2) for b2, e in expected.items()
+            ], tick
             widest = max(widest, len(got))
     return len(beliefs), widest
 
@@ -675,7 +677,7 @@ def _classes_checked(monkeypatch) -> dict:
 
     def checked(self, closed, names):
         real_grow(self, closed, names)
-        assert closed.keys() == self._classes_below(names).keys()
+        assert closed.keys() == set(self._classes_below(names))
         for c, mask in closed.items():
             assert mask == self._closure(seed[0], c), (self.ctx.ta.name, bin(c))
             n = c & -c

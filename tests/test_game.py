@@ -3,7 +3,6 @@ from __future__ import annotations
 import gc
 import random
 import weakref
-from typing import NamedTuple
 
 import pytest
 
@@ -16,14 +15,14 @@ from conftest import (
     load_ta,
 )
 from etopaq import msformat, prepare
-from etopaq.beliefs import BOTTOM, BeliefSpace
+from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace
 from etopaq.game import (
     INITIAL,
-    GameState,
     Mode,
     WinningWitness,
     check_exists,
     check_metastrategy,
+    explore,
     game_successors,
     solve,
     witness_to_metastrategy,
@@ -38,59 +37,110 @@ AB = frozenset({"a", "b"})
 NONE = frozenset()
 
 
+def _moves(space, st, mode):
+    """`game_successors` with each int label decoded to (tick, enabled)."""
+    return [(space.label(code), nxt) for code, nxt in game_successors(space, st, mode)]
+
+
+def test_game_labels_are_class_mask_and_tick_code(opaque_space):
+    """A label is the enabled set's mask over the sorted controllable
+    names, shifted past two bits of tick code: 0 '0', 1 '0+', 2 '1'."""
+    assert opaque_space.controllable == ("a",)
+    assert [opaque_space.label(code) for code in (0, 1, 2, 4, 5, 6)] == [
+        ("0", NONE), ("0+", NONE), ("1", NONE), ("0", A), ("0+", A), ("1", A)
+    ]
+    assert [code for code, _ in game_successors(opaque_space, INITIAL, Mode.FULL)] == [0, 4]
+
+
 def test_game_initial_moves(opaque_space):
-    moves = game_successors(opaque_space, INITIAL, Mode.FULL)
+    moves = _moves(opaque_space, INITIAL, Mode.FULL)
     assert [lbl for lbl, _ in moves] == [("0", NONE), ("0", A)]
-    for (_, enabled), st in moves:
-        assert st.current == opaque_space.initial(enabled)
-        assert st.at_integer
+    for (_, enabled), (current, accumulated, at_integer, memo) in moves:
+        assert current == accumulated == opaque_space.initial(enabled)
+        assert at_integer and not memo
 
 
 def test_game_prunes_leaking_point(opaque_space):
     # the choice (0, {}) leads to a leaking time-0 bucket: no way out
     (_, bad), (_, good) = game_successors(opaque_space, INITIAL, Mode.FULL)
     assert game_successors(opaque_space, bad, Mode.FULL) == []
-    follow = game_successors(opaque_space, good, Mode.FULL)
+    follow = _moves(opaque_space, good, Mode.FULL)
     assert follow and all(lbl[0] == "1" for lbl, _ in follow)
 
 
 def test_game_point_states_offer_only_tick1(opaque_space):
     _, good = game_successors(opaque_space, INITIAL, Mode.FULL)[1]
-    for lbl, st in game_successors(opaque_space, good, Mode.FULL):
+    for lbl, (current, accumulated, at_integer, _) in _moves(opaque_space, good, Mode.FULL):
         assert lbl[0] == "1"
-        assert not st.at_integer
-        assert st.accumulated == st.current
+        assert not at_integer
+        assert accumulated == current
 
 
 def test_game_interval_accumulates(opaque_space):
     _, good = game_successors(opaque_space, INITIAL, Mode.FULL)[1]
     _, mid = game_successors(opaque_space, good, Mode.FULL)[0]
-    for lbl, st in game_successors(opaque_space, mid, Mode.FULL):
+    for lbl, (current, accumulated, _, _) in _moves(opaque_space, mid, Mode.FULL):
         if lbl[0] == "0+":
-            assert st.accumulated >= mid.accumulated | st.current
+            assert accumulated == mid[1] | current  # mid's accumulated belief and the step's
         else:
-            assert st.accumulated == st.current
+            assert accumulated == current
 
 
 def test_almost_mode_ignores_leaking_points(opaque_space):
     (_, bad), _ = game_successors(opaque_space, INITIAL, Mode.ALMOST_FULL)
-    assert leaking_full(opaque_space, bad.accumulated)
+    _, accumulated, _, _ = bad
+    assert leaking_full(opaque_space, accumulated)
     assert game_successors(opaque_space, bad, Mode.ALMOST_FULL)
 
 
 def test_ta1_full_prunes_everything_after_ab():
     space = load_space("ta1")
-    starts = dict(
-        (enabled, st)
-        for (tick, enabled), st in game_successors(space, INITIAL, Mode.FULL)
-    )
+    starts = dict((enabled, st) for (tick, enabled), st in _moves(space, INITIAL, Mode.FULL))
     st = starts[AB]
     # time 0 is balanced, but every open interval then has public finals only
     for lbl, nxt in game_successors(space, st, Mode.FULL):
-        closes = [
-            l for l, _ in game_successors(space, nxt, Mode.FULL) if l[0] == "1"
-        ]
+        closes = [l for l, _ in _moves(space, nxt, Mode.FULL) if l[0] == "1"]
         assert closes == []
+
+
+def _assert_labels_mean_their_moves(space, mode, state_cap) -> int:
+    """On every state the game expands: the decoded labels come in label
+    order (tick, then fewest names, then sorted names), no two edges share
+    a target, and each target's current belief is the belief step under
+    its label.  Returns the edges checked."""
+    g = explore(space, mode, state_cap, None)
+    checked = 0
+    for i in range(len(g.ends)):
+        current = g.nodes[i][0]
+        steps = [(space.label(g.labels[lid]), j) for lid, j in g.steps(i)]
+        keys = [(t, len(e), sorted(e)) for (t, e), _ in steps]
+        assert keys == sorted(keys) and len(set(map(repr, keys))) == len(keys), keys
+        assert len({j for _, j in steps}) == len(steps)
+        for (tick, enabled), j in steps:
+            assert space.successor(current, tick, enabled) == g.nodes[j][0], (tick, enabled)
+        checked += len(steps)
+    return checked
+
+
+def test_game_labels_decode_to_the_moves_they_label():
+    from conftest import random_ta
+
+    checked = sum(
+        _assert_labels_mean_their_moves(load_space(name), mode, None)
+        for name in PAPER_FIXTURES
+        for mode in Mode
+    )
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    for i in range(20):
+        ta = random_ta(rng, name=f"labels{i}")
+        for mode in Mode:
+            space = BeliefSpace(RegionContext(prepare(ta)))
+            checked += _assert_labels_mean_their_moves(space, mode, 2000)
+    # the gadgets have eight names: label order and the order of mask values differ
+    # only from four names on, and the other automata here have two at most
+    for name in GADGETS:
+        checked += _assert_labels_mean_their_moves(_fresh_space(name), Mode.WEAK, 20)
+    assert checked > 1000
 
 
 # --- solving the paper examples ------------------------------------------------
@@ -342,38 +392,49 @@ def test_solver_deterministic_across_fresh_spaces():
 # --- one edge per distinct successor against one edge per enabled set -------------
 
 
+def _code(space, tick, enabled) -> int:
+    """The game label of (tick, enabled), encoded apart from `game_successors`:
+    the enabled set's mask over the sorted controllable names, shifted past
+    two bits of tick code."""
+    mask = sum(1 << space.controllable.index(name) for name in enabled)
+    return mask << 2 | ("0", "0+", "1").index(tick)
+
+
 def _all_subsets_successors(space, st, mode):
     """The game's moves with one edge per enabled set, duplicates kept: the
     relation `game_successors` emits one edge per distinct target of.  The
     leak schedule is written out here apart from `Mode.rule`."""
     subsets = every_enabled_set(space)
-    if st.current is BOTTOM:
-        return [(("0", e), GameState(space.initial(e), space.initial(e), True)) for e in subsets]
-    acc = st.accumulated
+    current, acc, at_integer, memo = st
+    if current is BOTTOM:
+        return [
+            (_code(space, "0", e), (space.initial(e), space.initial(e), True, False))
+            for e in subsets
+        ]
     priv, pub = space.has_private_final(acc), space.has_public_final(acc)
     leak = mode.leaks(priv, pub)
     closed = mode is Mode.CLOSED_FULL
-    if st.at_integer:
+    if at_integer:
         # closed mode excuses a point leak by a final in the interval before
         # (the memo) or else obliges the next interval to reach one
         obligation = False
         if closed:
-            obligation = leak and not st.memo
+            obligation = leak and not memo
         elif leak and mode is not Mode.ALMOST_FULL:
             return []
         moves = []
         for e in subsets:
-            b = space.successor(st.current, "1", e)
-            moves.append((("1", e), GameState(b, b, False, obligation)))
+            b = space.successor(current, "1", e)
+            moves.append((_code(space, "1", e), (b, b, False, obligation)))
         return moves
     moves = []
     for e in subsets:
-        b = space.successor(st.current, "0+", e)
-        moves.append((("0+", e), GameState(b, acc | b, False, st.memo)))
-    if not leak and not (closed and st.memo and not (priv or pub)):
+        b = space.successor(current, "0+", e)
+        moves.append((_code(space, "0+", e), (b, acc | b, False, memo)))
+    if not leak and not (closed and memo and not (priv or pub)):
         for e in subsets:
-            b = space.successor(st.current, "1", e)
-            moves.append((("1", e), GameState(b, b, True, closed and (priv or pub))))
+            b = space.successor(current, "1", e)
+            moves.append((_code(space, "1", e), (b, b, True, closed and (priv or pub))))
     return moves
 
 
@@ -400,41 +461,33 @@ def test_distinct_successor_edges_keep_every_verdict(monkeypatch):
 # --- the one-memo game against a game with two memo bits ---------------------------
 
 
-class _TwoBitState(NamedTuple):
-    current: object
-    accumulated: frozenset
-    at_integer: bool
-    prev_interval_finals: bool = False
-    obligation: bool = False
-
-
 def _two_bit_successors(space, st, mode):
-    """The game step with two memo bits: whether the last closed interval
-    reached a final, read at a point, and the obligation a point hands to
-    the interval after it.  Neither bit is read in the states that carry
-    the other, so the one-memo game is a quotient of this one."""
-    if st.current is BOTTOM:
-        return [(("0", e), _TwoBitState(b, b, True)) for e, b in space.successors(BOTTOM, "0")]
-    acc = st.accumulated
+    """The game step with two memo bits, on states (current, accumulated,
+    at_integer, prev_interval_finals, obligation): whether the last closed
+    interval reached a final, read at a point, and the obligation a point
+    hands to the interval after it.  Neither bit is read in the states that
+    carry the other, so the one-memo game is a quotient of this one."""
+    current, acc, at_integer, prev, obligation = st
+    if current is BOTTOM:
+        return [(c << 2, (b, b, True, False, False)) for c, b in space.successors(BOTTOM, "0")]
     priv, pub = space.has_private_final(acc), space.has_public_final(acc)
-    prev = st.prev_interval_finals
-    if st.at_integer:
+    if at_integer:
         obligation = mode.rule(True, priv, pub, prev)
         if obligation is None:
             return []
         return [
-            (("1", e), _TwoBitState(b, b, False, prev, obligation))
-            for e, b in space.successors(st.current, "1")
+            (c << 2 | 2, (b, b, False, prev, obligation))
+            for c, b in space.successors(current, "1")
         ]
     out = [
-        (("0+", e), _TwoBitState(b, acc | b, False, prev, st.obligation))
-        for e, b in space.successors(st.current, "0+")
+        (c << 2 | 1, (b, acc | b, False, prev, obligation))
+        for c, b in space.successors(current, "0+")
     ]
-    finals = mode.rule(False, priv, pub, st.obligation)
+    finals = mode.rule(False, priv, pub, obligation)
     if finals is not None:
         out += [
-            (("1", e), _TwoBitState(b, b, True, finals, False))
-            for e, b in space.successors(st.current, "1")
+            (c << 2 | 2, (b, b, True, finals, False))
+            for c, b in space.successors(current, "1")
         ]
     return out
 
@@ -452,7 +505,7 @@ def _assert_quotient_of_two_bit_game(ta, monkeypatch, state_cap) -> int:
         got = solve(space, mode, state_cap)
         with monkeypatch.context() as m:
             m.setattr(game_mod, "game_successors", _two_bit_successors)
-            m.setattr(game_mod, "INITIAL", _TwoBitState(BOTTOM, frozenset(), True))
+            m.setattr(game_mod, "INITIAL", (BOTTOM, DEAD, True, False, False))
             ref_space = BeliefSpace(RegionContext(prepare(ta)))
             want = solve(ref_space, mode, state_cap)
         assert got.status == want.status, (ta.name, mode)
