@@ -271,13 +271,13 @@ class BeliefSpace:
         closed under free steps, so U is too, and a step of m ∈ c that
         lands in closed[{m}] stays in U.  So U needs closing only from the
         escaping steps: the steps of each name m that land outside
-        closed[{m}], indexed once from the full class's regions.  A step
-        out of a region that both parts hold stays in one of them, so only
-        the regions held by one part and not the other are read: n-steps
-        out of closed[c − n] and steps of c − n out of closed[{n}].  Classes
-        come in increasing order, so both parts are closed before c.  On
-        the gadgets no step escapes, and every class of two names or more
-        is a plain union."""
+        closed[{m}], indexed once from the full class's regions.  Those of
+        the names of c out of U's regions are read, and what they reach
+        outside U is closed; a step of a part's own names out of that
+        part's regions lands inside it, so it adds nothing.  Classes come
+        in increasing order, so both parts are closed before c.  On the
+        gadgets no step escapes, and every class of two names or more is a
+        plain union."""
         if names.bit_count() < 3:
             return
         table = self._moves
@@ -291,17 +291,11 @@ class BeliefSpace:
         while cls != names:
             n = cls & -cls
             if n != cls:  # two names or more
-                below, single = closed[cls ^ n], closed[n]
-                union, todo = below | single, 0
-                if escapes:
-                    only_below, only_single = below & ~single, single & ~below
-                    for bit, src, js in escapes:
-                        if bit == n:
-                            if src & only_below:
-                                todo |= js
-                        elif bit & cls and src & only_single:
-                            todo |= js
-                    todo &= ~union
+                union, todo = closed[cls ^ n] | closed[n], 0
+                for bit, src, js in escapes:
+                    if bit & cls and src & union:
+                        todo |= js
+                todo &= ~union
                 closed[cls] = self._closure(todo, cls, union) if todo else union
             cls = (cls - names) & names  # the next submask of ``names``
 
@@ -322,25 +316,20 @@ class BeliefSpace:
 
     # -- exploration ----------------------------------------------------------
 
-    def explore(
-        self,
-        include_dead: bool = False,
-        state_cap: int | None = None,
-        time_cap: float | None = None,
-    ) -> Explored:
+    def explore(self, state_cap: int | None = None, time_cap: float | None = None) -> Explored:
         """The reachable belief graph as `graphs.bfs` stores it under its
         caps, node 0 `BOTTOM` and the others `Belief`s: one edge per distinct
-        successor of a belief under a tick, labelled as in the game with the
-        smallest enabled set that yields it, an int that `label` decodes.
-        Without ``include_dead`` moves into the dead belief are left out."""
+        successor of a belief under a tick other than the dead belief,
+        labelled as in the game with the smallest enabled set that yields
+        it, an int that `label` decodes."""
 
         def moves(b):
-            steps = [
+            return [
                 (c << 2 | TICK_NAMES.index(t), b2)
                 for t in ticks_from(b)
                 for c, b2 in self.successors(b, t)
+                if b2 != DEAD
             ]
-            return steps if include_dead else [s for s in steps if s[1] != DEAD]
 
         g = bfs(BOTTOM, moves, state_cap, time_cap)
         g.nodes[1:] = map(Belief, g.nodes[1:])

@@ -6,6 +6,7 @@ in id order, and the edges among them."""
 from __future__ import annotations
 
 import time
+from functools import cache
 from hashlib import blake2b
 
 from .beliefs import BOTTOM, BeliefSpace
@@ -23,23 +24,23 @@ def _q(s: str) -> str:
 
 def _dot(graph: str, g: Explored, node, named, time_cap: float | None) -> tuple[str, str]:
     """The DOT digraph ``graph`` of ``g`` and why it stopped short, the walk's
-    cap first.  Nodes go in id order, each with the name and attributes that
+    cap first.  Nodes go in id order, each with the key and attributes that
     ``node(i, x)`` gives, until ``time_cap`` seconds have passed;
-    ``named(names)`` then gives, from the names of the n nodes written, the
+    ``named(keys)`` then gives, from the keys of the n nodes written, the
     names to write and the (source id, label, target id) edges in the order
     to write, of which those among the n nodes are written.  A label is a
     string, or a belief or game edge's (tick, sorted names)."""
     deadline = None if time_cap is None else time.monotonic() + time_cap
-    names, attrs, stopped = [], [], g.stopped
+    keys, attrs, stopped = [], [], g.stopped
     for i, x in enumerate(g.nodes):
         if deadline is not None and time.monotonic() > deadline:
             stopped = stopped or f"time cap {time_cap}s exceeded"
             break
-        name, attr = node(i, x)
-        names.append(name)
+        key, attr = node(i, x)
+        keys.append(key)
         attrs.append(attr)
     n = len(attrs)
-    names, arcs = named(names)
+    names, arcs = named(keys)
     for k, name in enumerate(names):  # in place: each node's attributes once in memory
         attrs[k] = f"  {name} [{attrs[k]}];"
     lines = [f"digraph {graph} {{", "  rankdir=LR;", *attrs]
@@ -54,12 +55,12 @@ def _dot(graph: str, g: Explored, node, named, time_cap: float | None) -> tuple[
 
 def _decoded(space: BeliefSpace, g: Explored) -> dict[int, tuple[str, list[str]]]:
     """Each edge label of the belief or game store ``g`` as (tick, sorted
-    names), the order the belief exports sort edges in."""
+    names), in that order: the order the belief exports sort edges in."""
     out = {}
     for code in g.labels:
         tick, enabled = space.label(code)
         out[code] = (tick, sorted(enabled))
-    return out
+    return dict(sorted(out.items(), key=lambda item: item[1]))
 
 
 def regions_dot(
@@ -84,19 +85,21 @@ def regions_dot(
     return _dot("regions", g, node, lambda names: (names, g.arcs()), time_cap)
 
 
-def pretty_belief_names(space: BeliefSpace, g: Explored, n: int | None = None) -> list[str]:
-    """Bucket-style names of the belief store's first ``n`` nodes (all by
-    default), by id: beliefs first reached at integer point k become b{k},
-    b{k}', b{k}'2, b{k}'3 ... (largest first); interval beliefs b(k,k+1)
+def pretty_belief_names(space: BeliefSpace, g: Explored, ranks: list) -> list[str]:
+    """Bucket-style names of the belief store's first n nodes, by id, given
+    their n ranks (node 0's unread), each (-size, sorted region keys):
+    beliefs first reached at integer point k become b{k}, b{k}', b{k}'2,
+    b{k}'3 ... in rank order, so largest first; interval beliefs b(k,k+1)
     alike.  The depths come from a walk over the edges among them in (tick,
     sorted names) order: a belief can be as many hops away at two unit
     depths, so the store's own walk could name it otherwise."""
-    n = len(g.nodes) if n is None else n
+    n = len(ranks)
     steps: dict[int, list] = {}
     labels = _decoded(space, g)
-    arcs = [(i, labels[code], j) for i, code, j in g.arcs() if max(i, j) < n]
-    for i, label, j in sorted(arcs, key=lambda a: a[1]):
-        steps.setdefault(i, []).append((label[0], j))
+    order = {code: r for r, code in enumerate(labels)}
+    arcs = [a for a in g.arcs() if max(a[0], a[2]) < n]
+    for i, code, j in sorted(arcs, key=lambda a: order[a[1]]):
+        steps.setdefault(i, []).append((labels[code][0], j))
     walk = bfs(0, lambda i: steps.get(i, ()))
     depth = [0] * len(walk.nodes)
     by_depth: dict[int, list] = {}
@@ -104,9 +107,9 @@ def pretty_belief_names(space: BeliefSpace, g: Explored, n: int | None = None) -
         # "0" and "1" move on to the next point or interval, "0+" stays
         depth[k] = d = depth[walk.parent[k]] + (walk.labels[walk.via[k]] != "0+")
         by_depth.setdefault(d, []).append(walk.nodes[k])
-    names, key = ["bot"] * n, space.ctx.key
+    names = ["bot"] * n
     for d, group in by_depth.items():
-        group.sort(key=lambda i: (-len(g.nodes[i]), tuple(sorted(map(key, g.nodes[i])))))
+        group.sort(key=ranks.__getitem__)
         base = f"b{(d - 1) // 2}" if d % 2 else f"b({d // 2 - 1},{d // 2})"
         for r, i in enumerate(group):
             names[i] = base + ("'" * r if r < 2 else f"'{r}")
@@ -122,11 +125,13 @@ def beliefs_dot(
     """The belief graph without the dead belief: one edge per distinct
     successor of a belief under a tick, labelled with the smallest enabled
     set that yields it, edges in (source name, tick, sorted names) order.
-    A plain export names each belief by a digest of its regions as it
-    writes the belief; ``pretty`` ranks every written belief after the
-    last is written, as `pretty_belief_names` does."""
-    g = space.explore(include_dead=False, state_cap=state_cap, time_cap=time_cap)
+    Each belief's regions are read as the belief is written: a plain
+    export names it by a digest of its sorted region keys, and ``pretty``
+    keeps its rank for `pretty_belief_names`, which names the beliefs
+    written once the last is."""
+    g = space.explore(state_cap=state_cap, time_cap=time_cap)
     ctx = space.ctx
+    region_key = cache(ctx.key)  # each region's key built once, shared by the ranks
 
     def node(_, b):
         if b is BOTTOM:
@@ -134,21 +139,21 @@ def beliefs_dot(
         leak = Mode.FULL.leaks(space.has_private_final(b), space.has_public_final(b))
         style = ' style=filled fillcolor="#ffcccc"' if leak else ""
         tip = "; ".join(sorted(map(ctx.format_region, b)))
+        keys = tuple(sorted(map(region_key, b)))
         if pretty:
-            name = ""
+            key = -len(keys), keys
         else:
-            key = repr(tuple(sorted(map(ctx.key, b)))).encode()
-            name = f"B{blake2b(key, digest_size=5).hexdigest()}"
-        return name, f"shape=box tooltip={_q(tip)}{style}"
+            key = f"B{blake2b(repr(keys).encode(), digest_size=5).hexdigest()}"
+        return key, f"shape=box tooltip={_q(tip)}{style}"
 
-    def named(names):
-        n = len(names)
-        if pretty:
-            names = pretty_belief_names(space, g, n)
+    def named(keys):
+        n = len(keys)
+        names = pretty_belief_names(space, g, keys) if pretty else keys
         labels = _decoded(space, g)
-        arcs = [(i, labels[code], j) for i, code, j in g.arcs() if i < n]
-        arcs.sort(key=lambda a: (names[a[0]], a[1]))
-        return [_q(s) for s in names], arcs
+        order = {code: r for r, code in enumerate(labels)}
+        arcs = [a for a in g.arcs() if max(a[0], a[2]) < n]  # sort only the edges written
+        arcs.sort(key=lambda a: (names[a[0]], order[a[1]]))
+        return [_q(s) for s in names], ((i, labels[code], j) for i, code, j in arcs)
 
     return _dot("beliefs", g, node, named, time_cap)
 

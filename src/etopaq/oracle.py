@@ -51,12 +51,11 @@ class OracleTable:
 
 
 def _closure(
-    ctx: RegionContext,
-    seed: set[int],
-    enabled: frozenset[str],
-    unc: frozenset[str],
-    allow_delay: bool,
+    ctx: RegionContext, seed: set[int], enabled: frozenset[str], unc: frozenset[str]
 ) -> frozenset[int]:
+    """``seed`` closed under silent, uncontrollable and enabled steps and
+    '0+' delays.  At the initial instant the tick clock sits on 0, where no
+    region has a '0+' delay, so the one closure serves there too."""
     seen = set(seed)
     todo = list(seed)
     while todo:
@@ -66,11 +65,10 @@ def _closure(
             if ok and j not in seen:
                 seen.add(j)
                 todo.append(j)
-        if allow_delay:
-            for tag, j in ctx.delay_steps(i):
-                if tag == "0+" and j not in seen:
-                    seen.add(j)
-                    todo.append(j)
+        for tag, j in ctx.delay_steps(i):
+            if tag == "0+" and j not in seen:
+                seen.add(j)
+                todo.append(j)
     return frozenset(seen)
 
 
@@ -88,7 +86,7 @@ def oracle_buckets(ctx: RegionContext, phi: MetaStrategy) -> OracleTable:
     locations = ctx.locations
 
     def step(frontier: frozenset[int], tick: str, enabled: frozenset[str]) -> frozenset[int]:
-        return _closure(ctx, _delay_image(ctx, frontier, tick), enabled, unc, True)
+        return _closure(ctx, _delay_image(ctx, frontier, tick), enabled, unc)
 
     def flags(bucket: Bucket, ids: frozenset[int]) -> BucketFlags:
         """From the ids' locations as the kernel keeps them: no `Region` is built."""
@@ -97,7 +95,7 @@ def oracle_buckets(ctx: RegionContext, phi: MetaStrategy) -> OracleTable:
             bucket, not private.isdisjoint(reached), not public.isdisjoint(reached)
         )
 
-    start = _closure(ctx, {ctx.initial_id()}, phi.point(0), unc, allow_delay=False)
+    start = _closure(ctx, {ctx.initial_id()}, phi.point(0), unc)
     walk = walk_buckets(phi, start, step)
     return OracleTable(
         tuple(flags(b, ids) for b, ids in walk.buckets), walk.cycle_start, walk.cycle_period

@@ -141,27 +141,17 @@ class Violation:
     detail: str = ""
 
 
-def _is_tick_self_loop(ta: TimedAutomaton, e: Edge) -> bool:
-    if not ta.has_tick_clock:
-        return False
-    z = ta.clock_named(TICK_CLOCK).index
-    return (
-        e.source == e.target
-        and e.action.kind == SILENT_KIND
-        and e.guard == (Atom(z, "=", 1),)
-        and e.resets == frozenset({z})
-    )
-
-
 def validate(ta: TimedAutomaton) -> list[Violation]:
-    """Well-formedness plus the urgent-final requirement.
+    """Why `prepare` cannot take ``ta``: well-formedness plus the
+    urgent-final requirement.
 
-    Finals must have no outgoing edges (tick self-loops excepted on augmented
-    automata) and be urgent: some clock is reset on every edge into a final
-    and pinned to 0 by the final's invariant.  Before duplication no location
-    name may end in the prime suffix, which marks the private copy; before
-    augmentation no clock may take the tick clock's name.  The violations are
-    found once per automaton value; each call returns a fresh list of them.
+    Finals must have no outgoing edges and be urgent: some clock is reset on
+    every edge into a final and pinned to 0 by the final's invariant.  No
+    location name may end in the prime suffix, which marks the private copy
+    `duplicate` makes, and no clock may take the tick clock's name, which
+    `add_tick_clock` adds; so a prepared automaton does not validate, as
+    `prepare` does not take it twice.  The violations are found once per
+    automaton value; each call returns a fresh list of them.
     """
     return list(ta._violations)
 
@@ -172,7 +162,7 @@ def _check(ta: TimedAutomaton) -> list[Violation]:
     names = [c.name for c in ta.clocks]
     if len(set(names)) != len(names):
         out.append(Violation("duplicate-clock-name", ta.name))
-    if TICK_CLOCK in names and not ta.has_tick_clock:  # `add_tick_clock` adds it
+    if TICK_CLOCK in names:
         out.append(Violation("reserved-clock-name", TICK_CLOCK))
     if len(set(ta.locations)) != len(ta.locations):
         out.append(Violation("duplicate-location-name", ta.name))
@@ -188,10 +178,9 @@ def _check(ta: TimedAutomaton) -> list[Violation]:
     for f in ta.finals:
         if f not in locs:
             out.append(Violation("missing-final", f))
-    if not ta.is_duplicated:  # the private copy's names are made by `duplicate`
-        for loc in ta.locations:
-            if is_primed(loc):
-                out.append(Violation("reserved-location-suffix", loc))
+    for loc in ta.locations:
+        if is_primed(loc):
+            out.append(Violation("reserved-location-suffix", loc))
     for a in ta.actions:
         if a.kind == SILENT_KIND:
             out.append(Violation("silent-in-alphabet", a.name))
@@ -216,11 +205,9 @@ def _check(ta: TimedAutomaton) -> list[Violation]:
         for atom in e.guard:
             if atom.clock >= len(ta.clocks):
                 out.append(Violation("edge-unknown-clock", where))
-        if e.source in ta.finals and not _is_tick_self_loop(ta, e):
+        if e.source in ta.finals:
             out.append(Violation("final-has-outgoing", where))
     out.extend(_check_final_urgency(ta))
-    if ta.has_tick_clock:
-        out.extend(_check_tick_shape(ta))
     return out
 
 
@@ -233,25 +220,11 @@ def _check_final_urgency(ta: TimedAutomaton) -> list[Violation]:
             a.clock for a in ta.invariant(f) if a.rel == "=" and a.bound == 0
         )
     for e in ta.edges:
-        # tick self-loops pass no time, so they need not witness urgency
-        if e.target in ta.finals and not _is_tick_self_loop(ta, e):
+        if e.target in ta.finals:
             urgent &= e.resets
     if urgent:
         return []
     return [Violation("final-not-urgent", ",".join(sorted(ta.finals)))]
-
-
-def _check_tick_shape(ta: TimedAutomaton) -> list[Violation]:
-    out: list[Violation] = []
-    z = ta.clock_named(TICK_CLOCK).index
-    for loc in ta.locations:
-        if Atom(z, "<=", 1) not in ta.invariant(loc):
-            out.append(Violation("tick-invariant-missing", loc))
-        if not any(
-            e.source == loc and _is_tick_self_loop(ta, e) for e in ta.edges
-        ):
-            out.append(Violation("tick-loop-missing", loc))
-    return out
 
 
 def make_finals_urgent(ta: TimedAutomaton) -> TimedAutomaton:

@@ -266,7 +266,7 @@ def test_criterion_5_region_canonicity():
 def test_criterion_6_monotonicity_suite():
     for name in SOLVE_FIXTURES:
         space = load_space(name)
-        graph = space.explore(include_dead=True)
+        graph = space.explore()
         beliefs = [b for b in graph.nodes if b is not BOTTOM]
         subsets = every_enabled_set(space)
         for small, big in itertools.combinations(subsets, 2):

@@ -102,7 +102,7 @@ def test_successor_monotone_in_enabled():
     for name in ("ta_opaque", "ta1", "ta_counterex"):
         space = load_space(name)
         subsets = every_enabled_set(space)
-        graph = space.explore(include_dead=True)
+        graph = space.explore()
         beliefs = [b for b in graph.nodes if b is not BOTTOM]
         for small, big in combinations(subsets, 2):
             if not small <= big:
@@ -210,7 +210,7 @@ def test_a_second_successors_call_computes_its_classes_again(monkeypatch):
     calls = _closures_counted(monkeypatch)
     for name in PAPER_FIXTURES + ("minsky_halt",):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        for b in space.explore(include_dead=True, state_cap=200).nodes:
+        for b in space.explore(state_cap=200).nodes:
             for tick in ticks_from(b):
                 before = space.successors_computed()
                 first = space.successors(b, tick)
@@ -230,7 +230,7 @@ def test_a_successors_call_computes_the_delay_image_once(monkeypatch):
     lattices = 0
     for name in PAPER_FIXTURES + ("minsky_halt",):
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        for b in space.explore(include_dead=True, state_cap=200).nodes:
+        for b in space.explore(state_cap=200).nodes:
             for tick in ticks_from(b):
                 calls.clear()
                 before = space.successors_computed()
@@ -469,7 +469,7 @@ def _assert_matches_reference(ta) -> int:
         assert frozenset(got) == _reference_initial(space.ctx, enabled)
         assert sys.getsizeof(got) <= sys.getsizeof(frozenset(set(got)))
     ctx = space.ctx
-    graph = space.explore(include_dead=True)
+    graph = space.explore()
     moves = {(s, tick, e): t for s, tick, e, t in belief_edges(space, graph)}
     compared = 0
     for b in graph.nodes:
@@ -577,7 +577,7 @@ def test_move_records_match_the_region_steps():
     seen = {"stays": 0, "free_loops": 0, "named": 0}
     for ta in automata:
         space = BeliefSpace(RegionContext(prepare(ta)))
-        space.explore(include_dead=True, state_cap=300)
+        space.explore(state_cap=300)
         for rid in range(len(space.ctx.locations)):
             free, named, *rest = space._moves_of(rid)
             ref_free, ref_named, *ref_rest = _reference_moves(space, rid)
@@ -601,7 +601,7 @@ def _assert_successors_dedup(space, state_cap=None) -> tuple[int, int]:
     closes; returns the number of beliefs checked and the most distinct
     successors of one belief under one tick.  ``space`` explores: a lost
     successor of an explored belief fails the comparison there."""
-    beliefs = space.explore(include_dead=True, state_cap=state_cap).nodes
+    beliefs = space.explore(state_cap=state_cap).nodes
     ref = BeliefSpace(space.ctx)
     widest = 0
     for b in beliefs:
@@ -699,7 +699,7 @@ def test_every_class_is_its_closure_from_scratch_on_chained_names(monkeypatch):
     rng = random.Random(20261018)
     for i in range(40):
         space = BeliefSpace(RegionContext(prepare(chained_ta(rng, name=f"chain{i}"))))
-        space.explore(include_dead=True, state_cap=60)
+        space.explore(state_cap=60)
     assert seen["multi"] > 5000 and seen["not_union"] > 1500, seen
 
 
@@ -709,17 +709,17 @@ def test_every_class_is_its_closure_from_scratch_on_random_automata(monkeypatch)
     seen = _classes_checked(monkeypatch)
     rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
     for i in range(50):
-        BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"cls{i}")))).explore(include_dead=True)
+        BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"cls{i}")))).explore()
     assert seen["multi"] == 0, seen  # two controllable names at most: no class is a union
 
 
 def test_every_class_is_its_closure_from_scratch_on_fixtures_and_gadgets(monkeypatch):
     seen = _classes_checked(monkeypatch)
     for name in PAPER_FIXTURES:
-        BeliefSpace(RegionContext(prepare(load_ta(name)))).explore(include_dead=True)
+        BeliefSpace(RegionContext(prepare(load_ta(name)))).explore()
     assert seen["multi"] == 0, seen  # two controllable names at most
     for name in GADGETS:
-        BeliefSpace(RegionContext(prepare(load_ta(name)))).explore(include_dead=True, state_cap=2000)
+        BeliefSpace(RegionContext(prepare(load_ta(name)))).explore(state_cap=2000)
     assert seen["multi"] > 5000 and seen["not_union"] == 0, seen
 
 
@@ -731,7 +731,7 @@ def test_a_gadget_step_closes_only_the_empty_full_and_one_name_classes(monkeypat
     widest = 0
     for name in GADGETS:
         space = BeliefSpace(RegionContext(prepare(load_ta(name))))
-        for b in space.explore(include_dead=True, state_cap=200).nodes:
+        for b in space.explore(state_cap=200).nodes:
             for tick in ticks_from(b):
                 calls.clear()
                 before = space.successors_computed()
@@ -764,7 +764,7 @@ def test_a_successors_call_walks_from_nothing_once(monkeypatch):
     firing = 0
     for ta in automata:
         space = BeliefSpace(RegionContext(prepare(ta)))
-        for b in space.explore(include_dead=True, state_cap=200).nodes:
+        for b in space.explore(state_cap=200).nodes:
             for tick in ticks_from(b):
                 fresh.clear()
                 before = space.successors_computed()
@@ -786,7 +786,7 @@ def test_leak_predicates_see_finals_interned_after_an_answer():
     b0 = space.initial(NONE)
     assert not space.has_private_final(b0) and not space.has_public_final(b0)
     assert ctx.private_mask == ctx.public_mask == 0  # no final region interned yet
-    graph = space.explore(include_dead=True)
+    graph = space.explore()
     seen = {"private": 0, "public": 0}
     for b in graph.nodes:
         if b is BOTTOM:
@@ -809,7 +809,7 @@ def test_belief_view_iterates_ids_in_order_and_agrees_with_in_and_len():
     checked = 0
     for i in range(20):
         space = BeliefSpace(RegionContext(prepare(random_ta(rng, name=f"view{i}"))))
-        for b in space.explore(include_dead=True).nodes:
+        for b in space.explore().nodes:
             if b is BOTTOM:
                 continue
             members = list(b)

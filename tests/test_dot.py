@@ -253,6 +253,30 @@ class _Clock:
         return self.now
 
 
+def test_a_render_reads_no_region_once_its_time_is_up(monkeypatch):
+    """Each belief's regions are read, for its name, rank and tooltip, as
+    the belief is written: once the time cap has passed, neither export
+    calls `RegionContext.key` or `format_region` again.  The render's first
+    clock reading is 1 here, so its deadline is 1 + the cap."""
+    clock = _Clock()
+    monkeypatch.setattr(dot, "time", clock)
+    calls = {}
+    for name in ("key", "format_region"):
+
+        def counted(self, rid, read=getattr(RegionContext, name)):
+            calls["late" if clock.now > 1 + 3.5 else "early"] += 1
+            return read(self, rid)
+
+        monkeypatch.setattr(RegionContext, name, counted)
+    ta = prepare(load_ta("ta_opaque"))
+    for pretty in (False, True):
+        clock.now = 0.0
+        calls.update(early=0, late=0)
+        text, stopped = dot.beliefs_dot(BeliefSpace(RegionContext(ta)), pretty, None, 3.5)
+        assert stopped == "time cap 3.5s exceeded" and text.count("shape=box") == 2, pretty
+        assert calls["late"] == 0 < calls["early"], (pretty, calls)
+
+
 def test_a_render_past_the_time_cap_keeps_its_first_nodes_and_is_indeterminate(
     monkeypatch, tmp_path, capsys
 ):

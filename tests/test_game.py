@@ -334,7 +334,7 @@ def test_check_exists_unreachable_private():
 def test_leaking_weak_implies_leaking_full_everywhere():
     for name in SOLVE_FIXTURES:
         space = load_space(name)
-        graph = space.explore(include_dead=True)
+        graph = space.explore()
         for b in graph.nodes:
             if b is BOTTOM:
                 continue

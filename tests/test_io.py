@@ -553,8 +553,9 @@ def test_pretty_belief_names_stay_short_in_a_large_depth_group():
     """A depth group's rank i >= 2 is written b{k}'{i}, so names grow with
     the digits of the rank, not with the rank itself."""
     space = BeliefSpace(RegionContext(prepare(load_ta("minsky_halt"))))
-    graph = space.explore(include_dead=False, state_cap=2000)
-    names = dot.pretty_belief_names(space, graph)
+    graph = space.explore(state_cap=2000)
+    keys = [tuple(sorted(map(space.ctx.key, b))) for b in graph.nodes[1:]]
+    names = dot.pretty_belief_names(space, graph, [None] + [(-len(k), k) for k in keys])
     assert len(names) == len(graph.nodes) > 1000
     assert len(set(names)) == len(names)
     assert max(map(len, names)) <= 16

@@ -5,6 +5,7 @@ import random
 from concrete import nothing_enabled
 from conftest import (
     SOLVE_FIXTURES,
+    every_enabled_set,
     fixture_path,
     load_space,
     load_ta,
@@ -28,6 +29,8 @@ from etopaq.ta import SILENT_KIND, is_primed
 
 A = frozenset({"a"})
 NONE = frozenset()
+PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
+GADGETS = ("minsky_halt", "minsky_inc_halt", "minsky_ifz_loop")
 
 
 def test_oracle_buckets_opaque_star(opaque_space):
@@ -318,7 +321,7 @@ def test_oracle_matches_region_level_reference_on_fixtures():
         ta = load_ta(name)
         phi = msformat.load(str(fixture_path(f"{msf}.msf")), frozenset(ta.controllable))
         _assert_oracle_matches_reference(ta, phi)
-    for name in ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like"):
+    for name in PAPER_FIXTURES:
         ta = load_ta(name)
         for phi in (all_enabled(ta), nothing_enabled()):
             _assert_oracle_matches_reference(ta, phi)
@@ -329,3 +332,25 @@ def test_oracle_matches_region_level_reference_randomized():
     for i in range(50):
         ta = random_ta(rng, name=f"ref{i}")
         _assert_oracle_matches_reference(ta, random_metastrategy(rng, ta.controllable))
+
+
+def test_the_initial_closure_has_no_off_integer_delay():
+    """The oracle closes its start as every later frontier, '0+' delays
+    included.  That is the closure at the initial instant because each
+    region the initial zero-time closure reaches, under any enabled set,
+    has the tick clock on 0 and no '0+' delay step: discrete steps pass no
+    time, and a region with the tick clock on an integer cannot stay."""
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    automata = [load_ta(name) for name in PAPER_FIXTURES + GADGETS]
+    automata += [random_ta(rng, name=f"start{i}") for i in range(50)]
+    checked = 0
+    for ta in automata:
+        space = BeliefSpace(RegionContext(prepare(ta)))
+        ctx = space.ctx
+        for enabled in every_enabled_set(space):
+            for rid in space.initial(enabled):
+                _, ints, zero, _ = ctx.key(rid)
+                assert ints[ctx.tick] == 0 and ctx.tick in zero, (ta.name, ctx.format_region(rid))
+                assert all(tag != "0+" for tag, _ in ctx.delay_steps(rid)), (ta.name, rid)
+                checked += 1
+    assert checked > 1000, checked

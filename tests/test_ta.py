@@ -20,7 +20,7 @@ from concrete import (
     step_discrete,
     validate_run,
 )
-from conftest import edges_by_key, load_ta
+from conftest import FIXTURES, edges_by_key, load_ta
 from etopaq import (
     add_tick_clock,
     duplicate,
@@ -433,9 +433,27 @@ def test_validate_run_rejects_wrong_start():
     assert not validate_run(dup, shifted)
 
 
-def test_prepared_automaton_still_validates():
-    prepared = prepare(load_ta("ta_opaque"))
-    assert validate(prepared) == []
+def test_prepared_automaton_has_the_tick_shape_and_is_not_prepared_again():
+    """Every location of a prepared fixture carries ``z <= 1`` and one
+    silent self-loop at ``z = 1`` that resets z, and a final location's only
+    outgoing edge is that loop.  `validate` answers whether `prepare` takes
+    an automaton, so on a prepared one it names the tick clock and the
+    primed copy, and `prepare` refuses it."""
+    for path in sorted(FIXTURES.glob("*.ta")):
+        prepared = prepare(taformat.load(str(path)))
+        z = prepared.clock_named(TICK_CLOCK).index
+        for loc in prepared.locations:
+            assert Atom(z, "<=", 1) in prepared.invariant(loc), (path.name, loc)
+            loop = Edge(loc, (Atom(z, "=", 1),), SILENT, frozenset({z}), loc)
+            out = [e for e in prepared.edges if e.source == loc]
+            loops = [e for e in out if e == loop]
+            assert len(loops) == 1, (path.name, loc)
+            if loc in prepared.finals:
+                assert out == loops, (path.name, loc)
+        rules = {v.rule for v in validate(prepared)}
+        assert {"reserved-clock-name", "reserved-location-suffix"} <= rules, path.name
+        with pytest.raises(ValueError):
+            prepare(prepared)
 
 
 def test_init_may_coincide_with_private():
