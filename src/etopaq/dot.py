@@ -25,11 +25,12 @@ def _q(s: str) -> str:
 def _dot(graph: str, g: Explored, node, named, time_cap: float | None) -> tuple[str, str]:
     """The DOT digraph ``graph`` of ``g`` and why it stopped short, the walk's
     cap first.  Nodes go in id order, each with the key and attributes that
-    ``node(i, x)`` gives, until ``time_cap`` seconds have passed;
-    ``named(keys)`` then gives, from the keys of the n nodes written, the
-    names to write and the (source id, label, target id) edges in the order
-    to write, of which those among the n nodes are written.  A label is a
-    string, or a belief or game edge's (tick, sorted names)."""
+    ``node(i, x)`` gives, until ``time_cap`` seconds have passed; the edges
+    among the n nodes written are then read, row by row up to node n, as
+    (source id, label, target id), and ``named(keys, arcs)`` gives, from the
+    n nodes' keys and those edges, the names to write and the edges in the
+    order to write.  A label is a string, or a belief or game edge's (tick,
+    sorted names)."""
     deadline = None if time_cap is None else time.monotonic() + time_cap
     keys, attrs, stopped = [], [], g.stopped
     for i, x in enumerate(g.nodes):
@@ -40,15 +41,18 @@ def _dot(graph: str, g: Explored, node, named, time_cap: float | None) -> tuple[
         keys.append(key)
         attrs.append(attr)
     n = len(attrs)
-    names, arcs = named(keys)
+    labels = g.labels
+    arcs = [
+        (i, labels[lid], j) for i in range(min(n, len(g.ends))) for lid, j in g.steps(i) if j < n
+    ]
+    names, arcs = named(keys, arcs)
     for k, name in enumerate(names):  # in place: each node's attributes once in memory
         attrs[k] = f"  {name} [{attrs[k]}];"
     lines = [f"digraph {graph} {{", "  rankdir=LR;", *attrs]
     for i, label, j in arcs:
-        if max(i, j) < n:
-            if not isinstance(label, str):
-                label = f"{label[0]}, {{{','.join(label[1])}}}"
-            lines.append(f"  {names[i]} -> {names[j]} [label={_q(label)}];")
+        if not isinstance(label, str):
+            label = f"{label[0]}, {{{','.join(label[1])}}}"
+        lines.append(f"  {names[i]} -> {names[j]} [label={_q(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n", stopped
 
@@ -82,24 +86,21 @@ def regions_dot(
     def node(_, rid):
         return _q(ctx.format_region(rid)), shape[finals >> rid & 1]
 
-    return _dot("regions", g, node, lambda names: (names, g.arcs()), time_cap)
+    return _dot("regions", g, node, lambda names, arcs: (names, arcs), time_cap)
 
 
-def pretty_belief_names(space: BeliefSpace, g: Explored, ranks: list) -> list[str]:
+def pretty_belief_names(arcs: list, ranks: list) -> list[str]:
     """Bucket-style names of the belief store's first n nodes, by id, given
-    their n ranks (node 0's unread), each (-size, sorted region keys):
-    beliefs first reached at integer point k become b{k}, b{k}', b{k}'2,
-    b{k}'3 ... in rank order, so largest first; interval beliefs b(k,k+1)
-    alike.  The depths come from a walk over the edges among them in (tick,
-    sorted names) order: a belief can be as many hops away at two unit
-    depths, so the store's own walk could name it otherwise."""
-    n = len(ranks)
+    their n ranks (node 0's unread), each (-size, sorted region keys), and
+    the edges among them as (source id, (tick, sorted names), target id) in
+    label order: beliefs first reached at integer point k become b{k},
+    b{k}', b{k}'2, b{k}'3 ... in rank order, so largest first; interval
+    beliefs b(k,k+1) alike.  The depths come from a walk over those edges:
+    a belief can be as many hops away at two unit depths, so the store's
+    own walk could name it otherwise."""
     steps: dict[int, list] = {}
-    labels = _decoded(space, g)
-    order = {code: r for r, code in enumerate(labels)}
-    arcs = [a for a in g.arcs() if max(a[0], a[2]) < n]
-    for i, code, j in sorted(arcs, key=lambda a: order[a[1]]):
-        steps.setdefault(i, []).append((labels[code][0], j))
+    for i, label, j in arcs:
+        steps.setdefault(i, []).append((label[0], j))
     walk = bfs(0, lambda i: steps.get(i, ()))
     depth = [0] * len(walk.nodes)
     by_depth: dict[int, list] = {}
@@ -107,7 +108,7 @@ def pretty_belief_names(space: BeliefSpace, g: Explored, ranks: list) -> list[st
         # "0" and "1" move on to the next point or interval, "0+" stays
         depth[k] = d = depth[walk.parent[k]] + (walk.labels[walk.via[k]] != "0+")
         by_depth.setdefault(d, []).append(walk.nodes[k])
-    names = ["bot"] * n
+    names = ["bot"] * len(ranks)
     for d, group in by_depth.items():
         group.sort(key=ranks.__getitem__)
         base = f"b{(d - 1) // 2}" if d % 2 else f"b({d // 2 - 1},{d // 2})"
@@ -146,14 +147,14 @@ def beliefs_dot(
             key = f"B{blake2b(repr(keys).encode(), digest_size=5).hexdigest()}"
         return key, f"shape=box tooltip={_q(tip)}{style}"
 
-    def named(keys):
-        n = len(keys)
-        names = pretty_belief_names(space, g, keys) if pretty else keys
+    def named(keys, arcs):
         labels = _decoded(space, g)
         order = {code: r for r, code in enumerate(labels)}
-        arcs = [a for a in g.arcs() if max(a[0], a[2]) < n]  # sort only the edges written
-        arcs.sort(key=lambda a: (names[a[0]], order[a[1]]))
-        return [_q(s) for s in names], ((i, labels[code], j) for i, code, j in arcs)
+        arcs.sort(key=lambda a: order[a[1]])
+        arcs = [(i, labels[code], j) for i, code, j in arcs]
+        names = pretty_belief_names(arcs, keys) if pretty else keys
+        arcs.sort(key=lambda a: names[a[0]])  # stable: in label order from each source
+        return [_q(s) for s in names], arcs
 
     return _dot("beliefs", g, node, named, time_cap)
 
@@ -172,7 +173,7 @@ def game_dot(
         kind = "start" if current is BOTTOM else "point" if at_integer else "interval"
         return f"g{i}", f"shape=box label={_q(kind)}"
 
-    def named(names):
-        return names, ((i, labels[code], j) for i, code, j in g.arcs())
+    def named(names, arcs):
+        return names, ((i, labels[code], j) for i, code, j in arcs)
 
     return _dot("game", g, node, named, time_cap)

@@ -16,15 +16,16 @@ over `BeliefSpace.controllable` and the code 0 for '0', 1 for '0+' and 2 for
 all run in C; `BeliefSpace.label` decodes one back to (tick, enabled).
 
 `solve` explores the pruned game with `graphs.bfs` under its caps, into
-its interned state store, then searches it once, on ids: Tarjan's SCCs,
-the first tick-1 edge inside an SCC in discovery order, the BFS parent
-chain as the stem, and as the loop a shortest path inside the SCC (`bfs`
-again, over ids, restricted to it).  Only the witness maps ids back, and
-decodes its labels.
+its interned state store, then searches it once, on ids, with one nested
+depth-first search for a point state on a cycle (`point_loop`): the BFS
+parent chain down to that state is the stem, and the inner search's path
+from it back to it the loop.  Only the witness maps ids back, and decodes
+its labels.
 """
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 
 from .beliefs import BOTTOM, DEAD, BeliefSpace
@@ -96,46 +97,47 @@ def explore(
     return bfs(INITIAL, lambda st: game_successors(space, st, mode), state_cap, time_cap)
 
 
-def _sccs(g: Explored) -> list[int]:
-    """Iterative Tarjan over a fully expanded ``g``: the component index per id."""
-    n = len(g.ends)
-    index, low, comp = [-1] * n, [-1] * n, [-1] * n  # lists: read back without boxing
-    on_stack, stack = bytearray(n), []
-    counter = ncomp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, g.steps(root))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = 1
-        while work:
-            node, it = work[-1]
-            for _, child in it:
-                if index[child] < 0:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack[child] = 1
-                    work.append((child, g.steps(child)))
-                    break
-                if on_stack[child]:
-                    low[node] = min(low[node], index[child])
-            else:
-                work.pop()
-                if low[node] == index[node]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = 0
-                        comp[w] = ncomp
-                        if w == node:
-                            break
-                    ncomp += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-    return comp
+def point_loop(g: Explored) -> tuple[int, list[int]] | None:
+    """A point state of the fully expanded ``g`` on a cycle, and the label
+    ids of one such cycle from it back to it; None when there is none.  The
+    nested depth-first search of Courcoubetis, Vardi, Wolper & Yannakakis
+    (FMSD 1992): as the outer DFS leaves a point state (``nodes[i][2]``;
+    node 0, the start, is on no cycle), an inner breadth-first search looks
+    for an edge back to it through the states no inner search has reached
+    yet.  ``trail`` holds each state's parent id and, n further on, the label
+    id of the edge from it: the inner searches' shared mark and their paths.
+    When the outer DFS leaves the first point on a cycle, no state on a
+    cycle through it is marked, so its inner search finds its way back."""
+    n = len(g.nodes)
+    trail = array("i", [-1]) * (2 * n)
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [(0, g.steps(0))]
+    while stack:
+        u, it = stack[-1]
+        for _, j in it:
+            if not seen[j]:
+                seen[j] = 1
+                stack.append((j, g.steps(j)))
+                break
+        else:
+            stack.pop()
+            if not (u and g.nodes[u][2]):
+                continue
+            queue = [u]
+            for v in queue:  # `queue` grows behind the cursor: a FIFO queue
+                for lid, j in g.steps(v):
+                    if trail[j] < 0:
+                        if j == u:
+                            loop = [lid]
+                            while v != u:
+                                loop.append(trail[n + v])
+                                v = trail[v]
+                            loop.reverse()
+                            return u, loop
+                        trail[j], trail[n + j] = v, lid
+                        queue.append(j)
+    return None
 
 
 def solve(
@@ -147,42 +149,23 @@ def solve(
 ) -> SolveResult:
     """SAT with a lasso witness when some infinite play takes tick-1 actions
     forever, UNSAT after exhausting the pruned game, INDETERMINATE when a
-    resource cap is hit.  ``workers`` is accepted and ignored: the solver is
+    resource cap is hit.  Every tick-1 lands on or leaves a point state, so
+    a play does that exactly when its loop passes a point state
+    (`point_loop`).  ``workers`` is accepted and ignored: the solver is
     sequential, and the benchmark harness still passes ``workers=1``."""
     t0 = time.monotonic()
     g = explore(space, mode, state_cap, time_cap)
     stats = SolveStats(len(g.nodes), g.edges, time.monotonic() - t0)
     if g.stopped:
         return SolveResult("INDETERMINATE", None, stats, g.stopped)
-    comp = _sccs(g)
-    # Discovery order is BFS order, so the first tick-1 edge inside an SCC,
-    # scanning states in that order and each state's edges as emitted
-    # (ticks "0" < "0+" < "1", then smallest enabled set first), is the one
-    # closest to the start with the smallest label.
-    best = next(
-        (
-            (u, label, w)
-            for u in range(len(g.nodes))
-            for label, w in g.steps(u)
-            if g.labels[label] & 3 == 2 and comp[u] == comp[w]
-        ),
-        None,
-    )
-    if best is None:
+    found = point_loop(g)
+    if found is None:
         return SolveResult("UNSAT", None, stats)
-    u, label, w = best
-    # the shortest path back from w to u inside their SCC, breadth first
-    scc = comp[u]
-    within = bfs(w, lambda s: [(l, s2) for l, s2 in g.steps(s) if comp[s2] == scc])
-    cycle = [(label, w)] + path_to(within, within.nodes.index(u))  # ids of g
-    stem = [lbl for lbl, _ in path_to(g, u)]
-    # rotation: start the loop right after a tick-1 landing on an integer point
-    states = [u] + [s for _, s in cycle]
-    rot = next(i for i, s in enumerate(states[:-1]) if g.nodes[s][2])  # at_integer
+    point, loop = found
     decode = space.label
-    loop_labels = tuple(decode(g.labels[lbl]) for lbl, _ in cycle[rot:] + cycle[:rot])
-    stem_labels = tuple(map(decode, stem + [g.labels[lbl] for lbl, _ in cycle[:rot]]))
-    return SolveResult("SAT", WinningWitness(stem_labels, loop_labels), stats)
+    stem = tuple(decode(code) for code, _ in path_to(g, point))
+    witness = WinningWitness(stem, tuple(decode(g.labels[lid]) for lid in loop))
+    return SolveResult("SAT", witness, stats)
 
 
 def witness_to_metastrategy(witness: WinningWitness) -> MetaStrategy:

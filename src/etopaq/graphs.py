@@ -1,8 +1,7 @@
 """The one breadth-first explorer behind every graph etopaq walks (regions,
-beliefs, the game, and the loop search inside one SCC), its one cap rule,
-and the interned state store it fills, as SPIN's is (Holzmann, IEEE TSE
-1997): each node once, under a dense id in discovery order, and each label
-once, under an id.  The expanded nodes' edges are (label id, target id)
+beliefs and the game), its one cap rule, and the interned state store it
+fills, as SPIN's is (Holzmann, IEEE TSE 1997): each node once, under a
+dense id in discovery order, and each label once, under an id.  The expanded nodes' edges are (label id, target id)
 pairs in one `array('i')`, node after node, and the BFS tree is two
 arrays: each node's parent id and the label id of the edge from it.
 """

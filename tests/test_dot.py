@@ -277,6 +277,40 @@ def test_a_render_reads_no_region_once_its_time_is_up(monkeypatch):
         assert calls["late"] == 0 < calls["early"], (pretty, calls)
 
 
+def test_a_render_past_its_time_reads_no_edge_row_past_the_last_node_written(monkeypatch):
+    """Once the render's deadline has passed, every export reads the edge
+    rows of the nodes it wrote and no other: `Explored.steps` is called on
+    no later node.  The render's first clock reading is 1 here, so its
+    deadline is 1 + the cap, and it writes 3 nodes under a 3.5 s cap."""
+    from etopaq.graphs import Explored
+
+    clock = _Clock()
+    monkeypatch.setattr(dot, "time", clock)
+    late = []
+
+    def counted(self, i, read=Explored.steps):
+        if clock.now > 1 + 3.5:
+            late.append(i)
+        return read(self, i)
+
+    monkeypatch.setattr(Explored, "steps", counted)
+    ta = prepare(load_ta("ta_opaque"))
+    renders = [
+        lambda: dot.regions_dot(RegionContext(ta), None, 3.5),
+        lambda: dot.beliefs_dot(BeliefSpace(RegionContext(ta)), False, None, 3.5),
+        lambda: dot.beliefs_dot(BeliefSpace(RegionContext(ta)), True, None, 3.5),
+    ]
+    renders += [
+        lambda m=mode: dot.game_dot(BeliefSpace(RegionContext(ta)), m, None, 3.5) for mode in Mode
+    ]
+    for k, render in enumerate(renders):
+        clock.now = 0.0
+        late.clear()
+        text, stopped = render()
+        assert stopped == "time cap 3.5s exceeded" and text.count("shape=") == 3, k
+        assert late and max(late) < 3, (k, late)
+
+
 def test_a_render_past_the_time_cap_keeps_its_first_nodes_and_is_indeterminate(
     monkeypatch, tmp_path, capsys
 ):

@@ -15,8 +15,9 @@ from conftest import (
     load_ta,
 )
 from etopaq import msformat, prepare
-from etopaq.beliefs import BOTTOM, DEAD, BeliefSpace
+from etopaq.beliefs import BOTTOM, DEAD, Belief, BeliefSpace
 from etopaq.game import (
+    DEFAULT_STATE_CAP,
     INITIAL,
     Mode,
     WinningWitness,
@@ -24,12 +25,15 @@ from etopaq.game import (
     check_metastrategy,
     explore,
     game_successors,
+    point_loop,
     solve,
     witness_to_metastrategy,
 )
+from etopaq.graphs import bfs
 from etopaq.oracle import oracle_buckets, oracle_verdict
 from etopaq.regions import RegionContext
 from etopaq.strategies import Bucket, MetaStrategy, UnitPlan, all_enabled
+from etopaq.ta import is_primed
 
 PAPER_FIXTURES = ("ta_opaque", "ta1", "ta_opaque2", "ta_counterex", "ta_nfv", "t2_like", "t3_like")
 A = frozenset({"a"})
@@ -237,6 +241,97 @@ def test_a_walk_out_of_memory_keeps_its_store_consistent(monkeypatch):
         assert len(g.parent) == len(g.via) == len(g.nodes) >= len(g.ends), k
         for i in range(1, len(g.nodes)):
             assert g.parent[i] < i and 0 <= g.via[i] < len(g.labels), (k, i)
+
+
+# --- the search for a point state on a cycle ---------------------------------------
+
+
+def _reached(g, i) -> set[int]:
+    """The ids node ``i`` of the store ``g`` reaches by zero edges or more."""
+    seen, todo = {i}, [i]
+    while todo:
+        for _, j in g.steps(todo.pop()):
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return seen
+
+
+def test_point_loop_finds_a_point_on_a_cycle_in_random_stores():
+    """On 2,000 seeded stores of 1 to 12 nodes, index 2 of a node marking a
+    point: `point_loop` returns a point iff some point other than node 0
+    reaches itself, and its label ids spell a walk from that point back to
+    it.  Each edge has a label of its own, so a label id names one edge."""
+    rng = random.Random(20240917)
+    cyclic = 0
+    for draw in range(2000):
+        n = rng.randint(1, 12)
+        nodes = [(k, draw, rng.random() < 0.5) for k in range(n)]
+        graph = {
+            v: [(f"{v[0]}>{w[0]}", w) for w in rng.sample(nodes, rng.randint(0, min(n, 2)))]
+            for v in nodes
+        }
+        g = bfs(nodes[0], graph.__getitem__)
+        points = {
+            i
+            for i in range(1, len(g.nodes))
+            if g.nodes[i][2] and any(i in _reached(g, j) for _, j in g.steps(i))
+        }
+        found = point_loop(g)
+        assert (found is not None) == bool(points), draw
+        if found:
+            point, loop = found
+            assert point in points and loop, draw
+            at = point
+            for lid in loop:
+                (at,) = [j for l, j in g.steps(at) if l == lid]
+            assert at == point, draw
+            cyclic += 1
+    assert 300 < cyclic < 1000
+
+
+def _walk(space, g, at: int, labels) -> int:
+    """The id the decoded ``labels`` lead to from id ``at`` of the game store
+    ``g``: a state has one edge per label."""
+    for label in labels:
+        (at,) = [j for lid, j in g.steps(at) if space.label(g.labels[lid]) == label]
+    return at
+
+
+def test_solve_is_sat_iff_a_tick1_edge_lies_on_a_cycle():
+    """On the paper fixtures and 40 seeded draws, each in every mode: SAT
+    iff the target of some tick-1 edge of the explored game reaches its
+    source; a SAT stem leads to a point state, and its loop leaves that
+    state by a tick-1 and comes back onto it by a tick-1."""
+    from conftest import random_ta
+
+    rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
+    automata = [load_ta(name) for name in PAPER_FIXTURES]
+    automata += [random_ta(rng, name=f"cycle{i}") for i in range(40)]
+    sat = unsat = 0
+    for ta in automata:
+        for mode in Mode:
+            space = BeliefSpace(RegionContext(prepare(ta)))
+            res = solve(space, mode)
+            g = explore(space, mode, None, None)
+            reach: dict[int, set[int]] = {}  # tick-1 target -> what it reaches
+            on_cycle = False
+            for u in range(len(g.ends)):
+                for lid, w in g.steps(u):
+                    if space.label(g.labels[lid])[0] == "1":
+                        if w not in reach:
+                            reach[w] = _reached(g, w)
+                        on_cycle = on_cycle or u in reach[w]
+            assert res.status == ("SAT" if on_cycle else "UNSAT"), (ta.name, mode)
+            if res.status == "UNSAT":
+                unsat += 1
+                continue
+            point = _walk(space, g, 0, res.witness.stem)
+            loop = res.witness.loop
+            assert g.nodes[point][2] and loop[0][0] == loop[-1][0] == "1", (ta.name, mode)
+            assert _walk(space, g, point, loop) == point, (ta.name, mode)
+            sat += 1
+    assert sat > 20 and unsat > 20
 
 
 # --- witness extraction --------------------------------------------------------
@@ -533,6 +628,51 @@ def test_one_memo_game_is_a_quotient_of_the_two_bit_game(monkeypatch):
     rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
     for i in range(40):
         _assert_quotient_of_two_bit_game(random_ta(rng, name=f"memo{i}"), monkeypatch, 20_000)
+
+
+# --- final flags read off locations, as the oracle reads them ----------------------
+
+
+def _location_flag_successors(space, st, mode):
+    """`game_successors` with the accumulated belief's flags read off its
+    regions' locations against the automaton's final sets, as the oracle
+    reads them, never off the context's final masks, which grow as regions
+    are interned."""
+    current, acc, point, memo = st
+    if current is BOTTOM:
+        return [(c << 2, (b, b, True, False)) for c, b in space.successors(BOTTOM, "0")]
+    out = [] if point else [
+        (c << 2 | 1, (b, acc | b, False, memo)) for c, b in space.successors(current, "0+")
+    ]
+    ta = space.ctx.ta
+    private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
+    reached = {space.ctx.locations[i] for i in Belief(acc)}
+    handed = mode.rule(
+        point, not private.isdisjoint(reached), not (ta.finals - private).isdisjoint(reached), memo
+    )
+    if handed is not None:
+        out += [
+            (c << 2 | 2, (b, b, not point, handed)) for c, b in space.successors(current, "1")
+        ]
+    return out
+
+
+def test_the_game_reads_final_flags_as_the_oracle_does(monkeypatch):
+    """The real game and one whose flags come from locations give the same
+    status, witness, states and edges: on the paper fixtures in every mode,
+    and on the gadgets in weak and full mode under a state cap of 2,000,
+    where the game step interns regions, and with them finals, as it goes."""
+    import etopaq.game as game_mod
+
+    cases = [(load_ta(name), mode, DEFAULT_STATE_CAP) for name in PAPER_FIXTURES for mode in Mode]
+    cases += [(load_ta(name), mode, 2000) for name in GADGETS for mode in (Mode.WEAK, Mode.FULL)]
+    for ta, mode, cap in cases:
+        got = solve(BeliefSpace(RegionContext(prepare(ta))), mode, cap)
+        with monkeypatch.context() as m:
+            m.setattr(game_mod, "game_successors", _location_flag_successors)
+            want = solve(BeliefSpace(RegionContext(prepare(ta))), mode, cap)
+        assert (got.status, got.witness, got.detail) == (want.status, want.witness, want.detail)
+        assert (got.stats.states, got.stats.edges) == (want.stats.states, want.stats.edges)
 
 
 # --- what a query leaves behind ------------------------------------------------------

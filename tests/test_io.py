@@ -555,7 +555,9 @@ def test_pretty_belief_names_stay_short_in_a_large_depth_group():
     space = BeliefSpace(RegionContext(prepare(load_ta("minsky_halt"))))
     graph = space.explore(state_cap=2000)
     keys = [tuple(sorted(map(space.ctx.key, b))) for b in graph.nodes[1:]]
-    names = dot.pretty_belief_names(space, graph, [None] + [(-len(k), k) for k in keys])
+    arcs = [(i, (tick, sorted(e)), j) for i, code, j in graph.arcs() for tick, e in [space.label(code)]]
+    arcs.sort(key=lambda a: a[1])  # label order: tick, then sorted names
+    names = dot.pretty_belief_names(arcs, [None] + [(-len(k), k) for k in keys])
     assert len(names) == len(graph.nodes) > 1000
     assert len(set(names)) == len(names)
     assert max(map(len, names)) <= 16
