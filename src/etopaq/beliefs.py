@@ -31,10 +31,10 @@ steps that escape their names' own closures, and on the Minsky gadgets none
 do.  The game keeps beliefs as plain ints; `BeliefSpace.successor`, the
 strategy walks' step under one enabled set, hands out a `Belief`, the set
 view that the other readers use too.  Neither step keeps what it returns.
-`BeliefSpace.explore` walks the belief graph into a `graphs.Explored` store,
-as the game is walked, with `Belief` nodes and the game's int labels: the
-smallest enabled set's mask over `controllable` << 2 | tick code, which
-`BeliefSpace.label` decodes.
+`BeliefSpace.successors` labels each successor with an int, the smallest
+enabled set's mask over `controllable` << 2 | tick code, which `label`
+decodes; the game and `explore`, which walks the belief graph into a
+`graphs.Explored` store as the game is walked, keep those labels.
 """
 from __future__ import annotations
 
@@ -215,10 +215,11 @@ class BeliefSpace:
         return Belief(self._closure(seed, mask))
 
     def successors(self, belief: object, tick: str) -> list[tuple[int, int]]:
-        """Each distinct successor of ``belief`` under ``tick`` once, as a
-        plain int, with the smallest enabled set that yields it as a mask
-        over `controllable`, in label order: fewest names first, then by
-        sorted names; not cached.
+        """Each distinct successor of ``belief`` under ``tick`` once, as
+        (label, plain int) in label order: fewest names first, then by
+        sorted names; not cached.  The label, which `label` decodes, is the
+        smallest enabled set that yields it as a mask over `controllable`
+        << 2 | the tick's code.
 
         Only the names T with a step from a region of the closure under
         every name can fire under any enabled set e (closures grow with e),
@@ -259,7 +260,8 @@ class BeliefSpace:
         for mask in classes:
             first.setdefault(closed[mask], mask)
         self._computed += len(classes)
-        return [(c, b) for b, c in first.items()]
+        code = TICK_NAMES.index(tick)
+        return [(c << 2 | code, b) for b, c in first.items()]
 
     def _grow_classes(self, closed: dict[int, int], names: int) -> None:
         """Adds to ``closed``, which holds the closures under ∅, each
@@ -320,16 +322,11 @@ class BeliefSpace:
         """The reachable belief graph as `graphs.bfs` stores it under its
         caps, node 0 `BOTTOM` and the others `Belief`s: one edge per distinct
         successor of a belief under a tick other than the dead belief,
-        labelled as in the game with the smallest enabled set that yields
-        it, an int that `label` decodes."""
+        labelled as in the game by `successors`."""
 
         def moves(b):
-            return [
-                (c << 2 | TICK_NAMES.index(t), b2)
-                for t in ticks_from(b)
-                for c, b2 in self.successors(b, t)
-                if b2 != DEAD
-            ]
+            rows = (self.successors(b, t) for t in ticks_from(b))
+            return [(code, b2) for row in rows for code, b2 in row if b2 != DEAD]
 
         g = bfs(BOTTOM, moves, state_cap, time_cap)
         g.nodes[1:] = map(Belief, g.nodes[1:])

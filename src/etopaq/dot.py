@@ -95,19 +95,20 @@ def pretty_belief_names(arcs: list, ranks: list) -> list[str]:
     the edges among them as (source id, (tick, sorted names), target id) in
     label order: beliefs first reached at integer point k become b{k},
     b{k}', b{k}'2, b{k}'3 ... in rank order, so largest first; interval
-    beliefs b(k,k+1) alike.  The depths come from a walk over those edges:
-    a belief can be as many hops away at two unit depths, so the store's
-    own walk could name it otherwise."""
+    beliefs b(k,k+1) alike.  The depths come from a breadth-first walk of
+    its own over those edges: a belief can be as many hops away at two unit
+    depths, so the store's own walk could name it otherwise."""
     steps: dict[int, list] = {}
     for i, label, j in arcs:
-        steps.setdefault(i, []).append((label[0], j))
-    walk = bfs(0, lambda i: steps.get(i, ()))
-    depth = [0] * len(walk.nodes)
-    by_depth: dict[int, list] = {}
-    for k in range(1, len(walk.nodes)):
         # "0" and "1" move on to the next point or interval, "0+" stays
-        depth[k] = d = depth[walk.parent[k]] + (walk.labels[walk.via[k]] != "0+")
-        by_depth.setdefault(d, []).append(walk.nodes[k])
+        steps.setdefault(i, []).append((label[0] != "0+", j))
+    depth, by_depth, queue = {0: 0}, {}, [0]
+    for i in queue:  # `queue` grows behind the cursor: a FIFO queue
+        for step, j in steps.get(i, ()):
+            if j not in depth:
+                depth[j] = d = depth[i] + step
+                by_depth.setdefault(d, []).append(j)
+                queue.append(j)
     names = ["bot"] * len(ranks)
     for d, group in by_depth.items():
         group.sort(key=ranks.__getitem__)

@@ -10,17 +10,17 @@ the accumulated belief.  Both beliefs are plain int masks (`beliefs`), and
 whose loop takes tick-1 actions; its labels directly spell an eventually
 periodic meta-strategy.  Enabled sets that lead to the same successor state
 are one move, labelled with the smallest of them: fewest names first, then
-by sorted names.  A label is the int class mask << 2 | tick code, the mask
-over `BeliefSpace.controllable` and the code 0 for '0', 1 for '0+' and 2 for
-'1', so that building, hashing and interning a state or a label per edge
-all run in C; `BeliefSpace.label` decodes one back to (tick, enabled).
+by sorted names.  A label is the int `BeliefSpace.successors` gives the
+move, which packs the tick and that smallest set, so that building, hashing
+and interning a state or a label per edge all run in C; `BeliefSpace.label`
+alone decodes one back to (tick, enabled).
 
 `solve` explores the pruned game with `graphs.bfs` under its caps, into
 its interned state store, then searches it once, on ids, with one nested
-depth-first search for a point state on a cycle (`point_loop`): the BFS
-parent chain down to that state is the stem, and the inner search's path
-from it back to it the loop.  Only the witness maps ids back, and decodes
-its labels.
+depth-first search for a point state on a cycle (`point_loop`): the inner
+search's path from that state back to it is the loop, and one more
+`graphs.shortest_path` over the store, from the start to that state, the
+stem.  Only the witness maps ids back, and decodes its labels.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 
 from .beliefs import BOTTOM, DEAD, BeliefSpace
-from .graphs import Explored, bfs, path_to
+from .graphs import Explored, bfs, shortest_path
 from .modes import Mode, bucket_verdict
 from .strategies import (
     Bucket,
@@ -54,18 +54,18 @@ def game_successors(space: BeliefSpace, st: tuple, mode: Mode) -> list[tuple[int
     belief gives one move, labelled with the smallest enabled set that
     yields it (`BeliefSpace.successors`): the edges left out duplicate an
     earlier edge of the same state, so every walk discovers the same states
-    through the same edges.  A label is the int class mask << 2 | tick
-    code, 0 for '0', 1 for '0+' and 2 for '1' (`BeliefSpace.label`)."""
+    through the same edges.  Each move keeps the int label that
+    `BeliefSpace.successors` gives it."""
     current, acc, point, memo = st
     if current is BOTTOM:
-        return [(c << 2, (b, b, True, False)) for c, b in space.successors(BOTTOM, "0")]
+        return [(code, (b, b, True, False)) for code, b in space.successors(BOTTOM, "0")]
     out = [] if point else [
-        (c << 2 | 1, (b, acc | b, False, memo)) for c, b in space.successors(current, "0+")
+        (code, (b, acc | b, False, memo)) for code, b in space.successors(current, "0+")
     ]
     handed = mode.rule(point, space.has_private_final(acc), space.has_public_final(acc), memo)
     if handed is not None:
         point = not point  # a tick-1 moves from a point into an interval or back
-        out += [(c << 2 | 2, (b, b, point, handed)) for c, b in space.successors(current, "1")]
+        out += [(code, (b, b, point, handed)) for code, b in space.successors(current, "1")]
     return out
 
 
@@ -102,12 +102,12 @@ def point_loop(g: Explored) -> tuple[int, list[int]] | None:
     ids of one such cycle from it back to it; None when there is none.  The
     nested depth-first search of Courcoubetis, Vardi, Wolper & Yannakakis
     (FMSD 1992): as the outer DFS leaves a point state (``nodes[i][2]``;
-    node 0, the start, is on no cycle), an inner breadth-first search looks
-    for an edge back to it through the states no inner search has reached
-    yet.  ``trail`` holds each state's parent id and, n further on, the label
-    id of the edge from it: the inner searches' shared mark and their paths.
-    When the outer DFS leaves the first point on a cycle, no state on a
-    cycle through it is marked, so its inner search finds its way back."""
+    node 0, the start, is on no cycle), an inner breadth-first search
+    (`graphs.shortest_path`) looks for an edge back to it through the states
+    no inner search has reached yet.  The inner searches share one
+    ``trail``, their mark and their paths.  When the outer DFS leaves the
+    first point on a cycle, no state on a cycle through it is marked, so
+    its inner search finds its way back."""
     n = len(g.nodes)
     trail = array("i", [-1]) * (2 * n)
     seen = bytearray(n)
@@ -122,21 +122,10 @@ def point_loop(g: Explored) -> tuple[int, list[int]] | None:
                 break
         else:
             stack.pop()
-            if not (u and g.nodes[u][2]):
-                continue
-            queue = [u]
-            for v in queue:  # `queue` grows behind the cursor: a FIFO queue
-                for lid, j in g.steps(v):
-                    if trail[j] < 0:
-                        if j == u:
-                            loop = [lid]
-                            while v != u:
-                                loop.append(trail[n + v])
-                                v = trail[v]
-                            loop.reverse()
-                            return u, loop
-                        trail[j], trail[n + j] = v, lid
-                        queue.append(j)
+            if u and g.nodes[u][2]:
+                loop = shortest_path(g, u, u, trail)
+                if loop is not None:
+                    return u, loop
     return None
 
 
@@ -155,17 +144,19 @@ def solve(
     sequential, and the benchmark harness still passes ``workers=1``."""
     t0 = time.monotonic()
     g = explore(space, mode, state_cap, time_cap)
-    stats = SolveStats(len(g.nodes), g.edges, time.monotonic() - t0)
+
+    def stats() -> SolveStats:  # taken at each return: the search and the witness count too
+        return SolveStats(len(g.nodes), g.edges, time.monotonic() - t0)
+
     if g.stopped:
-        return SolveResult("INDETERMINATE", None, stats, g.stopped)
+        return SolveResult("INDETERMINATE", None, stats(), g.stopped)
     found = point_loop(g)
     if found is None:
-        return SolveResult("UNSAT", None, stats)
+        return SolveResult("UNSAT", None, stats())
     point, loop = found
-    decode = space.label
-    stem = tuple(decode(code) for code, _ in path_to(g, point))
-    witness = WinningWitness(stem, tuple(decode(g.labels[lid]) for lid in loop))
-    return SolveResult("SAT", witness, stats)
+    stem = shortest_path(g, 0, point, array("i", [-1]) * (2 * len(g.nodes)))
+    stem, loop = (tuple(space.label(g.labels[lid]) for lid in path) for path in (stem, loop))
+    return SolveResult("SAT", WinningWitness(stem, loop), stats())
 
 
 def witness_to_metastrategy(witness: WinningWitness) -> MetaStrategy:

@@ -1,9 +1,10 @@
 """The one breadth-first explorer behind every graph etopaq walks (regions,
 beliefs and the game), its one cap rule, and the interned state store it
 fills, as SPIN's is (Holzmann, IEEE TSE 1997): each node once, under a
-dense id in discovery order, and each label once, under an id.  The expanded nodes' edges are (label id, target id)
-pairs in one `array('i')`, node after node, and the BFS tree is two
-arrays: each node's parent id and the label id of the edge from it.
+dense id in discovery order, and each label once, under an id.  The
+expanded nodes' edges are (label id, target id) pairs in one `array('i')`,
+node after node, and the store keeps nothing else: paths are read back out
+of it by `shortest_path`, a breadth-first search over those rows.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ class Explored:
     labels: list  # label id -> label
     pairs: array  # the expanded nodes' (label id, target id) pairs, node after node
     ends: array  # id -> where its pairs end in `pairs`, expanded nodes only
-    parent: array  # id -> parent id, -1 at the start
-    via: array  # id -> label id of the edge from the parent, -1 at the start
     edges: int = 0  # steps of the expanded nodes, those past a state cap included
     stopped: str = ""  # why exploration stopped short, "" when it did not
 
@@ -33,11 +32,6 @@ class Explored:
         """Node ``i``'s (label id, target id) pairs as emitted, less those past a cap."""
         row = iter(self.pairs[self.ends[i - 1] if i else 0 : self.ends[i]])
         return zip(row, row)  # one iterator twice: (label id, target id) pairs
-
-    def arcs(self) -> Iterator[tuple[int, object, int]]:
-        """Every expanded node's (source id, label, target id) edges, in id order."""
-        labels = self.labels
-        return ((i, labels[lid], j) for i in range(len(self.ends)) for lid, j in self.steps(i))
 
 
 def bfs(
@@ -51,9 +45,9 @@ def bfs(
     each expansion, the state cap at each discovery; a walk that runs out
     of memory stops as a capped one does, with what it explored."""
     deadline = None if time_cap is None else time.monotonic() + time_cap
-    g = Explored([start], [], array("i"), array("i"), array("i", [-1]), array("i", [-1]))
-    nodes, pairs, ends, parent, via = g.nodes, g.pairs, g.ends, g.parent, g.via
-    add_node, add_pair, add_parent, add_via = nodes.append, pairs.append, parent.append, via.append
+    g = Explored([start], [], array("i"), array("i"))
+    nodes, pairs, ends = g.nodes, g.pairs, g.ends
+    add_node, add_pair = nodes.append, pairs.append
     ids, label_ids = {start: 0}, {}  # both in id order: `labels` is label_ids's keys
     found, edges, stopped = 1, 0, ""  # found: len(nodes), kept by hand in the edge loop
     try:
@@ -72,8 +66,6 @@ def bfs(
                     if stopped:  # past the cap: only edges to nodes already found
                         del ids[n2]
                         continue
-                    add_parent(i)
-                    add_via(lid)
                     add_node(n2)
                     found += 1
                     if state_cap is not None and j >= state_cap:
@@ -83,18 +75,31 @@ def bfs(
             ends.append(len(pairs))
             if stopped:
                 break
-    except MemoryError:  # keep the tree as long as `nodes`, whatever append failed
+    except MemoryError:
         stopped = "out of memory"
-        del parent[len(nodes) :], via[len(nodes) :]
     g.labels[:], g.edges, g.stopped = label_ids, edges, stopped
     return g
 
 
-def path_to(g: Explored, i: int) -> list[tuple[object, Node]]:
-    """The (label, node) steps from the start of ``g`` down to node ``i``."""
-    path = []
-    while g.parent[i] >= 0:
-        path.append((g.labels[g.via[i]], g.nodes[i]))
-        i = g.parent[i]
-    path.reverse()
-    return path
+def shortest_path(g: Explored, start: int, goal: int, trail: array) -> list[int] | None:
+    """The label ids of a shortest path of one edge or more from node
+    ``start`` of ``g`` to node ``goal``; None when there is none.  A FIFO
+    over the rows that passes only the nodes whose ``trail`` entry is -1,
+    marking each with its parent id there and, n further on, the label id
+    of the edge from it.  From node 0 on a fresh trail of 2n -1s, a node's
+    parent is the node `bfs` first found it from, by the same edge."""
+    n = len(g.nodes)
+    queue = [start]
+    for v in queue:  # `queue` grows behind the cursor: a FIFO queue
+        for lid, j in g.steps(v):
+            if trail[j] < 0:
+                if j == goal:
+                    path = [lid]
+                    while v != start:
+                        path.append(trail[n + v])
+                        v = trail[v]
+                    path.reverse()
+                    return path
+                trail[j], trail[n + j] = v, lid
+                queue.append(j)
+    return None

@@ -61,8 +61,9 @@ def belief_edges(space: BeliefSpace, g: Explored):
     """The edges of a belief store from ``space.explore``, as (source,
     tick, enabled, target) with both ends read back as nodes and the label
     decoded by the space."""
-    for i, code, j in g.arcs():
-        yield (g.nodes[i], *space.label(code), g.nodes[j])
+    for i in range(len(g.ends)):
+        for lid, j in g.steps(i):
+            yield (g.nodes[i], *space.label(g.labels[lid]), g.nodes[j])
 
 
 def leaking_full(space: BeliefSpace, belief) -> bool:

@@ -603,6 +603,7 @@ def _assert_successors_dedup(space, state_cap=None) -> tuple[int, int]:
     successor of an explored belief fails the comparison there."""
     beliefs = space.explore(state_cap=state_cap).nodes
     ref = BeliefSpace(space.ctx)
+    names = sorted(space.ctx.ta.controllable)
     widest = 0
     for b in beliefs:
         for tick in ("0",) if b is BOTTOM else ("0+", "1"):
@@ -612,8 +613,10 @@ def _assert_successors_dedup(space, state_cap=None) -> tuple[int, int]:
                 expected.setdefault(b2, e)
             got = space.successors(b, tick)
             assert len({b2 for _, b2 in got}) == len(got), "duplicate belief"
-            assert [(space.label(c << 2)[1], b2) for c, b2 in got] == [
-                (e, b2) for b2, e in expected.items()
+            # a label is the class mask over the sorted names << 2 | the tick's code
+            assert [(code >> 2, code & 3, b2) for code, b2 in got] == [
+                (sum(1 << names.index(n) for n in e), ("0", "0+", "1").index(tick), b2)
+                for b2, e in expected.items()
             ], tick
             widest = max(widest, len(got))
     return len(beliefs), widest

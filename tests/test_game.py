@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +31,7 @@ from etopaq.game import (
     solve,
     witness_to_metastrategy,
 )
-from etopaq.graphs import bfs
+from etopaq.graphs import bfs, shortest_path
 from etopaq.oracle import oracle_buckets, oracle_verdict
 from etopaq.regions import RegionContext
 from etopaq.strategies import Bucket, MetaStrategy, UnitPlan, all_enabled
@@ -215,10 +217,31 @@ def test_solve_state_cap_yields_indeterminate(opaque_space):
     assert res.stats.edges > 0
 
 
+def test_stats_seconds_cover_the_search_and_the_witness(monkeypatch):
+    """`seconds` is read at each return of `solve`, after the search for a
+    point on a cycle, on SAT and on UNSAT: a clock that moves on by 100 s
+    inside `point_loop` shows in it."""
+    import etopaq.game as game_mod
+
+    now = [0.0]
+    search = game_mod.point_loop
+
+    def slow_search(g):
+        now[0] += 100.0
+        return search(g)
+
+    monkeypatch.setattr(game_mod, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(game_mod, "point_loop", slow_search)
+    for name, status in (("ta_opaque", "SAT"), ("ta1", "UNSAT")):
+        res = solve(_fresh_space(name), Mode.FULL)
+        assert (res.status, res.stats.seconds) == (status, 100.0), name
+
+
 def test_a_walk_out_of_memory_keeps_its_store_consistent(monkeypatch):
     """Whichever append of `graphs.bfs` runs out of memory, the store it
-    returns has one parent and one parent-edge label per node, each parent
-    found before its child, and no edge row for a node it does not hold."""
+    returns has no edge row for a node it does not hold, every row it
+    records is there whole, in (label id, target id) pairs, and every pair
+    names a label and a node the store holds."""
     import etopaq.graphs as graphs
 
     class Exhausting(graphs.array):
@@ -238,9 +261,14 @@ def test_a_walk_out_of_memory_keeps_its_store_consistent(monkeypatch):
         Exhausting.left = k
         g = graphs.bfs(0, steps)
         assert g.stopped == "out of memory", k
-        assert len(g.parent) == len(g.via) == len(g.nodes) >= len(g.ends), k
-        for i in range(1, len(g.nodes)):
-            assert g.parent[i] < i and 0 <= g.via[i] < len(g.labels), (k, i)
+        assert len(g.ends) <= len(g.nodes), k
+        begin = 0
+        for i, end in enumerate(g.ends):
+            row = list(g.steps(i))
+            assert 2 * len(row) == end - begin, (k, i)
+            begin = end
+            for lid, j in row:
+                assert 0 <= j < len(g.nodes) and 0 <= lid < len(g.labels), (k, i)
 
 
 # --- the search for a point state on a cycle ---------------------------------------
@@ -257,13 +285,11 @@ def _reached(g, i) -> set[int]:
     return seen
 
 
-def test_point_loop_finds_a_point_on_a_cycle_in_random_stores():
-    """On 2,000 seeded stores of 1 to 12 nodes, index 2 of a node marking a
-    point: `point_loop` returns a point iff some point other than node 0
-    reaches itself, and its label ids spell a walk from that point back to
-    it.  Each edge has a label of its own, so a label id names one edge."""
+def _random_stores():
+    """2,000 seeded stores of 1 to 12 nodes, index 2 of a node marking a
+    point, as (draw, store).  Each edge has a label of its own, so a label
+    id names one edge."""
     rng = random.Random(20240917)
-    cyclic = 0
     for draw in range(2000):
         n = rng.randint(1, 12)
         nodes = [(k, draw, rng.random() < 0.5) for k in range(n)]
@@ -271,7 +297,43 @@ def test_point_loop_finds_a_point_on_a_cycle_in_random_stores():
             v: [(f"{v[0]}>{w[0]}", w) for w in rng.sample(nodes, rng.randint(0, min(n, 2)))]
             for v in nodes
         }
-        g = bfs(nodes[0], graph.__getitem__)
+        yield draw, bfs(nodes[0], graph.__getitem__)
+
+
+def _tree_path(g, j: int) -> list[int]:
+    """The label ids from node 0 of the store ``g`` down to node ``j`` along
+    the tree of its breadth-first walk, read off the rows apart from
+    `graphs`: the parent of a node is the smallest id whose row holds an
+    edge to it, and the label that row's first such edge's."""
+    tree: dict[int, tuple[int, int]] = {}
+    for i in range(len(g.ends)):
+        for lid, t in g.steps(i):
+            tree.setdefault(t, (i, lid))
+    path = []
+    while j:
+        j, lid = tree[j]
+        path.append(lid)
+    return path[::-1]
+
+
+def test_shortest_path_from_the_start_follows_the_walk_tree_in_random_stores():
+    """On the random stores, the shortest path from node 0 to every other
+    node, each found by the walk from it, is the path down the walk's tree."""
+    paths = 0
+    for draw, g in _random_stores():
+        n = len(g.nodes)
+        for j in range(1, n):
+            assert shortest_path(g, 0, j, array("i", [-1]) * (2 * n)) == _tree_path(g, j), (draw, j)
+            paths += 1
+    assert paths > 2000
+
+
+def test_point_loop_finds_a_point_on_a_cycle_in_random_stores():
+    """On the random stores: `point_loop` returns a point iff some point
+    other than node 0 reaches itself, and its label ids spell a walk from
+    that point back to it."""
+    cyclic = 0
+    for draw, g in _random_stores():
         points = {
             i
             for i in range(1, len(g.nodes))
@@ -301,8 +363,9 @@ def _walk(space, g, at: int, labels) -> int:
 def test_solve_is_sat_iff_a_tick1_edge_lies_on_a_cycle():
     """On the paper fixtures and 40 seeded draws, each in every mode: SAT
     iff the target of some tick-1 edge of the explored game reaches its
-    source; a SAT stem leads to a point state, and its loop leaves that
-    state by a tick-1 and comes back onto it by a tick-1."""
+    source; a SAT stem is the path down the walk's tree to a point state,
+    and its loop leaves that state by a tick-1 and comes back onto it by a
+    tick-1."""
     from conftest import random_ta
 
     rng = random.Random(20240917)  # the seed of the acceptance suite's random draws
@@ -327,6 +390,8 @@ def test_solve_is_sat_iff_a_tick1_edge_lies_on_a_cycle():
                 unsat += 1
                 continue
             point = _walk(space, g, 0, res.witness.stem)
+            stem = [space.label(g.labels[lid]) for lid in _tree_path(g, point)]
+            assert tuple(stem) == res.witness.stem, (ta.name, mode)
             loop = res.witness.loop
             assert g.nodes[point][2] and loop[0][0] == loop[-1][0] == "1", (ta.name, mode)
             assert _walk(space, g, point, loop) == point, (ta.name, mode)
@@ -564,25 +629,25 @@ def _two_bit_successors(space, st, mode):
     carry the other, so the one-memo game is a quotient of this one."""
     current, acc, at_integer, prev, obligation = st
     if current is BOTTOM:
-        return [(c << 2, (b, b, True, False, False)) for c, b in space.successors(BOTTOM, "0")]
+        return [(code, (b, b, True, False, False)) for code, b in space.successors(BOTTOM, "0")]
     priv, pub = space.has_private_final(acc), space.has_public_final(acc)
     if at_integer:
         obligation = mode.rule(True, priv, pub, prev)
         if obligation is None:
             return []
         return [
-            (c << 2 | 2, (b, b, False, prev, obligation))
-            for c, b in space.successors(current, "1")
+            (code, (b, b, False, prev, obligation))
+            for code, b in space.successors(current, "1")
         ]
     out = [
-        (c << 2 | 1, (b, acc | b, False, prev, obligation))
-        for c, b in space.successors(current, "0+")
+        (code, (b, acc | b, False, prev, obligation))
+        for code, b in space.successors(current, "0+")
     ]
     finals = mode.rule(False, priv, pub, obligation)
     if finals is not None:
         out += [
-            (c << 2 | 2, (b, b, True, finals, False))
-            for c, b in space.successors(current, "1")
+            (code, (b, b, True, finals, False))
+            for code, b in space.successors(current, "1")
         ]
     return out
 
@@ -640,9 +705,9 @@ def _location_flag_successors(space, st, mode):
     are interned."""
     current, acc, point, memo = st
     if current is BOTTOM:
-        return [(c << 2, (b, b, True, False)) for c, b in space.successors(BOTTOM, "0")]
+        return [(code, (b, b, True, False)) for code, b in space.successors(BOTTOM, "0")]
     out = [] if point else [
-        (c << 2 | 1, (b, acc | b, False, memo)) for c, b in space.successors(current, "0+")
+        (code, (b, acc | b, False, memo)) for code, b in space.successors(current, "0+")
     ]
     ta = space.ctx.ta
     private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
@@ -652,7 +717,7 @@ def _location_flag_successors(space, st, mode):
     )
     if handed is not None:
         out += [
-            (c << 2 | 2, (b, b, not point, handed)) for c, b in space.successors(current, "1")
+            (code, (b, b, not point, handed)) for code, b in space.successors(current, "1")
         ]
     return out
 

@@ -555,7 +555,12 @@ def test_pretty_belief_names_stay_short_in_a_large_depth_group():
     space = BeliefSpace(RegionContext(prepare(load_ta("minsky_halt"))))
     graph = space.explore(state_cap=2000)
     keys = [tuple(sorted(map(space.ctx.key, b))) for b in graph.nodes[1:]]
-    arcs = [(i, (tick, sorted(e)), j) for i, code, j in graph.arcs() for tick, e in [space.label(code)]]
+    arcs = [
+        (i, (tick, sorted(e)), j)
+        for i in range(len(graph.ends))
+        for lid, j in graph.steps(i)
+        for tick, e in [space.label(graph.labels[lid])]
+    ]
     arcs.sort(key=lambda a: a[1])  # label order: tick, then sorted names
     names = dot.pretty_belief_names(arcs, [None] + [(-len(k), k) for k in keys])
     assert len(names) == len(graph.nodes) > 1000
