@@ -7,8 +7,6 @@ from .ta import (
     Clock,
     Edge,
     TimedAutomaton,
-    add_tick_clock,
-    duplicate,
     make_finals_urgent,
     prepare,
     validate,
@@ -49,11 +47,9 @@ __all__ = [
     "TimedAutomaton",
     "UnitPlan",
     "WinningWitness",
-    "add_tick_clock",
     "all_enabled",
     "check_exists",
     "check_metastrategy",
-    "duplicate",
     "encountered_beliefs",
     "make_finals_urgent",
     "oracle_buckets",

@@ -81,7 +81,7 @@ def oracle_buckets(ctx: RegionContext, phi: MetaStrategy) -> OracleTable:
     walked by `walk_buckets` with this module's closure and delay image."""
     ta = ctx.ta
     unc = ta.uncontrollable
-    private = {loc for loc in ta.finals if is_primed(loc) or loc == ta.private}
+    private = {loc for loc in ta.finals if is_primed(loc)}
     public = ta.finals - private
     locations = ctx.locations
 

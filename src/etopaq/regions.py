@@ -33,13 +33,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .ta import (
-    TICK_CLOCK,
-    Action,
-    Atom,
-    TimedAutomaton,
-    is_primed,
-)
+from .ta import Action, Atom, TimedAutomaton, is_primed
 
 Ranges = tuple[tuple[int, int, int], ...]  # (clock, lo, hi) over half-unit codes
 
@@ -61,8 +55,8 @@ def _compile_atoms(atoms: Sequence[Atom], cmax: Sequence[int]) -> Ranges | None:
 
 
 class RegionContext:
-    """Successor queries over the regions of a duplicated, tick-augmented
-    automaton, computed once per region.
+    """Successor queries over the regions of an automaton `ta.prepare` made,
+    computed once per region.
 
     Steps are answered in region ids; ``locations[i]`` is id i's location;
     ``private_mask`` and ``public_mask`` have bit i set for the final ids by
@@ -71,10 +65,10 @@ class RegionContext:
     """
 
     def __init__(self, ta: TimedAutomaton):
-        if not (ta.is_duplicated and ta.has_tick_clock):
+        if not ta.prepared:
             raise ValueError("region analysis expects a prepared automaton")
         self.ta = ta
-        self.tick = ta.clock_named(TICK_CLOCK).index
+        self.tick = len(ta.clocks) - 1  # `prepare` adds the tick clock last
         self.cmax = self._max_constants()
         self._top = tuple(2 * c + 1 for c in self.cmax)  # the code of "above"
         # location -> (invariant tests or None, ((action, tests, resets, target), ...))
@@ -90,7 +84,7 @@ class RegionContext:
         self._part_of: list[int] = []  # id -> part id
         self._steps: list[tuple | None] = []  # id -> (delay steps, discrete steps) once expanded
         self.private_mask = self.public_mask = 0
-        self._private_side = {f: is_primed(f) or f == ta.private for f in ta.finals}
+        self._private_side = {f: is_primed(f) for f in ta.finals}
 
     def _max_constants(self) -> tuple[int, ...]:
         cmax = [0] * len(self.ta.clocks)

@@ -1,5 +1,5 @@
-"""Timed automata: syntax, validation, and the structural transforms that
-prepare an automaton for the region and belief layers.
+"""Timed automata: syntax, validation, and the transform that prepares an
+automaton for the region and belief layers.
 
 Everything here is an immutable value.
 """
@@ -98,8 +98,7 @@ class TimedAutomaton:
     finals: frozenset[str]
     clocks: tuple[Clock, ...]
     edges: tuple[Edge, ...]
-    has_tick_clock: bool = False
-    is_duplicated: bool = False
+    prepared: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "invariants", MappingProxyType(dict(self.invariants)))
@@ -113,12 +112,6 @@ class TimedAutomaton:
 
     def invariant(self, location: str) -> Guard:
         return self.invariants.get(location, ())
-
-    def clock_named(self, name: str) -> Clock:
-        for c in self.clocks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     # the value is immutable, so what is derived from it is computed once
     @cached_property
@@ -147,11 +140,11 @@ def validate(ta: TimedAutomaton) -> list[Violation]:
 
     Finals must have no outgoing edges and be urgent: some clock is reset on
     every edge into a final and pinned to 0 by the final's invariant.  No
-    location name may end in the prime suffix, which marks the private copy
-    `duplicate` makes, and no clock may take the tick clock's name, which
-    `add_tick_clock` adds; so a prepared automaton does not validate, as
-    `prepare` does not take it twice.  The violations are found once per
-    automaton value; each call returns a fresh list of them.
+    location name may end in the prime suffix, which marks the primed copy
+    `prepare` makes, and no clock may take the name of the tick clock it
+    adds; so a prepared automaton does not validate, and `prepare` does not
+    take it twice.  The violations are found once per automaton value; each
+    call returns a fresh list of them.
     """
     return list(ta._violations)
 
@@ -248,70 +241,40 @@ def make_finals_urgent(ta: TimedAutomaton) -> TimedAutomaton:
     return replace(ta, clocks=clocks, edges=edges, invariants=invariants)
 
 
-def add_tick_clock(ta: TimedAutomaton) -> TimedAutomaton:
-    """Adds the tick clock: ``z <= 1`` on every invariant and a silent
-    self-loop resetting z at ``z = 1`` on every location, so z always equals
-    the fractional part of absolute time.
-    """
-    if ta.has_tick_clock:
-        raise ValueError("automaton already has a tick clock")
-    if any(c.name == TICK_CLOCK for c in ta.clocks):
-        raise ValueError(f"clock name {TICK_CLOCK!r} is reserved")
-    z = len(ta.clocks)
-    clocks = ta.clocks + (Clock(z, TICK_CLOCK),)
-    # immutable values, so every location shares one of each
-    bound, guard, reset = (Atom(z, "<=", 1),), (Atom(z, "=", 1),), frozenset({z})
-    invariants = {loc: ta.invariant(loc) + bound for loc in ta.locations}
-    loops = tuple(Edge(loc, guard, SILENT, reset, loc) for loc in ta.locations)
-    return replace(
-        ta,
-        clocks=clocks,
-        invariants=invariants,
-        edges=ta.edges + loops,
-        has_tick_clock=True,
-    )
-
-
-def duplicate(ta: TimedAutomaton) -> TimedAutomaton:
-    """Duplicated automaton: a primed copy entered on leaving the private
-    location, so visiting it is readable off the final location reached.
-    """
-    if ta.is_duplicated:
-        raise ValueError("automaton already duplicated")
-    pub = [l for l in ta.locations if l != ta.private]
-    priv = [prime(l) for l in ta.locations] + [ta.private]
-    locations = tuple(pub) + tuple(priv)
-    finals = ta.finals | {prime(f) for f in ta.finals}
-    invariants: dict[str, Guard] = {}
-    for loc in ta.locations:
-        invariants[loc] = ta.invariant(loc)
-        invariants[prime(loc)] = ta.invariant(loc)
-    edges = [e for e in ta.edges if e.source != ta.private]
-    edges += [Edge(prime(e.source), e.guard, e.action, e.resets, prime(e.target))
-              for e in ta.edges]
-    edges += [
-        Edge(e.source, e.guard, e.action, e.resets, prime(e.target))
-        for e in ta.edges if e.source == ta.private
-    ]
-    return replace(
-        ta,
-        locations=locations,
-        finals=frozenset(finals),
-        invariants=invariants,
-        edges=tuple(edges),
-        is_duplicated=True,
-    )
-
-
 def prepare(ta: TimedAutomaton) -> TimedAutomaton:
-    """Validation, duplication, then tick-clock augmentation.
+    """The automaton the region and belief layers read, built in one pass.
 
-    The tick clock is added to the duplicated automaton: its self-loop must
-    stay on the private location rather than being redirected to the primed
-    copy like an ordinary outgoing edge.  An automaton already validated is
-    not checked again: its violations are kept on the value.
+    A primed copy of every location, entered on leaving the private
+    location, so that a visit to it is readable off the final location
+    reached; and the tick clock z, added last: ``z <= 1`` on every invariant
+    and a silent self-loop resetting z at ``z = 1`` on every location, so z
+    always equals the fractional part of absolute time.  The private
+    location's self-loop stays on it, not redirected into the primed copy
+    like its other outgoing edges.  An automaton already validated is not
+    checked again: its violations are kept on the value.
     """
     problems = validate(ta)
     if problems:
         raise ValueError(f"invalid automaton: {problems}")
-    return add_tick_clock(duplicate(ta))
+    pub = tuple(loc for loc in ta.locations if loc != ta.private)
+    locations = pub + tuple(prime(loc) for loc in ta.locations) + (ta.private,)
+    z = len(ta.clocks)
+    # immutable values, so every location shares one of each
+    bound, guard, reset = (Atom(z, "<=", 1),), (Atom(z, "=", 1),), frozenset({z})
+    edges = [e for e in ta.edges if e.source != ta.private]
+    edges += [Edge(prime(e.source), e.guard, e.action, e.resets, prime(e.target))
+              for e in ta.edges]
+    edges += [Edge(e.source, e.guard, e.action, e.resets, prime(e.target))
+              for e in ta.edges if e.source == ta.private]
+    edges += [Edge(loc, guard, SILENT, reset, loc) for loc in locations]
+    return replace(
+        ta,
+        locations=locations,
+        finals=ta.finals | {prime(f) for f in ta.finals},
+        # no name of ``ta`` ends in the suffix, so stripping it finds the original
+        invariants={loc: ta.invariant(loc.removesuffix(PRIME_SUFFIX)) + bound
+                    for loc in locations},
+        clocks=ta.clocks + (Clock(z, TICK_CLOCK),),
+        edges=tuple(edges),
+        prepared=True,
+    )

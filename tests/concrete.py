@@ -127,8 +127,8 @@ def classify_run(ta_dup: TimedAutomaton, run: TimedRun) -> tuple[str, Fraction]:
     """'private' / 'public' / 'neither' for a legal run of the duplicated
     automaton, plus its duration.
     """
-    if not ta_dup.is_duplicated:
-        raise ValueError("classification needs the duplicated automaton")
+    if not ta_dup.prepared:
+        raise ValueError("classification needs the prepared automaton")
     if not validate_run(ta_dup, run):
         raise ValueError("run is not legal in this automaton")
     loc = run.last[0]
@@ -309,7 +309,9 @@ def run_admits(run: TimedRun, v: Sequence[Label], ta: TimedAutomaton) -> bool:
     sub-unit delays append a tick-1 label plus a '0+' run shaped by which
     endpoints are integers, and unit delays close onto a fresh tick-1 label.
     """
-    z = ta.clock_named("z").index
+    tick = ta.clocks[-1]  # `prepare` adds the tick clock last
+    assert tick.name == "z"
+    z = tick.index
     unc = ta.uncontrollable
     memo: dict[tuple[int, int], bool] = {}
 

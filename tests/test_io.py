@@ -37,7 +37,7 @@ def test_public_surface_holds_what_the_commands_run():
     converting to one, is left."""
     namespace: dict = {}
     exec("from etopaq import *", namespace)
-    assert len(set(etopaq.__all__)) == len(etopaq.__all__) == 28
+    assert len(set(etopaq.__all__)) == len(etopaq.__all__) == 26
     assert set(etopaq.__all__) <= namespace.keys()
     moved = {
         name

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import random
 from dataclasses import replace
@@ -20,15 +21,8 @@ from concrete import (
     step_discrete,
     validate_run,
 )
-from conftest import FIXTURES, edges_by_key, load_ta
-from etopaq import (
-    add_tick_clock,
-    duplicate,
-    make_finals_urgent,
-    prepare,
-    taformat,
-    validate,
-)
+from conftest import FIXTURES, chained_ta, edges_by_key, load_ta, random_ta
+from etopaq import make_finals_urgent, prepare, taformat, validate
 from etopaq.ta import (
     CONTROLLABLE,
     SILENT,
@@ -168,23 +162,33 @@ def test_final_urgency_matches_its_definition_on_random_automata():
     assert seen == {True, False}
 
 
+def _tick_clock(prepared):
+    """`prepare` adds the tick clock last."""
+    tick = prepared.clocks[-1]
+    assert tick.name == TICK_CLOCK
+    return tick.index
+
+
 def test_add_tick_clock_shape():
+    """The tick half of `prepare`: one self-loop resetting z per location of
+    the prepared automaton, and ``z <= 1`` on each; prepared once only."""
     ta = load_ta("ta_opaque")
-    ticked = add_tick_clock(ta)
-    z = ticked.clock_named(TICK_CLOCK).index
+    prepared = prepare(ta)
+    z = _tick_clock(prepared)
     loops = [
         e
-        for e in ticked.edges
+        for e in prepared.edges
         if e.source == e.target and e.resets == frozenset({z})
     ]
-    assert len(loops) == len(ta.locations) == 3
-    for loc in ticked.locations:
-        assert Atom(z, "<=", 1) in ticked.invariant(loc)
+    assert len(loops) == len(prepared.locations) == 2 * len(ta.locations) == 6
+    for loc in prepared.locations:
+        assert Atom(z, "<=", 1) in prepared.invariant(loc)
     with pytest.raises(ValueError):
-        add_tick_clock(ticked)
+        prepare(prepared)
 
 
 def test_add_tick_clock_single_location():
+    """A lone private location and its primed copy get one loop each."""
     ta = load_ta("ta_opaque")
     solo = replace(
         ta,
@@ -194,23 +198,27 @@ def test_add_tick_clock_single_location():
         finals=frozenset(),
         private="l0",
     )
-    ticked = add_tick_clock(solo)
-    assert sum(1 for e in ticked.edges if e.source == e.target) == 1
+    prepared = prepare(solo)
+    assert prepared.locations == (prime("l0"), "l0")
+    assert [e.source for e in prepared.edges if e.source == e.target] == [prime("l0"), "l0"]
 
 
 def test_duplicate_counts_ta1():
-    dup = duplicate(load_ta("ta1"))
-    assert len(dup.locations) == 12
-    assert dup.finals == frozenset({"lf", prime("lf")})
+    prepared = prepare(load_ta("ta1"))
+    assert len(prepared.locations) == 12
+    assert prepared.finals == frozenset({"lf", prime("lf")})
 
 
 def test_duplicate_counts_ta_opaque():
-    dup = duplicate(load_ta("ta_opaque"))
-    assert len(dup.locations) == 6
-    # edges out of the private location land in the primed copy
-    assert all(
-        is_primed(e.target) for e in dup.edges if e.source == dup.private
-    )
+    prepared = prepare(load_ta("ta_opaque"))
+    assert len(prepared.locations) == 6
+    # edges out of the private location land in the primed copy, its own
+    # tick loop aside, which stays on it
+    z = _tick_clock(prepared)
+    out = [e for e in prepared.edges if e.source == prepared.private]
+    loop = Edge(prepared.private, (Atom(z, "=", 1),), SILENT, frozenset({z}), prepared.private)
+    assert out.count(loop) == 1
+    assert all(is_primed(e.target) for e in out if e != loop)
 
 
 def test_duplicate_unreachable_private_is_still_syntactic():
@@ -218,8 +226,29 @@ def test_duplicate_unreachable_private_is_still_syntactic():
     pruned = replace(
         ta, edges=tuple(e for e in ta.edges if e.target != ta.private)
     )
-    dup = duplicate(pruned)
-    assert len(dup.locations) == 2 * len(ta.locations)
+    prepared = prepare(pruned)
+    assert len(prepared.locations) == 2 * len(ta.locations)
+
+
+# `prepare(ta)` for every fixture, then 300 `random_ta` and 100 `chained_ta`
+# draws from one seeded stream: its dump and the order of its invariants
+PREPARED_DIGEST = "a72d4de5d8693d3432dde5c6944f53f5a7fc9b11ff809e1f042ef37e2ec7e303"
+
+
+def test_prepare_output_is_pinned():
+    """Any change in what `prepare` returns, or in the order of its
+    locations, invariants, edges or clocks, changes the digest; ``finals``
+    is a frozenset, so the order must not follow the hash seed either."""
+    rng = random.Random(31)
+    automata = [taformat.load(str(path)) for path in sorted(FIXTURES.glob("*.ta"))]
+    automata += [random_ta(rng, f"r{i}") for i in range(300)]
+    automata += [chained_ta(rng, f"c{i}") for i in range(100)]
+    digest = hashlib.sha256()
+    for ta in automata:
+        prepared = prepare(ta)
+        digest.update(taformat.dump(prepared).encode())
+        digest.update(" ".join(prepared.invariants).encode() + b"\n")
+    assert digest.hexdigest() == PREPARED_DIGEST
 
 
 def test_step_discrete_paper_run_step():
@@ -311,7 +340,7 @@ def _translate_to_dup(ta, dup, run):
 
 def test_duplication_preserves_durations():
     ta = load_ta("ta1")
-    dup = duplicate(ta)
+    dup = prepare(ta)
     E = edges_by_key(ta)
     raw_runs = [
         build_run(ta, [(1, E["l0>l0/u"]), (0, E["l0>lpriv/u"]), (0, E["lpriv>lf/u"])]),
@@ -362,7 +391,7 @@ def test_tick_clock_tracks_fractional_time():
     rng = random.Random(7)
     for name in ("ta1", "ta_opaque", "ta_counterex"):
         ta = prepare(load_ta(name))
-        z = ta.clock_named(TICK_CLOCK).index
+        z = _tick_clock(ta)
         for _ in range(25):
             run = _random_run(ta, rng)
             elapsed = Fraction(0)
@@ -441,7 +470,7 @@ def test_prepared_automaton_has_the_tick_shape_and_is_not_prepared_again():
     primed copy, and `prepare` refuses it."""
     for path in sorted(FIXTURES.glob("*.ta")):
         prepared = prepare(taformat.load(str(path)))
-        z = prepared.clock_named(TICK_CLOCK).index
+        z = _tick_clock(prepared)
         for loc in prepared.locations:
             assert Atom(z, "<=", 1) in prepared.invariant(loc), (path.name, loc)
             loop = Edge(loc, (Atom(z, "=", 1),), SILENT, frozenset({z}), loc)
